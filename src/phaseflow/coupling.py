@@ -12,6 +12,7 @@ audit certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .mesh import (
     build_structured_mesh,
     refine_and_coarsen,
 )
-from .momentum import PhysParams, assemble_divergence, solve_momentum
+from .momentum import PhysParams, assemble_divergence, dirichlet_divergence, solve_momentum
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,12 @@ class Discretization:
         self.stiffness = assemble_stiffness(self.sspace, 1.0)
         self.lumped = lumped_p1_weights(mesh)
         self.B = assemble_divergence(self.vspace, self.sspace)
+
+    @cached_property
+    def divergence(self):
+        """The saddle solve's divergence blocks, built at the first solve on
+        this mesh rather than with the set-up."""
+        return dirichlet_divergence(self.vspace, self.B)
 
     @property
     def n_phi(self) -> int:
@@ -184,6 +191,8 @@ class StepDiagnostics:
     newton_iterations: int = 0
     dv: float = np.inf
     dphi: float = np.inf
+    # the viscous matrix of the step's old phase, which the audit reuses
+    viscous: object = None
 
 
 @dataclass
@@ -225,7 +234,7 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
         density_from_phase, viscosity_from_phase
 
     eta_k = viscosity_from_phase(phi_k, params)
-    viscous = assemble_viscous(disc.vspace, eta_k)
+    viscous = diags.viscous = assemble_viscous(disc.vspace, eta_k)
     convective = assemble_Na(disc.vspace, density_from_phase(phi_k, params), v_k)
     stab = assemble_stabilization(disc.vspace, disc.sspace, eta_k) \
         if params.elements == "p1p1" else None
@@ -255,7 +264,8 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
         try:
             v_i, p_i = solve_momentum(disc.vspace, disc.sspace, params,
                                       phi_k, phi_i, mu_i, v_k, tau, state.t,
-                                      tol=saddle_tol, B=disc.B, mean_weights=disc.lumped,
+                                      tol=saddle_tol, divergence=disc.divergence,
+                                      mean_weights=disc.lumped,
                                       viscous=viscous, convective=convective,
                                       stabilization=stab, saddle_cache=caches.saddle)
         except SolverError as exc:
@@ -389,7 +399,8 @@ def run(cfg: RunConfig, keep_states: bool = False) -> RunResult:
         report, breakdown = step_inequality_check(
             state.disc.sspace, state.disc.vspace, cfg.params,
             state.phi, state.v, new.phi, new.mu, new.v, tau, state.t,
-            tol=cfg.audit_tol, stiffness=state.disc.stiffness, lumped=state.disc.lumped)
+            tol=cfg.audit_tol, stiffness=state.disc.stiffness, lumped=state.disc.lumped,
+            viscous=diags.viscous)
         if not report.passed:
             audit_failures += 1
             if cfg.audit_strict:

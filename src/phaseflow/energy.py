@@ -72,14 +72,16 @@ def step_inequality_check(sspace: ScalarSpace, vspace: VelocitySpace, params: Ph
                           phi_old: np.ndarray, v_old: np.ndarray,
                           phi_new: np.ndarray, mu_new: np.ndarray, v_new: np.ndarray,
                           tau: float, t_old: float, tol: float = 1e-8,
-                          stiffness=None, lumped=None) -> tuple[InequalityReport, EnergyBreakdown]:
+                          stiffness=None, lumped=None,
+                          viscous=None) -> tuple[InequalityReport, EnergyBreakdown]:
     """Audit one accepted step against the discrete energy inequality.
 
     Returns the report and the step's energy breakdown (new-state energies
     with the step's dissipation and work terms attached).  The pass threshold
     scales with 1 + |rhs| + E_old / tau because the inequality's terms carry
     a 1/tau factor, so cancellation noise grows at that scale for small
-    increments.
+    increments.  ``viscous`` is the viscous matrix of ``phi_old`` when the
+    stepper already assembled it; by default it is assembled here.
     """
     dw = DoubleWell(sigma=params.sigma, delta=params.delta)
     K = assemble_stiffness(sspace, 1.0) if stiffness is None else stiffness
@@ -109,7 +111,8 @@ def step_inequality_check(sspace: ScalarSpace, vspace: VelocitySpace, params: Ph
     well_terms = (sig / dlt) * float(c @ (dw.f(phi_new) - dw.f(phi_old))) / tau
 
     d_mob = params.mobility * float(mu_new @ (K @ mu_new))
-    A = assemble_viscous(vspace, viscosity_from_phase(phi_old, params))
+    A = assemble_viscous(vspace, viscosity_from_phase(phi_old, params)) \
+        if viscous is None else viscous
     d_visc = float(v_new @ (A @ v_new))
 
     f_ext = assemble_external_force(vspace, sspace, phi_new, params, t_old)

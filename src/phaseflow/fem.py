@@ -23,15 +23,14 @@ from .mesh import Mesh, barycentric_coordinates, locate_points, midpoint_refine
 
 
 def assembly_threads() -> int:
-    """Degree of assembly parallelism, from PHASEFLOW_THREADS (default: cores)."""
-    raw = os.environ.get("PHASEFLOW_THREADS", "")
+    """Degree of assembly parallelism, from PHASEFLOW_THREADS (default and
+    upper bound: the core count)."""
+    cores = os.cpu_count() or 1
     try:
-        n = int(raw)
+        n = int(os.environ.get("PHASEFLOW_THREADS", ""))
     except ValueError:
         n = 0
-    if n < 1:
-        n = os.cpu_count() or 1
-    return n
+    return cores if n < 1 else min(n, cores)
 
 
 def element_chunks(kernel, n_elements: int, min_chunk: int = 20000) -> list:

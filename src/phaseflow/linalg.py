@@ -1,10 +1,12 @@
 """Sparse linear solvers for the time stepper.
 
-Saddle-point systems (momentum) default to a direct factorization of the full
-indefinite block matrix with a mean-pressure constraint row appended, which
-keeps the tests bit-reproducible.  The fourth-order phase-field blocks go
-through BiCGstab with diagonal scaling, falling back to the factorization on
-breakdown or stagnation.
+Saddle-point systems (momentum) default to a direct factorization of the
+square indefinite block matrix, made nonsingular by pinning one pressure dof
+to zero; the pressure is re-centered to zero weighted mean afterwards.  The
+pin keeps the matrix as sparse as its blocks, where a constraint row for the
+mean would couple every pressure dof and wreck the fill-reducing ordering.
+The fourth-order phase-field blocks go through BiCGstab with diagonal
+scaling, falling back to the factorization on breakdown or stagnation.
 """
 
 from __future__ import annotations
@@ -28,11 +30,21 @@ def direct_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise ValueError("direct_solve needs a square system")
+    x = _factorize(A).solve(b)
+    _check_direct(A, x, b)
+    return x
+
+
+def _factorize(A: sp.spmatrix):
     try:
-        lu = spla.splu(A)
-        x = lu.solve(b)
+        return spla.splu(sp.csc_matrix(A))
     except RuntimeError as exc:  # SuperLU reports singularity here
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+
+
+def _check_direct(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> None:
+    """The contract of a direct solve: a finite x with a relative residual
+    of at most 1e-10, else SolverError."""
     if not np.all(np.isfinite(x)):
         bad = int(np.nonzero(~np.isfinite(x))[0][0])
         raise SolverError(f"singular matrix: non-finite solution entry at index {bad}")
@@ -40,7 +52,6 @@ def direct_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     scale = _inf_norm(A) * np.abs(x).max() + np.abs(b).max()
     if resid > 1e-10 * max(scale, 1e-300):
         raise SolverError(f"direct solve residual {resid:.3e} exceeds bound {1e-10 * scale:.3e}")
-    return x
 
 
 def _inf_norm(A: sp.spmatrix) -> float:
@@ -130,7 +141,10 @@ class FactorizationCache:
         self.refresh_after = refresh_after
 
     def refresh(self, A: sp.spmatrix):
-        self.lu = spla.splu(sp.csc_matrix(A))
+        """Factorize A; a singular matrix raises SolverError and leaves the
+        cache empty."""
+        self.lu = None
+        self.lu = _factorize(A)
         return self.lu
 
     def _direct(self, A: sp.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
@@ -168,18 +182,48 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-12,
         return direct_solve(A, b)
 
 
+# the pressure dof the monolithic saddle solve fixes to zero
+PIN = 0
+
+
+class PinnedDivergence:
+    """The off-diagonal blocks of the monolithic saddle matrix: the
+    divergence B with the row of pressure dof ``PIN`` zeroed, and its
+    transpose.  They depend on the mesh only, so a caller that solves many
+    systems with the same B builds them once and hands them to each
+    ``SaddleSystem``."""
+
+    def __init__(self, B: sp.spmatrix):
+        self.B = B
+        # CSR throughout lets sp.bmat stack the blocks without sorting
+        coo = sp.coo_array(B)
+        keep = coo.row != PIN
+        self.pinned = sp.csr_array((coo.data[keep], (coo.row[keep], coo.col[keep])),
+                                   shape=B.shape)
+        self.pinned_T = self.pinned.T.tocsr()
+
+
 @dataclass
 class SaddleSystem:
     """Assembled saddle-point blocks:
 
-        [ G   B^T  0 ] [v]   [f]
-        [ B   -C   c ] [p] = [g]
-        [ 0   c^T  0 ] [lam] [0]
+        [ G   B^T ] [v]   [f]
+        [ B   -C  ] [p] = [g]
 
     with B the gradient-form coupling (one row per pressure dof), C an
-    optional pressure stabilization (None for inf-sup stable pairs), and c
-    the pressure-mean weights enforcing a zero-mean pressure through the
-    scalar multiplier lam.
+    optional pressure stabilization (None for inf-sup stable pairs), and
+    ``mean_weights`` fixing the free pressure constant: the solution has
+    zero weighted pressure mean.  ``pinned`` optionally carries the blocks
+    of ``PinnedDivergence(B)`` built ahead of time.
+
+    The pressure is defined up to constants only: B^T 1 = 0, since B pairs
+    each velocity basis function with the gradients of the P1 pressure basis
+    functions, which sum to the gradient of 1, and C 1 = 0, since the
+    stabilization vanishes on elementwise constants.  ``monolithic``
+    therefore fixes one pressure dof to zero, which changes neither the
+    velocity nor the pressure up to that constant: with C symmetric, the
+    dropped divergence row is minus the sum of the others, so it holds
+    whenever 1^T g = 0, and ``solve_saddle`` checks every row afterwards.
     """
 
     G: sp.spmatrix
@@ -188,6 +232,7 @@ class SaddleSystem:
     mean_weights: np.ndarray
     rhs_v: np.ndarray
     rhs_p: np.ndarray | None = None
+    pinned: PinnedDivergence | None = None
 
     @property
     def n_v(self) -> int:
@@ -197,20 +242,24 @@ class SaddleSystem:
     def n_p(self) -> int:
         return self.B.shape[0]
 
-    def monolithic(self) -> tuple[sp.csc_matrix, np.ndarray]:
-        c = sp.csc_matrix(self.mean_weights.reshape(-1, 1))
-        Cblk = -self.C if self.C is not None else sp.csc_matrix((self.n_p, self.n_p))
-        K = sp.bmat(
-            [
-                [self.G, self.B.T, None],
-                [self.B, Cblk, c],
-                [None, c.T, None],
-            ],
-            format="csc",
-        )
-        rhs_p = self.rhs_p if self.rhs_p is not None else np.zeros(self.n_p)
-        rhs = np.concatenate([self.rhs_v, rhs_p, [0.0]])
-        return K, rhs
+    def monolithic(self) -> tuple[sp.csr_array, np.ndarray]:
+        """The square matrix and right-hand side with the pressure dof
+        ``PIN`` fixed: its row of B and its row and column of C are zeroed,
+        with 1 on the diagonal and 0 on the right."""
+        blocks = self.pinned if self.pinned is not None else PinnedDivergence(self.B)
+        rows, cols, vals = np.array([PIN]), np.array([PIN]), np.array([1.0])
+        if self.C is not None:
+            C = sp.coo_array(self.C)
+            keep = (C.row != PIN) & (C.col != PIN)
+            rows = np.concatenate([C.row[keep], rows])
+            cols = np.concatenate([C.col[keep], cols])
+            vals = np.concatenate([-C.data[keep], vals])
+        Cblk = sp.csr_array((vals, (rows, cols)), shape=(self.n_p, self.n_p))
+        K = sp.bmat([[sp.csr_array(self.G), blocks.pinned_T], [blocks.pinned, Cblk]],
+                    format="csr")
+        rhs_p = np.zeros(self.n_p) if self.rhs_p is None else np.array(self.rhs_p, dtype=float)
+        rhs_p[PIN] = 0.0
+        return K, np.concatenate([self.rhs_v, rhs_p])
 
 
 def solve_saddle(system: SaddleSystem, tol: float = 1e-9, method: str = "direct",
@@ -219,10 +268,11 @@ def solve_saddle(system: SaddleSystem, tol: float = 1e-9, method: str = "direct"
 
     method 'direct' factorizes the monolithic indefinite matrix (with a
     cache, the previous factorization preconditions a BiCGstab solve of the
-    updated matrix and is refreshed on failure); 'schur' runs BiCGstab on the
+    updated matrix and is refreshed when that misses; the refreshed solve
+    must then meet ``direct_solve``'s contract); 'schur' runs BiCGstab on the
     pressure Schur complement, used as the independent cross-check path.
-    Both enforce the divergence constraint to ``tol`` and a zero pressure
-    mean.
+    Both enforce the divergence constraint to ``tol`` on every pressure row
+    and a zero weighted pressure mean.  Failures raise SolverError.
     """
     n_v, n_p = system.n_v, system.n_p
     if method == "direct":
@@ -230,9 +280,9 @@ def solve_saddle(system: SaddleSystem, tol: float = 1e-9, method: str = "direct"
         if cache is not None:
             sol = cache.solve(K, rhs, tol=1e-13)
             resid = np.linalg.norm(K @ sol - rhs)
-            if resid > 1e-12 * np.linalg.norm(rhs):
-                cache.refresh(K)
-                sol = cache.lu.solve(rhs)
+            if not resid <= 1e-12 * np.linalg.norm(rhs):  # also catches NaN
+                sol = cache.refresh(K).solve(rhs)
+                _check_direct(K, sol, rhs)
         else:
             sol = direct_solve(K, rhs)
         v, p = sol[:n_v], sol[n_v:n_v + n_p]
@@ -241,12 +291,12 @@ def solve_saddle(system: SaddleSystem, tol: float = 1e-9, method: str = "direct"
     else:
         raise ValueError(f"unknown saddle solver {method!r}")
 
-    # pin the weighted mean exactly
+    # fix the weighted mean exactly
     w = system.mean_weights
     p = p - (w @ p) / w.sum()
     div_res = np.abs(system.B @ v - (system.C @ p if system.C is not None else 0.0)
                      - (system.rhs_p if system.rhs_p is not None else 0.0)).max()
-    if div_res > tol:
+    if not div_res <= tol:
         raise SolverError(f"divergence residual {div_res:.3e} exceeds tol {tol:.1e}")
     return v, p
 

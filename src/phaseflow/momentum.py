@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import ScalarSpace, VelocitySpace, lumped_mass_diagonal
-from .linalg import SaddleSystem, solve_saddle
+from .linalg import PinnedDivergence, SaddleSystem, solve_saddle
 
 
 @dataclass(frozen=True)
@@ -345,18 +345,27 @@ def assemble_time_terms(vspace: VelocitySpace, rho_old: np.ndarray, rho_new: np.
 
 def apply_velocity_dirichlet(A: sp.csr_array, mask: np.ndarray) -> sp.csr_array:
     """Zero constrained rows and columns and put ones on the diagonal."""
-    A = sp.csr_array(A)
+    A = sp.csr_array(A, copy=True)
+    A.sum_duplicates()
     keep = ~mask
-    d = sp.csr_array(sp.diags_array(keep.astype(float)))
-    A = d @ A @ d
-    A = A + sp.diags_array(mask.astype(float))
-    return sp.csr_array(A)
+    A.data *= np.repeat(keep, np.diff(A.indptr)) & keep[A.indices]
+    A.eliminate_zeros()
+    return A + sp.diags_array(mask.astype(float), format="csr")
+
+
+def dirichlet_divergence(vspace: VelocitySpace, B: sp.csr_array) -> PinnedDivergence:
+    """The divergence block with the columns of constrained velocity dofs
+    zeroed, with its pinned saddle blocks; depends on the mesh only."""
+    B = sp.csr_array(B, copy=True)
+    B.data *= ~vspace.dirichlet_mask[B.indices]
+    B.eliminate_zeros()
+    return PinnedDivergence(B)
 
 
 def solve_momentum(vspace: VelocitySpace, pspace: ScalarSpace, params: PhysParams,
                    phi_old: np.ndarray, phi_new: np.ndarray, mu_new: np.ndarray,
                    v_old: np.ndarray, tau: float, t: float,
-                   tol: float = 1e-9, B: sp.csr_array | None = None,
+                   tol: float = 1e-9, divergence: PinnedDivergence | None = None,
                    mean_weights: np.ndarray | None = None,
                    viscous: sp.csr_array | None = None,
                    convective: sp.csr_array | None = None,
@@ -366,7 +375,9 @@ def solve_momentum(vspace: VelocitySpace, pspace: ScalarSpace, params: PhysParam
 
     The operators built from old-step data (viscous block, skew convection,
     pressure stabilization) may be passed in precomputed; within one time
-    step they are constant across the splitting iterations."""
+    step they are constant across the splitting iterations.  So is
+    ``divergence``, ``dirichlet_divergence`` of the mesh's divergence
+    block, which depends on the mesh alone."""
     from .fem import lumped_p1_weights
 
     rho_old = density_from_phase(phi_old, params)
@@ -384,8 +395,8 @@ def solve_momentum(vspace: VelocitySpace, pspace: ScalarSpace, params: PhysParam
         + assemble_Nb(vspace, drho, j_elem, model=params.model)
     rhs = rhs_t + assemble_rhs_K(vspace, pspace, mu_new, phi_new, params, t)
 
-    if B is None:
-        B = assemble_divergence(vspace, pspace)
+    if divergence is None:
+        divergence = dirichlet_divergence(vspace, assemble_divergence(vspace, pspace))
     if params.elements == "p1p1":
         C = stabilization if stabilization is not None \
             else assemble_stabilization(vspace, pspace, eta_old)
@@ -397,9 +408,8 @@ def solve_momentum(vspace: VelocitySpace, pspace: ScalarSpace, params: PhysParam
     mask = vspace.dirichlet_mask
     G = apply_velocity_dirichlet(G, mask)
     rhs = np.where(mask, 0.0, rhs)
-    keepd = sp.csr_array(sp.diags_array((~mask).astype(float)))
-    Bc = sp.csr_array(B @ keepd)
 
-    system = SaddleSystem(G=G, B=Bc, C=C, mean_weights=mean_weights, rhs_v=rhs)
+    system = SaddleSystem(G=G, B=divergence.B, C=C, mean_weights=mean_weights, rhs_v=rhs,
+                          pinned=divergence)
     v, p = solve_saddle(system, tol=tol, cache=saddle_cache)
     return v, p

@@ -156,9 +156,8 @@ def projection_momentum_solve(ws: ProjectionWorkspace, params: PhysParams,
     mask = vs.dirichlet_mask
     G = apply_velocity_dirichlet(G, mask)
     rhs = np.where(mask, 0.0, rhs)
-    keep = sp.csr_array(sp.diags_array((~mask).astype(float)))
-    Bc = sp.csr_array(disc.B @ keep)
-    system = SaddleSystem(G=G, B=Bc, C=None, mean_weights=disc.lumped, rhs_v=rhs)
+    system = SaddleSystem(G=G, B=disc.divergence.B, C=None, mean_weights=disc.lumped,
+                          rhs_v=rhs, pinned=disc.divergence)
     return solve_saddle(system, tol=tol)
 
 

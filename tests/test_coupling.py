@@ -15,6 +15,7 @@ from phaseflow.coupling import (
     splitting_step,
 )
 from phaseflow.energy import step_inequality_check, total_energy
+from phaseflow.errors import StepRejected
 from phaseflow.mesh import COARSEN, KEEP, REFINE, build_structured_mesh
 from phaseflow.momentum import ForceSpec, PhysParams
 
@@ -258,3 +259,36 @@ def test_run_with_adaptivity_refines_interface():
     band = np.abs(phi_elem).min(axis=1) < 0.9
     share = (level[band] == 8).mean()
     assert share >= 0.9
+
+
+@pytest.mark.parametrize("corrupt", ["singular", "nan"])
+def test_splitting_rejects_step_on_failed_saddle_factorization(monkeypatch, corrupt):
+    # a singular or NaN momentum matrix makes SuperLU fail; the step is
+    # rejected with a typed error instead of crashing the run
+    import phaseflow.momentum as momentum
+
+    params = quiescent_params()
+    mesh = build_structured_mesh((-1, 1, -1, 1), 4)
+    disc = Discretization(mesh, params)
+    state = initial_state(disc, params, circle_phi0((0, 0), 0.5, 0.1))
+    factor = 0.0 if corrupt == "singular" else np.nan
+    apply = momentum.apply_velocity_dirichlet
+    monkeypatch.setattr(momentum, "apply_velocity_dirichlet",
+                        lambda A, mask: factor * apply(A, mask))
+    with pytest.raises(StepRejected, match="momentum solve failed"):
+        splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe")
+
+
+def test_audit_reuses_the_step_viscous_matrix():
+    params = quiescent_params(eta1=0.01, eta2=0.05)
+    mesh = build_structured_mesh((-1, 1, -1, 1), 6)
+    disc = Discretization(mesh, params)
+    state = initial_state(disc, params, circle_phi0((0.1, 0), 0.5, 0.1))
+    new, diags = splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe")
+    assert diags.viscous is not None
+    args = (disc.sspace, disc.vspace, params, state.phi, state.v,
+            new.phi, new.mu, new.v, 1e-3, 0.0)
+    reused, bd_reused = step_inequality_check(*args, viscous=diags.viscous)
+    fresh, bd_fresh = step_inequality_check(*args)
+    assert bd_fresh.d_visc > 0.0
+    assert reused == fresh and bd_reused == bd_fresh

@@ -10,6 +10,7 @@ from phaseflow.fem import (
     assemble_lumped_mass,
     assemble_p1_mass,
     assemble_stiffness,
+    assembly_threads,
     element_gradient_magnitudes,
     interpolate_nodal,
     l2_distance,
@@ -271,3 +272,14 @@ def test_consistent_mass_total():
     one = np.ones(m.n_vertices)
     assert one @ (M @ one) == pytest.approx(1.0, rel=1e-14)
     np.testing.assert_allclose(lumped_p1_weights(m), np.asarray(M.sum(axis=1)).ravel(), atol=1e-15)
+
+
+@pytest.mark.parametrize("raw,expected", [("", 3), ("0", 3), ("junk", 3), ("2", 2),
+                                          ("3", 3), ("1000000", 3)])
+def test_assembly_threads_capped_at_core_count(monkeypatch, raw, expected):
+    # reads the setting only; no thread is started
+    import phaseflow.fem as fem
+
+    monkeypatch.setenv("PHASEFLOW_THREADS", raw)
+    monkeypatch.setattr(fem.os, "cpu_count", lambda: 3)
+    assert assembly_threads() == expected

@@ -3,7 +3,16 @@ import pytest
 import scipy.sparse as sp
 
 from phaseflow.errors import IterativeFailure, SolverError
-from phaseflow.linalg import SaddleSystem, bicgstab, direct_solve, solve_linear, solve_saddle
+from phaseflow.linalg import (
+    PIN,
+    FactorizationCache,
+    PinnedDivergence,
+    SaddleSystem,
+    bicgstab,
+    direct_solve,
+    solve_linear,
+    solve_saddle,
+)
 
 
 def laplacian_1d(n):
@@ -125,3 +134,97 @@ def test_saddle_direct_vs_schur():
     v2, p2 = solve_saddle(sys, tol=1e-10, method="schur")
     assert np.abs(v1 - v2).max() < 1e-8
     assert np.abs(p1 - p2).max() < 1e-8
+
+
+def test_saddle_monolithic_pins_one_pressure_dof():
+    sys = synthetic_saddle(with_c=True)
+    sys.rhs_p = np.linspace(-1.0, 1.0, sys.n_p)
+    K, rhs = sys.monolithic()
+    K = K.toarray()
+    n_v, n_p = sys.n_v, sys.n_p
+    assert K.shape == (n_v + n_p, n_v + n_p)
+    assert PIN == 0  # the slices below skip the first pressure dof
+    unit = np.zeros(n_v + n_p)
+    unit[n_v] = 1.0
+    np.testing.assert_array_equal(K[n_v], unit)
+    np.testing.assert_array_equal(K[:, n_v], unit)
+    assert rhs[n_v] == 0.0
+    np.testing.assert_array_equal(rhs[n_v + 1:], sys.rhs_p[1:])
+    np.testing.assert_array_equal(K[n_v + 1:, :n_v], sys.B.toarray()[1:])
+    np.testing.assert_array_equal(K[n_v + 1:, n_v + 1:], -sys.C.toarray()[1:, 1:])
+    # blocks built ahead of time give the same matrix
+    sys.pinned = PinnedDivergence(sys.B)
+    np.testing.assert_array_equal(sys.monolithic()[0].toarray(), K)
+
+
+@pytest.mark.parametrize("with_c", [False, True])
+def test_saddle_pinned_direct_matches_schur_with_rhs_p(with_c):
+    sys = synthetic_saddle(with_c=with_c, seed=5)
+    g = np.random.default_rng(2).standard_normal(sys.n_p)
+    sys.rhs_p = g - g.mean()  # compatible: orthogonal to the constants
+    v1, p1 = solve_saddle(sys, tol=1e-10, method="direct")
+    v2, p2 = solve_saddle(sys, tol=1e-10, method="schur")
+    assert np.abs(v1 - v2).max() < 1e-8
+    assert np.abs(p1 - p2).max() < 1e-8
+
+
+def test_saddle_incompatible_rhs_p_fails_the_divergence_check():
+    # the pinned row is dropped from the solve, so only the check over every
+    # pressure row can see a divergence datum with a nonzero total
+    sys = synthetic_saddle()
+    sys.rhs_p = np.ones(sys.n_p)
+    with pytest.raises(SolverError, match="divergence residual"):
+        solve_saddle(sys, tol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.array([[1.0, 2.0], [2.0, 4.0]]),
+                                 np.array([[1.0, np.nan], [0.0, 2.0]])],
+                         ids=["singular", "nan"])
+def test_factorization_refresh_raises_solver_error(bad):
+    cache = FactorizationCache()
+    cache.refresh(sp.csr_array(np.eye(2)))
+    with pytest.raises(SolverError, match="factorization failed"):
+        cache.refresh(sp.csr_array(bad))
+    assert cache.lu is None
+
+
+def warm_cache(sys):
+    cache = FactorizationCache()
+    solve_saddle(sys, tol=1e-9, cache=cache)
+    assert cache.lu is not None
+    return cache
+
+
+@pytest.mark.parametrize("corrupt", ["singular", "nan"])
+def test_cached_saddle_solve_bad_matrix_raises(corrupt):
+    sys = synthetic_saddle()
+    cache = warm_cache(sys)
+    G = sys.G.toarray()
+    if corrupt == "singular":
+        G[:] = 0.0  # K then has rank at most 2 n_p < n_v + n_p
+    else:
+        G[3, 3] = np.nan
+    sys.G = sp.csr_array(G)
+    with pytest.raises(SolverError):
+        solve_saddle(sys, tol=1e-9, cache=cache)
+
+
+def test_cached_saddle_solve_non_finite_solution_raises():
+    # the matrix factorizes; a NaN datum makes every solution entry NaN,
+    # which no residual comparison can flag
+    sys = synthetic_saddle()
+    cache = warm_cache(sys)
+    sys.rhs_v = sys.rhs_v.copy()
+    sys.rhs_v[0] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_saddle(sys, tol=1e-9, cache=cache)
+
+
+def test_cached_saddle_solve_matches_direct():
+    sys = synthetic_saddle(with_c=True)
+    cache = warm_cache(sys)
+    sys.G = sys.G + sp.eye_array(sys.n_v, format="csr")  # a nearby matrix
+    v1, p1 = solve_saddle(sys, tol=1e-10, cache=cache)
+    v2, p2 = solve_saddle(sys, tol=1e-10)
+    assert np.abs(v1 - v2).max() < 1e-10
+    assert np.abs(p1 - p2).max() < 1e-10

@@ -20,6 +20,7 @@ from phaseflow.momentum import (
     compute_flux_j,
     delta_rho,
     density_from_phase,
+    dirichlet_divergence,
     solve_momentum,
     viscosity_from_phase,
 )
@@ -443,3 +444,100 @@ def test_assembly_chunking_is_bitwise_stable(monkeypatch):
     N2 = assemble_Na(vs, rho, v).toarray()
     assert np.array_equal(A1, A2)
     assert np.array_equal(N1, N2)
+
+
+def test_apply_velocity_dirichlet_matches_dense():
+    rng = np.random.default_rng(4)
+    n = 12
+    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+    dense[2, 2] = 0.0  # a constrained row without a stored diagonal
+    dense[4, 6] = 0.0  # stored below as two duplicates
+    mask = np.zeros(n, dtype=bool)
+    mask[[0, 2, 7, 11]] = True
+    import scipy.sparse as sp
+
+    coo = sp.coo_array(dense)
+    # a non-canonical CSR as unsummed assembly leaves it: descending columns
+    # within each row, a duplicate pair and an explicit zero
+    rows = np.concatenate([coo.row, [4, 4], [5]])
+    cols = np.concatenate([coo.col, [6, 6], [3]])
+    vals = np.concatenate([coo.data, [0.25, 0.25], [0.0]])
+    order = np.lexsort((-cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    A = sp.csr_array((vals[order], cols[order], indptr), shape=(n, n))
+    assert not A.has_canonical_format
+    out = apply_velocity_dirichlet(A, mask)
+    ref = dense.copy()
+    ref[4, 6] = 0.5
+    ref[mask, :] = 0.0
+    ref[:, mask] = 0.0
+    ref[mask, mask] = 1.0
+    np.testing.assert_array_equal(out.toarray(), ref)
+    assert out.has_sorted_indices and np.all(out.data != 0.0)
+
+
+def captured_systems(monkeypatch, level, elements, bc):
+    """The saddle systems of two real momentum solves on the unit square:
+    a layered phase under weighted gravity with a swirling old velocity."""
+    import phaseflow.momentum as momentum
+
+    seen = []
+    solve = momentum.solve_saddle
+
+    def record(system, **kw):
+        seen.append(system)
+        return solve(system, **kw)
+
+    monkeypatch.setattr(momentum, "solve_saddle", record)
+    degree = 2 if elements == "th" else 1
+    mesh, ss, vs = setup(level=level, degree=degree, bc=bc)
+    params = PhysParams(eta1=0.01, eta2=0.05, elements=elements, bc=bc,
+                        force=ForceSpec(kind="weighted", k0=(0.0, -10.0)))
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    phi_old = np.tanh((y - 0.5 - 0.05 * np.sin(2 * np.pi * x)) / 0.05)
+    phi_new = np.tanh((y - 0.49 - 0.05 * np.sin(2 * np.pi * x)) / 0.05)
+    mu = 3.0 * np.cos(np.pi * x) * phi_new
+    swirl = interpolate_nodal(
+        lambda p: np.column_stack([np.sin(np.pi * p[:, 0]) ** 2 * np.sin(2 * np.pi * p[:, 1]),
+                                   -np.sin(2 * np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]) ** 2]),
+        vs)
+    v_old = np.where(vs.dirichlet_mask, 0.0, swirl)
+    for tau in (1e-3, 1e-2):
+        solve_momentum(vs, ss, params, phi_old, phi_new, mu, v_old, tau=tau, t=0.0)
+    return seen
+
+
+PAIRS = [("th", "noslip"), ("th", "freeslip"), ("p1p1", "noslip")]
+
+
+@pytest.mark.parametrize("elements,bc", PAIRS)
+def test_pinned_direct_solve_matches_schur_level6(monkeypatch, elements, bc):
+    for system in captured_systems(monkeypatch, 6, elements, bc):
+        v1, p1 = solve_saddle(system, tol=1e-9, method="direct")
+        v2, p2 = solve_saddle(system, tol=1e-9, method="schur")
+        assert np.abs(v1 - v2).max() <= 1e-9 * np.abs(v1).max()
+        assert np.abs(p1 - p2).max() <= 1e-9 * np.abs(p1).max()
+        w = system.mean_weights
+        assert abs(w @ p1) <= 1e-12 * (w @ np.abs(p1))
+        assert abs(w @ p2) <= 1e-12 * (w @ np.abs(p2))
+
+
+@pytest.mark.parametrize("bc", ["noslip", "freeslip"])
+def test_divergence_annihilates_constant_pressures(bc):
+    # B^T 1 = 0 is what makes the pinned pressure dof exact
+    mesh, ss, vs = setup(level=6, bc=bc)
+    B = dirichlet_divergence(vs, assemble_divergence(vs, ss)).B
+    colsum = np.abs(B.T @ np.ones(ss.n_dofs)).max()
+    assert colsum <= 1e-13 * abs(B).sum(axis=1).max()
+    C = assemble_stabilization(vs, ss, 0.5 + mesh.vertices[:, 0])
+    assert np.abs(C @ np.ones(ss.n_dofs)).max() <= 1e-13 * abs(C).sum(axis=1).max()
+
+
+@pytest.mark.parametrize("elements,bc", PAIRS)
+def test_monolithic_matrix_has_no_dense_row(monkeypatch, elements, bc):
+    counts = {}
+    for level in (4, 6):
+        K, _ = captured_systems(monkeypatch, level, elements, bc)[0].monolithic()
+        K = K.tocsr()
+        counts[level] = (int(np.diff(K.indptr).max()), int(np.diff(K.tocsc().indptr).max()))
+    assert counts[4] == counts[6]
