@@ -24,7 +24,7 @@ from .coupling import (
     TimestepConfig,
     run,
 )
-from .errors import SolverError
+from .errors import AuditFailure, RunAborted, SolverError
 from .fem import l2_distance, p1_at_p2_nodes
 from .momentum import ForceSpec, PhysParams
 
@@ -75,7 +75,6 @@ class Config:
     adaptivity_c_coarse_phi: float = 0.2
     adaptivity_c_ref_v: float = 0.1
     adaptivity_c_coarse_v: float = 0.5
-    adaptivity_interface_target: int = 20
     # output
     output_dir: str = "out"
     output_snapshot_every: int = 0
@@ -93,7 +92,6 @@ class Config:
     scenario_layer_y: float = 0.0
     scenario_layer_amplitude: float = 0.0
     scenario_layer_waves: float = 1.0
-    scenario_seed: int = 0               # reserved, unused by the core
     # metadata: which keys were defaulted rather than literature-stated
     defaulted: tuple = field(default_factory=tuple)
 
@@ -123,42 +121,28 @@ def _parse_value(raw: str, pytype):
 
 
 def load_config(path: str) -> Config:
-    """Parse and validate a config file; errors carry the offending line."""
-    cfg = Config()
+    """Parse and validate a config file; errors carry the offending line.
+    With ``scenario.name`` set the file starts from that preset, and every
+    key the file gives overrides it."""
+    values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    seen_scenario = None
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected 'section.key = value'")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        attr = _KEY_TO_ATTR.get(key)
-        if attr is None:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        pytype = type(getattr(Config(), attr))
-        try:
-            value = _parse_value(raw, pytype)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if attr == "scenario_name":
-            seen_scenario = value
-        setattr(cfg, attr, value)
-    if seen_scenario:
-        base = preset(seen_scenario)
-        # preset values first, explicit keys override
-        merged = replace(base)
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
-            if not stripped or stripped.startswith("#") or "=" not in stripped:
+            if not stripped or stripped.startswith("#"):
                 continue
+            if "=" not in stripped:
+                raise ValueError(f"{path}:{lineno}: expected 'section.key = value'")
             key, _, raw = stripped.partition("=")
-            attr = _KEY_TO_ATTR[key.strip()]
-            setattr(merged, attr, _parse_value(raw, type(getattr(Config(), attr))))
-        cfg = merged
+            key = key.strip()
+            attr = _KEY_TO_ATTR.get(key)
+            if attr is None:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[attr] = _parse_value(raw, type(_CONFIG_FIELDS[attr].default))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    name = values.get("scenario_name")
+    cfg = replace(preset(name) if name else Config(), **values)
     validate_config(cfg)
     return cfg
 
@@ -188,6 +172,13 @@ def validate_config(cfg: Config) -> None:
             "domain", "must be a nondegenerate rectangle")
     require(cfg.scenario_interface in ("circle", "ellipse", "annulus", "layer"),
             "scenario.interface", "unknown interface kind")
+    require(cfg.timestep_safety > 0, "timestep.safety", "must be > 0")
+    require(cfg.solver_max_inner >= 1, "solver.max_inner", "must be >= 1")
+    require(cfg.solver_eps_v > 0, "solver.eps_v", "must be > 0")
+    require(cfg.solver_eps_phi > 0, "solver.eps_phi", "must be > 0")
+    require(cfg.solver_newton_tol > 0, "solver.newton_tol", "must be > 0")
+    require(cfg.solver_audit_tol >= 0, "solver.audit_tol", "must be >= 0")
+    require(cfg.output_snapshot_every >= 0, "output.snapshot_every", "must be >= 0")
     ForceSpec(kind=cfg.physics_force_kind,
               k0=(cfg.physics_force_x, cfg.physics_force_y),
               rotations_per_unit=cfg.physics_force_rotations)
@@ -363,8 +354,7 @@ def run_config(cfg: Config, snapshot_hook=None) -> RunConfig:
             enabled=cfg.adaptivity_enabled,
             min_level=cfg.adaptivity_min_level, max_level=cfg.adaptivity_max_level,
             c_ref_phi=cfg.adaptivity_c_ref_phi, c_coarse_phi=cfg.adaptivity_c_coarse_phi,
-            c_ref_v=cfg.adaptivity_c_ref_v, c_coarse_v=cfg.adaptivity_c_coarse_v,
-            interface_points_target=cfg.adaptivity_interface_target),
+            c_ref_v=cfg.adaptivity_c_ref_v, c_coarse_v=cfg.adaptivity_c_coarse_v),
         convection=cfg.discretization_convection,
         newton_tol=cfg.solver_newton_tol,
         audit_tol=cfg.solver_audit_tol,
@@ -467,15 +457,20 @@ options:
   --convection fv|fe     transport mode
   --force constant|weighted
   --out DIR              output directory (default: out)
-  --audit strict|log     strict exits 2 on an energy-audit failure
+  --audit strict|log     strict stops the run at the first energy-audit
+                         failure (exit code 2; solver failures exit 3)
   --eoc L1,L2,...        convergence study against a reference two levels
                          above the largest entry; prints an error table
   --vtk-quadratic        write snapshots on the midpoint-refined mesh
 """
 
 
-_KNOWN_FLAGS = ("scenario", "level", "tmax", "model", "elements", "convection",
-                "force", "out", "audit", "eoc")
+# flags that set one config attribute each
+_FLAG_ATTRS = {"level": "discretization_level", "tmax": "scenario_tmax",
+               "model": "physics_model", "elements": "discretization_elements",
+               "convection": "discretization_convection", "audit": "solver_audit",
+               "out": "output_dir"}
+_KNOWN_FLAGS = ("scenario", "force", "eoc", *_FLAG_ATTRS)
 
 
 def _parse_cli(argv: list[str]) -> dict:
@@ -515,20 +510,9 @@ def _config_from_cli(args: dict) -> Config:
         cfg = preset(flags["scenario"])
     else:
         raise ValueError("need a config file or --scenario")
-    if "level" in flags:
-        cfg.discretization_level = int(flags["level"])
-    if "tmax" in flags:
-        cfg.scenario_tmax = float(flags["tmax"])
-    if "model" in flags:
-        cfg.physics_model = flags["model"]
-    if "elements" in flags:
-        cfg.discretization_elements = flags["elements"]
-    if "convection" in flags:
-        cfg.discretization_convection = flags["convection"]
-    if "audit" in flags:
-        cfg.solver_audit = flags["audit"]
-    if "out" in flags:
-        cfg.output_dir = flags["out"]
+    for flag, attr in _FLAG_ATTRS.items():
+        if flag in flags:
+            setattr(cfg, attr, _parse_value(flags[flag], type(_CONFIG_FIELDS[attr].default)))
     if flags.get("vtk_quadratic"):
         cfg.output_vtk_quadratic = True
     if "force" in flags:
@@ -545,8 +529,10 @@ def _config_from_cli(args: dict) -> Config:
 
 
 def run_scenario(cfg: Config) -> tuple[RunResult, int]:
-    """Execute a configured run, writing snapshots and the energy ledger.
-    Returns the result and the process exit code."""
+    """Execute a configured run, writing snapshots, the configuration and the
+    energy ledger.  Returns the result and the process exit code: 0, or 2
+    when the strict audit stopped the run, or 3 when a solver failure did;
+    an aborted run still writes the ledger of the steps accepted before."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     quadratic = cfg.output_vtk_quadratic
 
@@ -559,14 +545,16 @@ def run_scenario(cfg: Config) -> tuple[RunResult, int]:
     code = 0
     try:
         result = run(rc)
-    except SolverError as exc:
-        print(f"audit failure: {exc}", file=sys.stderr)
-        return RunResult(state=None, records=[], audit_failures=1), 2
+    except (RunAborted, SolverError) as exc:
+        # a solver failure in the set-up leaves no steps to write
+        result = exc.result if isinstance(exc, RunAborted) else RunResult(None, [], 0)
+        code = 2 if isinstance(exc, AuditFailure) else 3
+        kind = "audit" if code == 2 else "solver"
+        print(f"{kind} failure after {len(result.records)} accepted steps: {exc}",
+              file=sys.stderr)
     with open(os.path.join(cfg.output_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(dump_config(cfg))
     write_energy_csv(result.records, os.path.join(cfg.output_dir, "energy.csv"))
-    if result.audit_failures and cfg.solver_audit == "strict":
-        code = 2
     return result, code
 
 
@@ -619,7 +607,7 @@ def cli_main(argv: list[str]) -> int:
         return 0
 
     result, code = run_scenario(cfg)
-    if result.state is not None:
+    if code == 0:
         n = len(result.records)
         print(f"completed {n} steps to t={result.state.t:.6g}; "
               f"audit failures: {result.audit_failures}")

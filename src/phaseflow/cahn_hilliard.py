@@ -22,8 +22,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CflError, SolverError
-from .fem import ScalarSpace, VelocitySpace, assemble_p1_mass, assemble_stiffness, lumped_p1_weights
-from .linalg import solve_linear
+from .fem import (
+    QUAD_DEG4,
+    ScalarSpace,
+    VelocitySpace,
+    assemble_p1_mass,
+    assemble_stiffness,
+    lumped_p1_weights,
+)
+from .linalg import FactorizationCache, solve_linear
 from .mesh import DualGrid, Mesh, barycentric_coordinates
 
 
@@ -205,8 +212,7 @@ def fe_convection_matrix(space: ScalarSpace, v_dofs: np.ndarray,
     """Matrix of the trilinear form int <v, grad phi> psi_i over the P1
     unknowns phi (exact quadrature)."""
     mesh = space.mesh
-    quad = _convection_quad(vspace)
-    vals, _, w = vspace.shape_table(quad)
+    vals, _, w = vspace.shape_table(QUAD_DEG4)
     nodes = vspace.tri_nodes
     vx = np.einsum("mn,qn->mq", v_dofs[nodes], vals)
     vy = np.einsum("mn,qn->mq", v_dofs[vspace.n_nodes + nodes], vals)
@@ -214,7 +220,7 @@ def fe_convection_matrix(space: ScalarSpace, v_dofs: np.ndarray,
     # (m, q, j) = v . grad(psi_j), the P1 gradient being constant per element
     conv = np.einsum("mq,mj->mqj", vx, gp1[:, :, 0]) + np.einsum("mq,mj->mqj", vy, gp1[:, :, 1])
     # test functions are the P1 hats = barycentric coordinates at the points
-    lam = quad.points
+    lam = QUAD_DEG4.points
     ke = np.einsum("mq,qi,mqj->mij", w, lam, conv)
     t = mesh.triangles
     rows = np.repeat(t, 3, axis=1)
@@ -228,12 +234,6 @@ def fe_convection_vector(space: ScalarSpace, phi: np.ndarray, v_dofs: np.ndarray
     """Assembled vector of int <v, grad phi> psi_i (monolithic convection and
     reference-scheme right-hand sides)."""
     return fe_convection_matrix(space, v_dofs, vspace) @ phi
-
-
-def _convection_quad(vspace: VelocitySpace):
-    from .fem import QUAD_DEG4
-
-    return QUAD_DEG4
 
 
 def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
@@ -256,7 +256,9 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
     ``conv_matrix`` (monolithic mode) the convection enters implicitly;
     without it the transported field is passed as ``phi_source``.  Testing the
     first equation with 1 shows the mean of phi is conserved up to the linear
-    solver residual.
+    solver residual.  The Newton systems go through ``lin_cache`` (a fresh
+    ``FactorizationCache`` when none is given); a residual that does not
+    reach ``newton_tol``, NaN included, raises SolverError.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -266,6 +268,7 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
     M = assemble_p1_mass(space) if mass is None else mass
     K = assemble_stiffness(space, 1.0) if stiffness is None else stiffness
     c = lumped_p1_weights(space.mesh) if lumped is None else lumped
+    cache = FactorizationCache() if lin_cache is None else lin_cache
 
     sig, dlt = dw.sigma, dw.delta
     a_phi = M + tau * conv_matrix if conv_matrix is not None else M
@@ -288,11 +291,11 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
     res = max(np.abs(r1).max(), np.abs(r2).max())
 
     it = 0
-    while res > newton_tol and it < newton_maxit:
+    while not res <= newton_tol and it < newton_maxit:
         it += 1
         dpot = sp.csr_array(sp.diags_array((sig / dlt) * c * dw.f_plus_second(phi)))
         J = sp.bmat([[a_phi, kmu], [-(sig * dlt) * K - dpot, M]], format="csr")
-        delta = solve_linear(J, -np.concatenate([r1, r2]), tol=lin_tol, cache=lin_cache)
+        delta = cache.solve(J, -np.concatenate([r1, r2]), tol=lin_tol)
         dphi, dmu = delta[:n], delta[n:]
         step = 1.0
         for _ in range(10):
@@ -305,7 +308,7 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
             step *= 0.5
         phi, mu, r1, r2, res = p_try, m_try, r1t, r2t, res_t
 
-    if res > newton_tol:
+    if not res <= newton_tol:
         raise SolverError(f"phase-field Newton stalled at residual {res:.3e} "
                           f"after {it} iterations")
     report = ChReport(

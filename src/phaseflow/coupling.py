@@ -24,7 +24,7 @@ from .cahn_hilliard import (
     fv_transport_step,
 )
 from .energy import EnergyBreakdown, InequalityReport, step_inequality_check
-from .errors import SolverError, StepRejected
+from .errors import AuditFailure, RunAborted, SolverError, StepRejected
 from .fem import (
     ScalarSpace,
     VelocitySpace,
@@ -33,7 +33,7 @@ from .fem import (
     element_gradient_magnitudes,
     lumped_p1_weights,
 )
-from .linalg import solve_linear
+from .linalg import FactorizationCache, solve_linear
 from .mesh import (
     COARSEN,
     KEEP,
@@ -77,7 +77,6 @@ class AdaptivityConfig:
     c_coarse_v: float = 0.5
     min_level: int = 2
     max_level: int = 2
-    interface_points_target: int = 20
 
     def __post_init__(self):
         for c in (self.c_ref_phi, self.c_coarse_phi, self.c_ref_v, self.c_coarse_v):
@@ -199,16 +198,8 @@ class StepDiagnostics:
 class SolverCaches:
     """Factorization caches carried across steps; refreshed lazily."""
 
-    saddle: object = None
-    phase: object = None
-
-    def __post_init__(self):
-        from .linalg import FactorizationCache
-
-        if self.saddle is None:
-            self.saddle = FactorizationCache()
-        if self.phase is None:
-            self.phase = FactorizationCache()
+    saddle: FactorizationCache = field(default_factory=FactorizationCache)
+    phase: FactorizationCache = field(default_factory=FactorizationCache)
 
 
 def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTolerances,
@@ -216,8 +207,9 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
                    saddle_tol: float = 1e-9,
                    caches: SolverCaches | None = None) -> tuple[State, StepDiagnostics]:
     """One time step of the split scheme.  Raises StepRejected when the inner
-    loop does not contract within the iteration budget (the driver halves tau
-    and retries) and propagates CFL violations of the transport stage."""
+    loop does not contract within the iteration budget or a phase-field or
+    momentum solve fails (``run`` halves tau and retries), and propagates
+    CFL violations of the transport stage."""
     if convection not in ("fv", "fe"):
         raise ValueError(f"unknown convection mode {convection!r}")
     disc = state.disc
@@ -249,11 +241,14 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
         else:
             phi_half = phi_k
             conv = fe_convection_matrix(disc.sspace, v_dofs, disc.vspace)
-        phi_new, mu_new, rep = ch_diffusive_solve(
-            phi_half, phi_k, tau, params.mobility, dw, disc.sspace,
-            newton_tol=newton_tol, conv_matrix=conv, phi_guess=phi_guess,
-            mass=disc.mass, stiffness=disc.stiffness, lumped=disc.lumped,
-            lin_cache=caches.phase)
+        try:
+            phi_new, mu_new, rep = ch_diffusive_solve(
+                phi_half, phi_k, tau, params.mobility, dw, disc.sspace,
+                newton_tol=newton_tol, conv_matrix=conv, phi_guess=phi_guess,
+                mass=disc.mass, stiffness=disc.stiffness, lumped=disc.lumped,
+                lin_cache=caches.phase)
+        except SolverError as exc:
+            raise StepRejected(f"phase-field solve failed: {exc}") from exc
         diags.newton_iterations += rep.newton_iterations
         return phi_new, mu_new
 
@@ -366,7 +361,9 @@ def _initial_adapted_state(cfg: RunConfig) -> State:
 
 def run(cfg: RunConfig, keep_states: bool = False) -> RunResult:
     """Advance the coupled system to t_end.  Deterministic for a fixed config:
-    iteration orders, marking, and solver paths carry no randomness."""
+    iteration orders, marking, and solver paths carry no randomness.  A step
+    rejected ``max_rejections`` times raises RunAborted, a failed strict audit
+    AuditFailure; both carry the steps accepted before."""
     state = _initial_adapted_state(cfg)
     records: list[StepRecord] = []
     states = [state] if keep_states else None
@@ -383,18 +380,21 @@ def run(cfg: RunConfig, keep_states: bool = False) -> RunResult:
         tau = min(compute_timestep(state, cfg.timestep), cfg.t_end - state.t)
         new = None
         diags = None
-        for _ in range(cfg.max_rejections):
+        for attempt in range(1, cfg.max_rejections + 1):
             try:
                 new, diags = splitting_step(state, tau, cfg.params, cfg.tols,
                                             convection=cfg.convection,
                                             newton_tol=cfg.newton_tol,
                                             caches=caches)
                 break
-            except StepRejected:
+            except StepRejected as exc:
+                # raised in here: an exception kept past its handler would hold
+                # the failed attempt's arrays through its traceback
+                if attempt == cfg.max_rejections:
+                    raise RunAborted(f"step at t={state.t:.6g} rejected {attempt} times; "
+                                     f"last: {exc}",
+                                     RunResult(state, records, audit_failures, states)) from exc
                 tau *= 0.5
-        if new is None:
-            raise StepRejected(f"step at t={state.t:.6g} rejected "
-                               f"{cfg.max_rejections} times")
 
         report, breakdown = step_inequality_check(
             state.disc.sspace, state.disc.vspace, cfg.params,
@@ -404,9 +404,10 @@ def run(cfg: RunConfig, keep_states: bool = False) -> RunResult:
         if not report.passed:
             audit_failures += 1
             if cfg.audit_strict:
-                raise SolverError(
+                raise AuditFailure(
                     f"energy audit failed at t={new.t:.6g}: residual "
-                    f"{report.residual:.3e} > {report.tolerance:.3e}")
+                    f"{report.residual:.3e} > {report.tolerance:.3e}",
+                    RunResult(state, records, audit_failures, states))
 
         step_index += 1
         mass = float(state.disc.lumped @ new.phi)

@@ -21,3 +21,17 @@ class StepRejected(Exception):
 
 class CflError(StepRejected):
     """Explicit transport step violated the CFL bound."""
+
+
+class RunAborted(Exception):
+    """A run stopped before its end time.  ``result`` holds the steps
+    accepted before the failure, so their ledger can still be written; the
+    failure itself is the ``__cause__``."""
+
+    def __init__(self, message: str, result):
+        super().__init__(message)
+        self.result = result
+
+
+class AuditFailure(RunAborted):
+    """The strict energy audit flagged a step."""

@@ -380,11 +380,6 @@ def element_gradient_magnitudes(space, dofs: np.ndarray, component: int | None =
     return np.sqrt((grads[:, component, :] ** 2).sum(axis=1))
 
 
-def l2_norm_p1(space: ScalarSpace, dofs: np.ndarray, mass: sp.csr_array | None = None) -> float:
-    M = assemble_p1_mass(space) if mass is None else mass
-    return float(np.sqrt(dofs @ (M @ dofs)))
-
-
 def l2_distance(coarse_mesh: Mesh, coarse_vals: np.ndarray,
                 ref_mesh: Mesh, ref_vals: np.ndarray) -> float:
     """L2 distance between a P1 field and a reference P1 field on a finer

@@ -1,9 +1,12 @@
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from phaseflow.app import (
+    CSV_HEADER,
     Config,
     cli_main,
     dump_config,
@@ -49,6 +52,39 @@ def test_load_reports_line_numbers(tmp_path):
     p.write_text("# comment\n\nphysics.delta == 0.05\n")
     with pytest.raises(ValueError, match=":3"):
         load_config(str(p))
+
+
+def test_load_explicit_key_overrides_preset_in_any_order(tmp_path):
+    p = tmp_path / "c.txt"
+    p.write_text("physics.mobility = 0.125\nscenario.name = ellipse\n")
+    assert load_config(str(p)) == replace(preset("ellipse"), physics_mobility=0.125)
+
+
+@pytest.mark.parametrize("key", ["adaptivity.interface_target", "scenario.seed"])
+def test_load_rejects_deleted_keys(tmp_path, key):
+    p = tmp_path / "c.txt"
+    p.write_text(f"scenario.name = ellipse\n{key} = 3\n")
+    with pytest.raises(ValueError, match=re.escape(f"c.txt:2: unknown key '{key}'")):
+        load_config(str(p))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("timestep.safety", "0"), ("solver.max_inner", "0"), ("solver.eps_v", "0"),
+    ("solver.eps_phi", "-1e-6"), ("solver.newton_tol", "0"), ("solver.audit_tol", "-1e-9"),
+    ("output.snapshot_every", "-1")])
+def test_load_rejects_bad_solver_settings(tmp_path, key, value):
+    p = tmp_path / "c.txt"
+    p.write_text(f"scenario.name = ellipse\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=re.escape(key)):
+        load_config(str(p))
+
+
+@pytest.mark.parametrize("name", ["ellipse", "rising-droplet", "rising-droplet-r025",
+                                  "rayleigh-taylor", "rotating-annulus"])
+def test_preset_round_trips_through_a_file(tmp_path, name):
+    p = tmp_path / "c.txt"
+    p.write_text(dump_config(preset(name)))
+    assert load_config(str(p)) == preset(name)
 
 
 def test_config_round_trip(tmp_path):
@@ -223,3 +259,38 @@ def test_cli_eoc_prints_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "L2 error" in out
     assert "ratio" in out
+
+
+def test_cli_solver_failure_exits_3_and_keeps_outputs(tmp_path, capsys):
+    # a Newton tolerance no solve can reach: every retry of the first step fails
+    out = tmp_path / "out"
+    p = tmp_path / "c.txt"
+    p.write_text(f"scenario.name = ellipse\ndiscretization.level = 4\n"
+                 f"scenario.tmax = 1e-3\nsolver.newton_tol = 1e-30\noutput.dir = {out}\n")
+    assert cli_main(["run", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure after 0 accepted steps" in err and "Newton stalled" in err
+    assert (out / "config.txt").exists()
+    assert (out / "energy.csv").read_text().strip().split("\n") == [CSV_HEADER]
+
+
+def test_cli_strict_audit_failure_exits_2_and_keeps_accepted_rows(tmp_path, monkeypatch,
+                                                                    capsys):
+    import phaseflow.coupling as coupling
+
+    check = coupling.step_inequality_check
+
+    def fail_after_first_step(*args, **kw):
+        report, breakdown = check(*args, **kw)
+        if args[9] > 0.0:  # the time of the old level
+            report = replace(report, residual=report.tolerance + 1.0)
+        return report, breakdown
+
+    monkeypatch.setattr(coupling, "step_inequality_check", fail_after_first_step)
+    out = tmp_path / "out"
+    code = cli_main(["run", "--scenario", "ellipse", "--level", "4", "--tmax", "1",
+                     "--audit", "strict", "--out", str(out)])
+    assert code == 2
+    assert "audit failure after 1 accepted steps" in capsys.readouterr().err
+    assert (out / "config.txt").exists()
+    assert len((out / "energy.csv").read_text().strip().split("\n")) == 2

@@ -16,7 +16,7 @@ from phaseflow.cahn_hilliard import (
     interfacial_energy,
     minmod_reconstruct,
 )
-from phaseflow.errors import CflError
+from phaseflow.errors import CflError, SolverError
 from phaseflow.fem import ScalarSpace, VelocitySpace, interpolate_nodal, lumped_p1_weights
 from phaseflow.mesh import build_dual_grid, build_structured_mesh
 
@@ -271,6 +271,17 @@ def test_diffusive_zero_mobility_keeps_source():
     old = np.zeros(space.n_dofs)
     phi, mu, _ = ch_diffusive_solve(src, old, tau=1e-2, mobility=0.0, dw=DoubleWell(), space=space)
     np.testing.assert_allclose(phi, src, atol=1e-11)
+
+
+def test_diffusive_nan_source_raises():
+    # a NaN residual fails every comparison, so it must not read as converged
+    mesh = build_structured_mesh((0, 1, 0, 1), 4)
+    space = ScalarSpace(mesh)
+    src = np.zeros(space.n_dofs)
+    src[5] = np.nan
+    with pytest.raises(SolverError):
+        ch_diffusive_solve(src, np.zeros(space.n_dofs), tau=1e-2, mobility=0.1,
+                           dw=DoubleWell(), space=space)
 
 
 def test_diffusive_interfacial_energy_decreases():

@@ -15,7 +15,7 @@ from phaseflow.coupling import (
     splitting_step,
 )
 from phaseflow.energy import step_inequality_check, total_energy
-from phaseflow.errors import StepRejected
+from phaseflow.errors import RunAborted, SolverError, StepRejected
 from phaseflow.mesh import COARSEN, KEEP, REFINE, build_structured_mesh
 from phaseflow.momentum import ForceSpec, PhysParams
 
@@ -277,6 +277,36 @@ def test_splitting_rejects_step_on_failed_saddle_factorization(monkeypatch, corr
                         lambda A, mask: factor * apply(A, mask))
     with pytest.raises(StepRejected, match="momentum solve failed"):
         splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe")
+
+
+def test_splitting_rejects_step_on_stalled_phase_solve():
+    params = quiescent_params()
+    mesh = build_structured_mesh((-1, 1, -1, 1), 4)
+    disc = Discretization(mesh, params)
+    state = initial_state(disc, params, circle_phi0((0, 0), 0.5, 0.1))
+    with pytest.raises(StepRejected, match="phase-field solve failed: .*Newton stalled"):
+        splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe",
+                       newton_tol=1e-30)
+
+
+def test_run_abort_keeps_the_accepted_steps(monkeypatch):
+    import phaseflow.coupling as coupling
+
+    solve = coupling.solve_momentum
+
+    def fail_after_first_step(*args, **kw):
+        if args[8] > 0.0:  # the time of the old level
+            raise SolverError("injected failure")
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(coupling, "solve_momentum", fail_after_first_step)
+    cfg = tiny_run_config(t_end=1.0)
+    with pytest.raises(RunAborted, match="rejected 5 times; last: momentum solve failed: "
+                                         "injected failure") as info:
+        run(cfg)
+    assert isinstance(info.value.__cause__, StepRejected)
+    assert len(info.value.result.records) == 1
+    assert info.value.result.state.t == info.value.result.records[0].t
 
 
 def test_audit_reuses_the_step_viscous_matrix():

@@ -90,6 +90,39 @@ def test_solve_linear_falls_back():
     b = np.ones(50)
     x = solve_linear(A, b, tol=1e-14, maxit=1)
     assert np.abs(A @ x - b).max() < 1e-10
+    # a cache whose preconditioned iteration cannot finish in one step
+    # refactorizes, with the same accuracy
+    cache = FactorizationCache(maxit=1)
+    stale = cache.refresh(2.0 * A + sp.eye_array(50, format="csr"))
+    x = cache.solve(A, b, tol=1e-14)
+    assert cache.lu is not stale
+    assert np.abs(A @ x - b).max() < 1e-10
+
+
+def test_warm_cache_non_finite_rhs_raises():
+    A = laplacian_1d(20)
+    cache = FactorizationCache()
+    cache.solve(A, np.ones(20), tol=1e-12)
+    assert cache.lu is not None
+    b = np.ones(20)
+    b[3] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        cache.solve(A, b, tol=1e-12)
+
+
+def test_cached_result_missing_the_residual_bound_refactorizes(monkeypatch):
+    import phaseflow.linalg as linalg
+
+    A = laplacian_1d(30)
+    b = np.linspace(1.0, 2.0, 30)
+    cache = FactorizationCache()
+    cache.solve(A, b, tol=1e-12)
+    warm = cache.lu
+    # an iteration that reports convergence with a wrong answer
+    monkeypatch.setattr(linalg, "bicgstab", lambda *args, **kw: (np.zeros(30), 1))
+    x = cache.solve(A, b, tol=1e-12)
+    assert cache.lu is not warm
+    assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
 
 
 def synthetic_saddle(n_v=24, n_p=7, seed=11, with_c=False):
