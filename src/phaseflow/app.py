@@ -179,6 +179,23 @@ def validate_config(cfg: Config) -> None:
     require(cfg.solver_newton_tol > 0, "solver.newton_tol", "must be > 0")
     require(cfg.solver_audit_tol >= 0, "solver.audit_tol", "must be >= 0")
     require(cfg.output_snapshot_every >= 0, "output.snapshot_every", "must be >= 0")
+    # the timestep and adaptivity settings are built into a run even with
+    # adaptivity off
+    require(cfg.timestep_v_min > 0, "timestep.v_min", "must be > 0")
+    require(cfg.timestep_v_max > cfg.timestep_v_min, "timestep.v_max", "must be > timestep.v_min")
+    for attr in ("adaptivity_c_ref_phi", "adaptivity_c_coarse_phi",
+                 "adaptivity_c_ref_v", "adaptivity_c_coarse_v"):
+        require(0 < getattr(cfg, attr) < 1, _key_of(attr), "must lie in (0, 1)")
+    require(cfg.adaptivity_min_level <= cfg.adaptivity_max_level,
+            "adaptivity.min_level", "must be <= adaptivity.max_level")
+    if cfg.scenario_interface in ("circle", "ellipse"):
+        require(cfg.scenario_rx > 0, "scenario.rx", "must be > 0")
+    if cfg.scenario_interface == "ellipse":
+        require(cfg.scenario_ry > 0, "scenario.ry", "must be > 0")
+    if cfg.scenario_interface == "annulus":
+        require(cfg.scenario_r_inner >= 0, "scenario.r_inner", "must be >= 0")
+        require(cfg.scenario_r_outer > cfg.scenario_r_inner, "scenario.r_outer",
+                "must be > scenario.r_inner")
     ForceSpec(kind=cfg.physics_force_kind,
               k0=(cfg.physics_force_x, cfg.physics_force_y),
               rotations_per_unit=cfg.physics_force_rotations)

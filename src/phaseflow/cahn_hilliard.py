@@ -22,16 +22,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CflError, SolverError
-from .fem import (
-    QUAD_DEG4,
-    ScalarSpace,
-    VelocitySpace,
-    assemble_p1_mass,
-    assemble_stiffness,
-    lumped_p1_weights,
-)
+from .fem import QUAD_DEG4, ScalarSpace, VelocitySpace, assemble
 from .linalg import FactorizationCache, solve_linear
 from .mesh import DualGrid, Mesh, barycentric_coordinates
+
+# largest transport CFL number an explicit step accepts
+CFL_LIMIT = 0.9
+# Newton iteration budget and linear tolerance of the implicit phase solve
+NEWTON_MAXIT = 30
+LIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,7 @@ def face_normal_velocities(v_dofs: np.ndarray, vspace: VelocitySpace, mesh: Mesh
 
 
 def fv_transport_step(phi_bar: np.ndarray, dual: DualGrid, tau: float, order: int,
-                      u_n: np.ndarray, cfl_limit: float = 0.9,
-                      verts: np.ndarray | None = None,
+                      u_n: np.ndarray, verts: np.ndarray | None = None,
                       cell_measures: np.ndarray | None = None) -> np.ndarray:
     """One explicit conservative transport step on the dual cells.
 
@@ -156,9 +154,9 @@ def fv_transport_step(phi_bar: np.ndarray, dual: DualGrid, tau: float, order: in
     away from boundaries and grading transitions).
 
     The CFL check compares each face flux against the adjacent cells' volume
-    share per face: tau |u_n| |Gamma| <= cfl_limit * measure / degree.
+    share per face: tau |u_n| |Gamma| <= CFL_LIMIT * measure / degree.
     Summed over a cell's faces this caps the total outflow coefficient at
-    cfl_limit, so the first-order update is a convex combination whenever the
+    CFL_LIMIT, so the first-order update is a convex combination whenever the
     face fluxes are discretely divergence free.  Violations raise CflError
     and the driver retries with a smaller increment.
     """
@@ -175,8 +173,8 @@ def fv_transport_step(phi_bar: np.ndarray, dual: DualGrid, tau: float, order: in
     share = np.minimum(vol_i / degree[i], vol_j / degree[j])
     cfl = tau * np.abs(u_n) * dual.face_measures / share
     worst = cfl.max() if cfl.size else 0.0
-    if worst > cfl_limit:
-        raise CflError(f"transport CFL {worst:.3f} exceeds {cfl_limit}")
+    if worst > CFL_LIMIT:
+        raise CflError(f"transport CFL {worst:.3f} exceeds {CFL_LIMIT}")
 
     if order == 1:
         trace_l = phi_bar[i]
@@ -222,11 +220,7 @@ def fe_convection_matrix(space: ScalarSpace, v_dofs: np.ndarray,
     # test functions are the P1 hats = barycentric coordinates at the points
     lam = QUAD_DEG4.points
     ke = np.einsum("mq,qi,mqj->mij", w, lam, conv)
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1)
-    cols = np.tile(t, (1, 3))
-    return sp.csr_array(sp.coo_array((ke.ravel(), (rows.ravel(), cols.ravel())),
-                                     shape=(space.n_dofs, space.n_dofs)))
+    return assemble(mesh.triangles, mesh.triangles, ke, (space.n_dofs, space.n_dofs))
 
 
 def fe_convection_vector(space: ScalarSpace, phi: np.ndarray, v_dofs: np.ndarray,
@@ -238,13 +232,9 @@ def fe_convection_vector(space: ScalarSpace, phi: np.ndarray, v_dofs: np.ndarray
 
 def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
                        mobility: float, dw: DoubleWell, space: ScalarSpace,
-                       newton_tol: float = 1e-12, newton_maxit: int = 30,
+                       newton_tol: float = 1e-12,
                        conv_matrix: sp.csr_array | None = None,
                        phi_guess: np.ndarray | None = None,
-                       mass: sp.csr_array | None = None,
-                       stiffness: sp.csr_array | None = None,
-                       lumped: np.ndarray | None = None,
-                       lin_tol: float = 1e-12,
                        lin_cache=None) -> tuple[np.ndarray, np.ndarray, ChReport]:
     """Implicit solve of the diffusive phase-field system
 
@@ -252,7 +242,8 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
         M mu = sigma delta K phi + (sigma/delta) lump(F+'(phi) + F-'(phi_old))
 
     by Newton's method on the coupled (phi, mu) unknowns, with up to ten
-    damped halvings per step when the residual does not decrease.  With
+    damped halvings per step when the residual does not decrease.  M, K and
+    the lumped weights are the operators ``space`` owns.  With
     ``conv_matrix`` (monolithic mode) the convection enters implicitly;
     without it the transported field is passed as ``phi_source``.  Testing the
     first equation with 1 shows the mean of phi is conserved up to the linear
@@ -265,9 +256,7 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
     if mobility < 0:
         raise ValueError("mobility must be nonnegative")
     n = space.n_dofs
-    M = assemble_p1_mass(space) if mass is None else mass
-    K = assemble_stiffness(space, 1.0) if stiffness is None else stiffness
-    c = lumped_p1_weights(space.mesh) if lumped is None else lumped
+    M, K, c = space.mass, space.stiffness, space.lumped
     cache = FactorizationCache() if lin_cache is None else lin_cache
 
     sig, dlt = dw.sigma, dw.delta
@@ -286,16 +275,16 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
 
     r1, r2 = residual(phi, mu)
     # solve the linear mu-row once so the initial residual is meaningful
-    mu = solve_linear(M, M @ mu - r2, tol=lin_tol)
+    mu = solve_linear(M, M @ mu - r2, tol=LIN_TOL)
     r1, r2 = residual(phi, mu)
     res = max(np.abs(r1).max(), np.abs(r2).max())
 
     it = 0
-    while not res <= newton_tol and it < newton_maxit:
+    while not res <= newton_tol and it < NEWTON_MAXIT:
         it += 1
         dpot = sp.csr_array(sp.diags_array((sig / dlt) * c * dw.f_plus_second(phi)))
         J = sp.bmat([[a_phi, kmu], [-(sig * dlt) * K - dpot, M]], format="csr")
-        delta = cache.solve(J, -np.concatenate([r1, r2]), tol=lin_tol)
+        delta = cache.solve(J, -np.concatenate([r1, r2]), tol=LIN_TOL)
         dphi, dmu = delta[:n], delta[n:]
         step = 1.0
         for _ in range(10):
@@ -322,12 +311,8 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
     return phi, mu, report
 
 
-def interfacial_energy(space: ScalarSpace, phi: np.ndarray, dw: DoubleWell,
-                       stiffness: sp.csr_array | None = None,
-                       lumped: np.ndarray | None = None) -> float:
+def interfacial_energy(space: ScalarSpace, phi: np.ndarray, dw: DoubleWell) -> float:
     """sigma (delta/2 |grad phi|^2 + 1/delta * lumped F(phi)) over the domain."""
-    K = assemble_stiffness(space, 1.0) if stiffness is None else stiffness
-    c = lumped_p1_weights(space.mesh) if lumped is None else lumped
-    grad = 0.5 * dw.delta * float(phi @ (K @ phi))
-    well = float(c @ dw.f(phi)) / dw.delta
+    grad = 0.5 * dw.delta * float(phi @ (space.stiffness @ phi))
+    well = float(space.lumped @ dw.f(phi)) / dw.delta
     return dw.sigma * (grad + well)

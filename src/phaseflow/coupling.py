@@ -25,14 +25,7 @@ from .cahn_hilliard import (
 )
 from .energy import EnergyBreakdown, InequalityReport, step_inequality_check
 from .errors import AuditFailure, RunAborted, SolverError, StepRejected
-from .fem import (
-    ScalarSpace,
-    VelocitySpace,
-    assemble_p1_mass,
-    assemble_stiffness,
-    element_gradient_magnitudes,
-    lumped_p1_weights,
-)
+from .fem import ScalarSpace, VelocitySpace, element_gradient_magnitudes
 from .linalg import FactorizationCache, solve_linear
 from .mesh import (
     COARSEN,
@@ -87,16 +80,16 @@ class AdaptivityConfig:
 
 
 class Discretization:
-    """Per-mesh bundle of spaces, the dual grid, and cached matrices."""
+    """Per-mesh bundle of spaces, the dual grid, and cached matrices.  The
+    P1 mass, stiffness and lumped weights belong to ``sspace``; ``lumped``
+    is the same array as ``sspace.lumped``."""
 
     def __init__(self, mesh: Mesh, params: PhysParams):
         self.mesh = mesh
         self.sspace = ScalarSpace(mesh)
         self.vspace = VelocitySpace(mesh, degree=params.velocity_degree, bc=params.bc)
         self.dual = build_dual_grid(mesh)
-        self.mass = assemble_p1_mass(self.sspace)
-        self.stiffness = assemble_stiffness(self.sspace, 1.0)
-        self.lumped = lumped_p1_weights(mesh)
+        self.lumped = self.sspace.lumped
         self.B = assemble_divergence(self.vspace, self.sspace)
 
     @cached_property
@@ -104,10 +97,6 @@ class Discretization:
         """The saddle solve's divergence blocks, built at the first solve on
         this mesh rather than with the set-up."""
         return dirichlet_divergence(self.vspace, self.B)
-
-    @property
-    def n_phi(self) -> int:
-        return self.sspace.n_dofs
 
     @property
     def total_dofs(self) -> int:
@@ -131,9 +120,10 @@ def consistent_chemical_potential(disc: Discretization, phi: np.ndarray,
                                   dw: DoubleWell) -> np.ndarray:
     """mu solving the curvature equation for a given phase field (used for
     initial data, whose time stepping has not produced a mu yet)."""
-    rhs = dw.sigma * dw.delta * (disc.stiffness @ phi) \
-        + (dw.sigma / dw.delta) * disc.lumped * dw.f_prime(phi)
-    return solve_linear(disc.mass, rhs, tol=1e-13)
+    ss = disc.sspace
+    rhs = dw.sigma * dw.delta * (ss.stiffness @ phi) \
+        + (dw.sigma / dw.delta) * ss.lumped * dw.f_prime(phi)
+    return solve_linear(ss.mass, rhs, tol=1e-13)
 
 
 def initial_state(disc: Discretization, params: PhysParams, phi0) -> State:
@@ -204,7 +194,6 @@ class SolverCaches:
 
 def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTolerances,
                    convection: str = "fv", newton_tol: float = 1e-12,
-                   saddle_tol: float = 1e-9,
                    caches: SolverCaches | None = None) -> tuple[State, StepDiagnostics]:
     """One time step of the split scheme.  Raises StepRejected when the inner
     loop does not contract within the iteration budget or a phase-field or
@@ -245,7 +234,6 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
             phi_new, mu_new, rep = ch_diffusive_solve(
                 phi_half, phi_k, tau, params.mobility, dw, disc.sspace,
                 newton_tol=newton_tol, conv_matrix=conv, phi_guess=phi_guess,
-                mass=disc.mass, stiffness=disc.stiffness, lumped=disc.lumped,
                 lin_cache=caches.phase)
         except SolverError as exc:
             raise StepRejected(f"phase-field solve failed: {exc}") from exc
@@ -259,8 +247,7 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
         try:
             v_i, p_i = solve_momentum(disc.vspace, disc.sspace, params,
                                       phi_k, phi_i, mu_i, v_k, tau, state.t,
-                                      tol=saddle_tol, divergence=disc.divergence,
-                                      mean_weights=disc.lumped,
+                                      divergence=disc.divergence,
                                       viscous=viscous, convective=convective,
                                       stabilization=stab, saddle_cache=caches.saddle)
         except SolverError as exc:
@@ -399,8 +386,7 @@ def run(cfg: RunConfig, keep_states: bool = False) -> RunResult:
         report, breakdown = step_inequality_check(
             state.disc.sspace, state.disc.vspace, cfg.params,
             state.phi, state.v, new.phi, new.mu, new.v, tau, state.t,
-            tol=cfg.audit_tol, stiffness=state.disc.stiffness, lumped=state.disc.lumped,
-            viscous=diags.viscous)
+            tol=cfg.audit_tol, viscous=diags.viscous)
         if not report.passed:
             audit_failures += 1
             if cfg.audit_strict:

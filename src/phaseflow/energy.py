@@ -6,7 +6,9 @@ dissipation and two numerical-dissipation terms on the paying side.  For the
 monolithic converged mode on a fixed mesh it holds to solver precision; for
 the splitting with finite-volume transport it is monitored, not guaranteed.
 All terms are assembled with exactly the operators the solvers use, so the
-audit checks the algebraic identity rather than a re-discretization of it.
+audit checks the algebraic identity rather than a re-discretization of it:
+the stiffness matrix and lumped weights are the ones the scalar space owns,
+which the Cahn-Hilliard solve reads too.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cahn_hilliard import DoubleWell
-from .fem import ScalarSpace, VelocitySpace, assemble_stiffness, lumped_mass_diagonal, lumped_p1_weights
+from .fem import ScalarSpace, VelocitySpace, lumped_mass_diagonal
 from .momentum import PhysParams, assemble_external_force, assemble_viscous, \
     density_from_phase, viscosity_from_phase
 
@@ -59,12 +61,11 @@ def kinetic_energy(vspace: VelocitySpace, phi: np.ndarray, v: np.ndarray,
 
 
 def total_energy(sspace: ScalarSpace, vspace: VelocitySpace, phi: np.ndarray,
-                 v: np.ndarray, params: PhysParams,
-                 stiffness=None, lumped=None) -> EnergyBreakdown:
+                 v: np.ndarray, params: PhysParams) -> EnergyBreakdown:
     from .cahn_hilliard import interfacial_energy
 
     dw = DoubleWell(sigma=params.sigma, delta=params.delta)
-    e_int = interfacial_energy(sspace, phi, dw, stiffness=stiffness, lumped=lumped)
+    e_int = interfacial_energy(sspace, phi, dw)
     return EnergyBreakdown(e_kin=kinetic_energy(vspace, phi, v, params), e_int=e_int)
 
 
@@ -72,7 +73,6 @@ def step_inequality_check(sspace: ScalarSpace, vspace: VelocitySpace, params: Ph
                           phi_old: np.ndarray, v_old: np.ndarray,
                           phi_new: np.ndarray, mu_new: np.ndarray, v_new: np.ndarray,
                           tau: float, t_old: float, tol: float = 1e-8,
-                          stiffness=None, lumped=None,
                           viscous=None) -> tuple[InequalityReport, EnergyBreakdown]:
     """Audit one accepted step against the discrete energy inequality.
 
@@ -80,12 +80,13 @@ def step_inequality_check(sspace: ScalarSpace, vspace: VelocitySpace, params: Ph
     with the step's dissipation and work terms attached).  The pass threshold
     scales with 1 + |rhs| + E_old / tau because the inequality's terms carry
     a 1/tau factor, so cancellation noise grows at that scale for small
-    increments.  ``viscous`` is the viscous matrix of ``phi_old`` when the
-    stepper already assembled it; by default it is assembled here.
+    increments.  The stiffness matrix and lumped weights are those of
+    ``sspace``, the operators the phase-field solve used.  ``viscous`` is the
+    viscous matrix of ``phi_old`` when the stepper already assembled it; by
+    default it is assembled here.
     """
     dw = DoubleWell(sigma=params.sigma, delta=params.delta)
-    K = assemble_stiffness(sspace, 1.0) if stiffness is None else stiffness
-    c = lumped_p1_weights(sspace.mesh) if lumped is None else lumped
+    K, c = sspace.stiffness, sspace.lumped
     n = vspace.n_nodes
 
     rho_old = density_from_phase(phi_old, params)
@@ -120,21 +121,23 @@ def step_inequality_check(sspace: ScalarSpace, vspace: VelocitySpace, params: Ph
 
     lhs = kin_terms + grad_terms + well_terms + d_mob + d_visc
     rhs = w_ext
-    e_old = total_energy(sspace, vspace, phi_old, v_old, params,
-                         stiffness=K, lumped=c)
+    e_old = total_energy(sspace, vspace, phi_old, v_old, params)
     tolerance = tol * (1.0 + abs(rhs) + e_old.e_total / tau)
     report = InequalityReport(lhs=lhs, rhs=rhs, residual=lhs - rhs, tolerance=tolerance)
 
-    e_new = total_energy(sspace, vspace, phi_new, v_new, params, stiffness=K, lumped=c)
+    e_new = total_energy(sspace, vspace, phi_new, v_new, params)
     breakdown = EnergyBreakdown(e_kin=e_new.e_kin, e_int=e_new.e_int,
                                 d_visc=d_visc, d_mob=d_mob, w_ext=w_ext,
                                 numdiss_v=numdiss_v, numdiss_phi=numdiss_phi)
     return report, breakdown
 
 
+# slack of the cumulative ledger per step, relative to the energy scale
+LEDGER_TOL_STEP = 1e-10
+
+
 def global_energy_ledger(energies: list[float], taus: list[float],
-                         breakdowns: list[EnergyBreakdown],
-                         tol_step: float = 1e-10) -> tuple[bool, float]:
+                         breakdowns: list[EnergyBreakdown]) -> tuple[bool, float]:
     """Cumulative form of the stability estimate over a fixed-mesh interval.
 
     energies[k] is the total energy after k steps (energies[0] = initial);
@@ -144,7 +147,8 @@ def global_energy_ledger(energies: list[float], taus: list[float],
         E_k + sum_{m=l}^{k-1} (numdiss_m + tau_m (D_mob + D_visc)_m)
             <= E_l + sum_{m=l}^{k-1} tau_m W_ext,m
 
-    within an accumulated tolerance; returns (ok, worst_violation).
+    within an accumulated tolerance of LEDGER_TOL_STEP per step times the
+    energy scale; returns (ok, worst_violation).
     """
     scale = max(abs(e) for e in energies) + 1.0
     # S_k = E_k + sum_{m<k} (diss_m - work_m); the pairwise inequality for
@@ -158,6 +162,6 @@ def global_energy_ledger(energies: list[float], taus: list[float],
     worst = 0.0
     best_so_far = running[0]
     for k in range(1, len(running)):
-        worst = max(worst, running[k] - best_so_far - k * tol_step * scale)
+        worst = max(worst, running[k] - best_so_far - k * LEDGER_TOL_STEP * scale)
         best_so_far = min(best_so_far, running[k])
     return worst <= 0.0, worst

@@ -2,6 +2,12 @@
 vector velocity spaces with Dirichlet handling, nodal interpolation, exact
 quadrature, and the assembly kernels shared by the solvers.
 
+A ``ScalarSpace`` owns its constant operators: the consistent mass matrix,
+the unit-coefficient stiffness matrix and the lumped weights are assembled
+once per space, on first use, so the Cahn-Hilliard solve and the energy
+audit read the same matrices.  Every sparse finite element matrix is built
+by ``assemble``, the one scatter of element matrices into CSR.
+
 Velocity mass matrices are lumped on the velocity space's own nodal mesh:
 products of velocity basis functions are nodally interpolated on the midpoint
 refinement for P2 (whose vertices are exactly the P2 nodes) and on the primal
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,6 +121,21 @@ class ScalarSpace:
 
     def node_coords(self) -> np.ndarray:
         return self.mesh.vertices
+
+    @cached_property
+    def mass(self) -> sp.csr_array:
+        """Consistent mass matrix."""
+        return assemble_p1_mass(self)
+
+    @cached_property
+    def stiffness(self) -> sp.csr_array:
+        """Stiffness matrix with unit coefficient."""
+        return assemble_stiffness(self, 1.0)
+
+    @cached_property
+    def lumped(self) -> np.ndarray:
+        """Lumped mass weights (integrals of the hat functions)."""
+        return lumped_p1_weights(self.mesh)
 
 
 class VelocitySpace:
@@ -242,8 +264,15 @@ def p1_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return g, areas
 
 
-def _coo(rows, cols, vals, shape) -> sp.csr_array:
-    return sp.csr_array(sp.coo_array((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape))
+def assemble(row_dofs: np.ndarray, col_dofs: np.ndarray, ke: np.ndarray,
+             shape: tuple[int, int]) -> sp.csr_array:
+    """Scatter element matrices ``ke`` (m, a, b) into a CSR matrix: entry
+    (i, j) of element k adds to (row_dofs[k, i], col_dofs[k, j]).  Duplicates
+    are summed in element order, so stacking the component blocks of a
+    vector operator along the element axis fixes its summation order."""
+    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1)
+    cols = np.tile(col_dofs, (1, row_dofs.shape[1]))
+    return sp.csr_array(sp.coo_array((ke.ravel(), (rows.ravel(), cols.ravel())), shape=shape))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +333,7 @@ def assemble_stiffness(space: ScalarSpace, coeff) -> sp.csr_array:
             raise ValueError("stiffness coefficient must be nonnegative")
         cbar = coeff[mesh.triangles].mean(axis=1)
     ke = np.einsum("m,mid,mjd->mij", cbar * areas, g, g)
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1)
-    cols = np.tile(t, (1, 3))
-    return _coo(rows, cols, ke, (space.n_dofs, space.n_dofs))
+    return assemble(mesh.triangles, mesh.triangles, ke, (space.n_dofs, space.n_dofs))
 
 
 def assemble_p1_mass(space: ScalarSpace) -> sp.csr_array:
@@ -317,10 +343,7 @@ def assemble_p1_mass(space: ScalarSpace) -> sp.csr_array:
     local = np.full((3, 3), 1.0 / 12.0)
     np.fill_diagonal(local, 1.0 / 6.0)
     ke = areas[:, None, None] * local[None, :, :]
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1)
-    cols = np.tile(t, (1, 3))
-    return _coo(rows, cols, ke, (space.n_dofs, space.n_dofs))
+    return assemble(mesh.triangles, mesh.triangles, ke, (space.n_dofs, space.n_dofs))
 
 
 def lumped_p1_weights(mesh: Mesh) -> np.ndarray:
@@ -389,7 +412,7 @@ def l2_distance(coarse_mesh: Mesh, coarse_vals: np.ndarray,
         raise GeometryError("meshes are not nested; cannot form the L2 comparison")
     prolonged = _eval_p1(coarse_mesh, coarse_vals, ref_mesh.vertices)
     err = prolonged - ref_vals
-    M = assemble_p1_mass(ScalarSpace(ref_mesh))
+    M = ScalarSpace(ref_mesh).mass
     return float(np.sqrt(max(err @ (M @ err), 0.0)))
 
 

@@ -127,13 +127,14 @@ class FactorizationCache:
     at most 10 tol ||b||_2.  Otherwise A is refactorized and solved with one
     defect-correction pass, and the result must be finite with
     ||Ax - b||_inf <= 1e-10 (||A||_inf ||x||_inf + ||b||_inf), else
-    SolverError.  A factorization that needed more than ``refresh_after``
+    SolverError.  A factorization that needed more than ``REFRESH_AFTER``
     iterations is dropped, so the next call refactorizes."""
 
-    def __init__(self, maxit: int = 40, refresh_after: int = 5):
+    REFRESH_AFTER = 5
+
+    def __init__(self, maxit: int = 40):
         self.lu = None
         self.maxit = maxit
-        self.refresh_after = refresh_after
 
     def refresh(self, A: sp.spmatrix):
         """Factorize A; a singular or NaN matrix raises SolverError and
@@ -152,7 +153,7 @@ class FactorizationCache:
             except IterativeFailure:
                 pass
             else:
-                if its > self.refresh_after:
+                if its > self.REFRESH_AFTER:
                     self.lu = None  # stale preconditioner, refactor on the next call
                 # the recursive residual can drift from the true one; NaN fails too
                 if np.linalg.norm(A @ x - b) <= 10.0 * tol * np.linalg.norm(b):

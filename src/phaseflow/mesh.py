@@ -426,7 +426,6 @@ class DualGrid:
     face_measures: np.ndarray
     face_midpoints: np.ndarray
     face_endpoints: np.ndarray
-    face_edge: np.ndarray
     face_tri: np.ndarray
     boundary_normal_integral: np.ndarray
 
@@ -530,7 +529,6 @@ def build_dual_grid(mesh: Mesh) -> DualGrid:
         face_measures=measures[keep],
         face_midpoints=midpoints,
         face_endpoints=ends,
-        face_edge=np.nonzero(keep)[0],
         face_tri=face_tri,
         boundary_normal_integral=bni,
     )

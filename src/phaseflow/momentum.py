@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import ScalarSpace, VelocitySpace, lumped_mass_diagonal
+from .fem import ScalarSpace, VelocitySpace, assemble, lumped_mass_diagonal
 from .linalg import PinnedDivergence, SaddleSystem, solve_saddle
 
 
@@ -115,8 +115,7 @@ def delta_rho(phi_old: np.ndarray, phi_new: np.ndarray, params: PhysParams) -> n
     return quotient
 
 
-def compute_flux_j(phi_old: np.ndarray, mu_new: np.ndarray, mobility: float,
-                   space: ScalarSpace) -> np.ndarray:
+def compute_flux_j(mu_new: np.ndarray, mobility: float, space: ScalarSpace) -> np.ndarray:
     """Elementwise-constant diffusive mass flux -M grad(mu), shape (m, 2)."""
     from .fem import p1_gradients
 
@@ -129,22 +128,15 @@ def compute_flux_j(phi_old: np.ndarray, mu_new: np.ndarray, mobility: float,
 # operator assembly on the velocity space
 
 
-def _vec_coo(vspace: VelocitySpace, blocks) -> sp.csr_array:
+def _assemble_blocks(vspace: VelocitySpace, blocks) -> sp.csr_array:
     """Assemble a vector-valued operator from per-element (nloc x nloc)
     component blocks: blocks[(a, b)] has shape (m, nloc, nloc)."""
     nodes = vspace.tri_nodes
-    nloc = nodes.shape[1]
     n = vspace.n_nodes
-    rows, cols, vals = [], [], []
-    for (a, b), ke in blocks.items():
-        rows.append(np.repeat(a * n + nodes, nloc, axis=1))
-        cols.append(np.tile(b * n + nodes, (1, nloc)))
-        vals.append(ke.reshape(ke.shape[0], -1))
-    rows = np.concatenate([r.ravel() for r in rows])
-    cols = np.concatenate([c.ravel() for c in cols])
-    vals = np.concatenate([v.ravel() for v in vals])
-    return sp.csr_array(sp.coo_array((vals, (rows, cols)),
-                                     shape=(vspace.n_dofs, vspace.n_dofs)))
+    rows = np.concatenate([a * n + nodes for a, _ in blocks])
+    cols = np.concatenate([b * n + nodes for _, b in blocks])
+    return assemble(rows, cols, np.concatenate(list(blocks.values())),
+                    (vspace.n_dofs, vspace.n_dofs))
 
 
 def _directional_convection(vspace: VelocitySpace, weight_qp: np.ndarray,
@@ -161,7 +153,7 @@ def _directional_convection(vspace: VelocitySpace, weight_qp: np.ndarray,
         return np.einsum("mq,mq,qi,mqj->mij", w[span], weight_qp[span], vals, dgrad)
 
     ke = np.concatenate(element_chunks(kernel, vspace.mesh.n_triangles), axis=0)
-    return _vec_coo(vspace, {(0, 0): ke, (1, 1): ke})
+    return _assemble_blocks(vspace, {(0, 0): ke, (1, 1): ke})
 
 
 def _p1_at_qp(vspace: VelocitySpace, nodal: np.ndarray) -> np.ndarray:
@@ -236,7 +228,7 @@ def assemble_viscous(vspace: VelocitySpace, eta_old: np.ndarray) -> sp.csr_array
     parts = element_chunks(kernel, vspace.mesh.n_triangles)
     blocks = {key: np.concatenate([p[key] for p in parts], axis=0)
               for key in parts[0]}
-    return _vec_coo(vspace, blocks)
+    return _assemble_blocks(vspace, blocks)
 
 
 def assemble_divergence(vspace: VelocitySpace, pspace: ScalarSpace) -> sp.csr_array:
@@ -245,20 +237,13 @@ def assemble_divergence(vspace: VelocitySpace, pspace: ScalarSpace) -> sp.csr_ar
     from .fem import QUAD_DEG4
 
     vals, _, w = vspace.shape_table(QUAD_DEG4)
-    lam = QUAD_DEG4.points
     gp1 = vspace.grads_p1
     tri = pspace.mesh.triangles
     nodes = vspace.tri_nodes
-    n = vspace.n_nodes
-    rows, cols, data = [], [], []
-    for a in range(2):
-        ke = np.einsum("mq,ml,qj->mlj", w, gp1[:, :, a], vals)
-        rows.append(np.repeat(tri, nodes.shape[1], axis=1).ravel())
-        cols.append(np.tile(a * n + nodes, (1, 3)).ravel())
-        data.append(ke.ravel())
-    return sp.csr_array(sp.coo_array(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(pspace.n_dofs, vspace.n_dofs)))
+    ke = np.concatenate([np.einsum("mq,ml,qj->mlj", w, gp1[:, :, a], vals) for a in range(2)])
+    return assemble(np.concatenate([tri, tri]),
+                    np.concatenate([nodes, vspace.n_nodes + nodes]), ke,
+                    (pspace.n_dofs, vspace.n_dofs))
 
 
 def assemble_stabilization(vspace: VelocitySpace, pspace: ScalarSpace,
@@ -273,11 +258,7 @@ def assemble_stabilization(vspace: VelocitySpace, pspace: ScalarSpace,
     local = np.full((3, 3), 1.0 / 12.0 - 1.0 / 9.0)
     np.fill_diagonal(local, 1.0 / 6.0 - 1.0 / 9.0)
     ke = (areas / eta_bar)[:, None, None] * local[None, :, :]
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1)
-    cols = np.tile(t, (1, 3))
-    return sp.csr_array(sp.coo_array((ke.ravel(), (rows.ravel(), cols.ravel())),
-                                     shape=(pspace.n_dofs, pspace.n_dofs)))
+    return assemble(mesh.triangles, mesh.triangles, ke, (pspace.n_dofs, pspace.n_dofs))
 
 
 def assemble_rhs_K(vspace: VelocitySpace, pspace: ScalarSpace, mu_new: np.ndarray,
@@ -366,7 +347,6 @@ def solve_momentum(vspace: VelocitySpace, pspace: ScalarSpace, params: PhysParam
                    phi_old: np.ndarray, phi_new: np.ndarray, mu_new: np.ndarray,
                    v_old: np.ndarray, tau: float, t: float,
                    tol: float = 1e-9, divergence: PinnedDivergence | None = None,
-                   mean_weights: np.ndarray | None = None,
                    viscous: sp.csr_array | None = None,
                    convective: sp.csr_array | None = None,
                    stabilization: sp.csr_array | None = None,
@@ -377,14 +357,13 @@ def solve_momentum(vspace: VelocitySpace, pspace: ScalarSpace, params: PhysParam
     pressure stabilization) may be passed in precomputed; within one time
     step they are constant across the splitting iterations.  So is
     ``divergence``, ``dirichlet_divergence`` of the mesh's divergence
-    block, which depends on the mesh alone."""
-    from .fem import lumped_p1_weights
-
+    block, which depends on the mesh alone.  The pressure mean is taken
+    with the lumped weights of ``pspace``."""
     rho_old = density_from_phase(phi_old, params)
     rho_new = density_from_phase(phi_new, params)
     eta_old = viscosity_from_phase(phi_old, params)
     drho = delta_rho(phi_old, phi_new, params)
-    j_elem = compute_flux_j(phi_old, mu_new, params.mobility, pspace)
+    j_elem = compute_flux_j(mu_new, params.mobility, pspace)
 
     if viscous is None:
         viscous = assemble_viscous(vspace, eta_old)
@@ -402,14 +381,12 @@ def solve_momentum(vspace: VelocitySpace, pspace: ScalarSpace, params: PhysParam
             else assemble_stabilization(vspace, pspace, eta_old)
     else:
         C = None
-    if mean_weights is None:
-        mean_weights = lumped_p1_weights(pspace.mesh)
 
     mask = vspace.dirichlet_mask
     G = apply_velocity_dirichlet(G, mask)
     rhs = np.where(mask, 0.0, rhs)
 
-    system = SaddleSystem(G=G, B=divergence.B, C=C, mean_weights=mean_weights, rhs_v=rhs,
+    system = SaddleSystem(G=G, B=divergence.B, C=C, mean_weights=pspace.lumped, rhs_v=rhs,
                           pinned=divergence)
     v, p = solve_saddle(system, tol=tol, cache=saddle_cache)
     return v, p

@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from .cahn_hilliard import DoubleWell, ch_diffusive_solve, fe_convection_matrix
 from .coupling import Discretization, SplitTolerances, State
 from .errors import StepRejected
-from .fem import QUAD_DEG4, assemble_p1_mass, ScalarSpace
+from .fem import QUAD_DEG4, ScalarSpace
 from .linalg import SaddleSystem, solve_saddle
 from .momentum import (
     PhysParams,
@@ -48,12 +48,12 @@ class ProjectionWorkspace:
 
     def __init__(self, disc: Discretization):
         self.disc = disc
-        mass = sp.csc_matrix(disc.mass)
+        mass = sp.csc_matrix(disc.sspace.mass)
         self.mass_lu = spla.splu(mass)
         vs = disc.vspace
         if vs.degree == 2:
             half = vs.half_mesh
-            m_half = assemble_p1_mass(ScalarSpace(half)).toarray()
+            m_half = ScalarSpace(half).mass.toarray()
             # prolongation: coarse hat values at the fine nodes
             n_c, n_f = disc.mesh.n_vertices, half.n_vertices
             P = np.zeros((n_f, n_c))
@@ -63,7 +63,7 @@ class ProjectionWorkspace:
             P[n_c + np.arange(e.shape[0]), e[:, 1]] = 0.5
             cross = P.T @ m_half
         else:
-            cross = disc.mass.toarray()
+            cross = disc.sspace.mass.toarray()
         # projected hats, one column per velocity node
         self.projected_hats = self.mass_lu.solve(cross)
 
@@ -84,7 +84,7 @@ def l2_project(disc: Discretization, f) -> np.ndarray:
     moments = np.zeros(mesh.n_vertices)
     ke = np.einsum("mq,mq,qi->mi", w, fv, lam)
     np.add.at(moments, mesh.triangles.ravel(), ke.ravel())
-    return spla.splu(sp.csc_matrix(disc.mass)).solve(moments)
+    return spla.splu(sp.csc_matrix(disc.sspace.mass)).solve(moments)
 
 
 def _projection_coupling(ws: ProjectionWorkspace, params: PhysParams,
@@ -142,7 +142,7 @@ def projection_momentum_solve(ws: ProjectionWorkspace, params: PhysParams,
     rho_new = density_from_phase(phi_new, params)
     eta_old = viscosity_from_phase(phi_old, params)
     drho = delta_rho(phi_old, phi_new, params)
-    j_elem = compute_flux_j(phi_old, mu_new, params.mobility, disc.sspace)
+    j_elem = compute_flux_j(mu_new, params.mobility, disc.sspace)
 
     mat_t, _ = assemble_time_terms(vs, rho_old, rho_new, v_old, tau)
     S, r = _projection_coupling(ws, params, phi_new, v_old, j_elem)
@@ -156,7 +156,7 @@ def projection_momentum_solve(ws: ProjectionWorkspace, params: PhysParams,
     mask = vs.dirichlet_mask
     G = apply_velocity_dirichlet(G, mask)
     rhs = np.where(mask, 0.0, rhs)
-    system = SaddleSystem(G=G, B=disc.divergence.B, C=None, mean_weights=disc.lumped,
+    system = SaddleSystem(G=G, B=disc.divergence.B, C=None, mean_weights=disc.sspace.lumped,
                           rhs_v=rhs, pinned=disc.divergence)
     return solve_saddle(system, tol=tol)
 
@@ -181,8 +181,7 @@ def projection_reference_step(state: State, tau: float, params: PhysParams,
         conv = fe_convection_matrix(disc.sspace, v_dofs, disc.vspace)
         phi_new, mu_new, _ = ch_diffusive_solve(
             phi_k, phi_k, tau, params.mobility, dw, disc.sspace,
-            newton_tol=newton_tol, conv_matrix=conv, phi_guess=phi_guess,
-            mass=disc.mass, stiffness=disc.stiffness, lumped=disc.lumped)
+            newton_tol=newton_tol, conv_matrix=conv, phi_guess=phi_guess)
         return phi_new, mu_new
 
     phi_i, mu_i = ch_solve(v_k, phi_k)

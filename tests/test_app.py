@@ -79,6 +79,29 @@ def test_load_rejects_bad_solver_settings(tmp_path, key, value):
         load_config(str(p))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("timestep.v_min", "0"), ("timestep.v_max", "5"), ("adaptivity.min_level", "9"),
+    ("adaptivity.c_ref_phi", "1.5"), ("adaptivity.c_coarse_phi", "0"),
+    ("adaptivity.c_ref_v", "-0.1"), ("adaptivity.c_coarse_v", "1")])
+def test_load_rejects_bad_timestep_and_adaptivity_settings(tmp_path, key, value):
+    # adaptivity stays off: run_config builds these settings all the same
+    p = tmp_path / "c.txt"
+    p.write_text(f"scenario.name = ellipse\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=re.escape(key)):
+        load_config(str(p))
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("ellipse", "scenario.rx", "0"), ("ellipse", "scenario.ry", "-0.2"),
+    ("rising-droplet", "scenario.rx", "0"), ("rotating-annulus", "scenario.r_inner", "-0.1"),
+    ("rotating-annulus", "scenario.r_outer", "0.3")])
+def test_load_rejects_degenerate_interfaces(tmp_path, name, key, value):
+    p = tmp_path / "c.txt"
+    p.write_text(f"scenario.name = {name}\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=re.escape(key)):
+        load_config(str(p))
+
+
 @pytest.mark.parametrize("name", ["ellipse", "rising-droplet", "rising-droplet-r025",
                                   "rayleigh-taylor", "rotating-annulus"])
 def test_preset_round_trips_through_a_file(tmp_path, name):
@@ -259,6 +282,20 @@ def test_cli_eoc_prints_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "L2 error" in out
     assert "ratio" in out
+
+
+@pytest.mark.parametrize("line,key", [("timestep.v_min = 0", "timestep.v_min"),
+                                      ("adaptivity.min_level = 9", "adaptivity.min_level"),
+                                      ("adaptivity.c_ref_phi = 1.5", "adaptivity.c_ref_phi"),
+                                      ("scenario.rx = 0", "scenario.rx")])
+def test_cli_config_error_exits_1(tmp_path, capsys, line, key):
+    out = tmp_path / "out"
+    p = tmp_path / "c.txt"
+    p.write_text(f"scenario.name = ellipse\ndiscretization.level = 4\n"
+                 f"scenario.tmax = 1e-3\n{line}\noutput.dir = {out}\n")
+    assert cli_main(["run", str(p)]) == 1
+    assert f"error: {key} must" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_solver_failure_exits_3_and_keeps_outputs(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import phaseflow.fem as fem
+from phaseflow.cahn_hilliard import DoubleWell, interfacial_energy
 from phaseflow.coupling import Discretization, State, initial_state
 from phaseflow.energy import (
     EnergyBreakdown,
@@ -56,6 +58,42 @@ def test_inequality_stationary_pure_phase():
                                        phi, v, phi, mu, v, tau=1e-3, t_old=0.0)
     assert report.lhs == 0.0 and report.rhs == 0.0 and report.passed
     assert bd.d_visc == 0.0 and bd.d_mob == 0.0
+
+
+@pytest.fixture
+def stiffness_calls(monkeypatch):
+    calls = []
+    assemble_stiffness = fem.assemble_stiffness
+
+    def counted(space, coeff):
+        calls.append(coeff)
+        return assemble_stiffness(space, coeff)
+
+    monkeypatch.setattr(fem, "assemble_stiffness", counted)
+    return calls
+
+
+def test_interfacial_energy_assembles_the_stiffness_once(stiffness_calls):
+    disc, params = make_disc(sigma=1.0, delta=0.1)
+    x = disc.mesh.vertices[:, 0]
+    dw = DoubleWell(sigma=1.0, delta=0.1)
+    e1 = interfacial_energy(disc.sspace, np.tanh(x / 0.1), dw)
+    e2 = interfacial_energy(disc.sspace, np.tanh(x / 0.2), dw)
+    assert e1 != e2
+    assert stiffness_calls == [1.0]
+
+
+def test_audit_uses_the_space_operators(stiffness_calls):
+    disc, params = make_disc(sigma=1.0, delta=0.1)
+    x = disc.mesh.vertices[:, 0]
+    phi_old, phi_new = np.tanh(x / 0.1), np.tanh((x - 0.01) / 0.1)
+    v = np.zeros(disc.vspace.n_dofs)
+    mu = np.cos(x)
+    for tau in (1e-3, 1e-2):
+        step_inequality_check(disc.sspace, disc.vspace, params, phi_old, v, phi_new, mu, v,
+                              tau=tau, t_old=0.0)
+    assert stiffness_calls == [1.0]
+    assert disc.lumped is disc.sspace.lumped
 
 
 def test_ledger_single_step_matches_inequality():

@@ -7,6 +7,7 @@ from phaseflow.fem import (
     QUAD_DEG4,
     ScalarSpace,
     VelocitySpace,
+    assemble,
     assemble_lumped_mass,
     assemble_p1_mass,
     assemble_stiffness,
@@ -272,6 +273,34 @@ def test_consistent_mass_total():
     one = np.ones(m.n_vertices)
     assert one @ (M @ one) == pytest.approx(1.0, rel=1e-14)
     np.testing.assert_allclose(lumped_p1_weights(m), np.asarray(M.sum(axis=1)).ravel(), atol=1e-15)
+
+
+def test_scalar_space_owns_its_operators():
+    m = build_structured_mesh((0, 1, 0, 2), 4)
+    space = ScalarSpace(m)
+    assert space.mass is space.mass and space.stiffness is space.stiffness
+    assert space.lumped is space.lumped
+    for owned, fresh in ((space.mass, assemble_p1_mass(ScalarSpace(m))),
+                         (space.stiffness, assemble_stiffness(ScalarSpace(m), 1.0))):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(owned, name), getattr(fresh, name))
+    assert np.array_equal(space.lumped, lumped_p1_weights(m))
+
+
+def test_assemble_scatters_element_matrices():
+    # integer entries make the dense reference exact in any summation order
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, 5, size=(7, 2))
+    cols = rng.integers(0, 4, size=(7, 3))
+    ke = rng.integers(-9, 10, size=(7, 2, 3)).astype(float)
+    dense = np.zeros((5, 4))
+    for k in range(7):
+        for i in range(2):
+            for j in range(3):
+                dense[rows[k, i], cols[k, j]] += ke[k, i, j]
+    A = assemble(rows, cols, ke, (5, 4))
+    assert A.format == "csr" and A.shape == (5, 4)
+    assert np.array_equal(A.toarray(), dense)
 
 
 @pytest.mark.parametrize("raw,expected", [("", 3), ("0", 3), ("junk", 3), ("2", 2),
