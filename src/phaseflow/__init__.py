@@ -65,6 +65,7 @@ from .mesh import (
 )
 from .momentum import (
     ForceSpec,
+    MomentumStep,
     PhysParams,
     assemble_Na,
     assemble_Nb,

@@ -210,13 +210,12 @@ def fe_convection_matrix(space: ScalarSpace, v_dofs: np.ndarray,
     """Matrix of the trilinear form int <v, grad phi> psi_i over the P1
     unknowns phi (exact quadrature)."""
     mesh = space.mesh
-    vals, _, w = vspace.shape_table(QUAD_DEG4)
-    nodes = vspace.tri_nodes
-    vx = np.einsum("mn,qn->mq", v_dofs[nodes], vals)
-    vy = np.einsum("mn,qn->mq", v_dofs[vspace.n_nodes + nodes], vals)
+    w = vspace.shape_table[2]
+    v_qp = vspace.velocity_at_qp(v_dofs)
     gp1 = vspace.grads_p1
     # (m, q, j) = v . grad(psi_j), the P1 gradient being constant per element
-    conv = np.einsum("mq,mj->mqj", vx, gp1[:, :, 0]) + np.einsum("mq,mj->mqj", vy, gp1[:, :, 1])
+    conv = np.einsum("mq,mj->mqj", v_qp[..., 0], gp1[:, :, 0]) \
+        + np.einsum("mq,mj->mqj", v_qp[..., 1], gp1[:, :, 1])
     # test functions are the P1 hats = barycentric coordinates at the points
     lam = QUAD_DEG4.points
     ke = np.einsum("mq,qi,mqj->mij", w, lam, conv)

@@ -32,11 +32,18 @@ from .mesh import (
     KEEP,
     REFINE,
     Mesh,
+    barycentric_coordinates,
     build_dual_grid,
     build_structured_mesh,
     refine_and_coarsen,
 )
-from .momentum import PhysParams, assemble_divergence, dirichlet_divergence, solve_momentum
+from .momentum import (
+    MomentumStep,
+    PhysParams,
+    assemble_divergence,
+    dirichlet_divergence,
+    solve_momentum,
+)
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,7 @@ class Discretization:
 
     @cached_property
     def divergence(self):
-        """The saddle solve's divergence blocks, built at the first solve on
+        """The saddle solve's divergence blocks, built at the first step on
         this mesh rather than with the set-up."""
         return dirichlet_divergence(self.vspace, self.B)
 
@@ -210,15 +217,9 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
     phi_k = state.phi
     v_k = state.v
 
-    # operators of old-step data stay fixed across the inner iterations
-    from .momentum import assemble_Na, assemble_stabilization, assemble_viscous, \
-        density_from_phase, viscosity_from_phase
-
-    eta_k = viscosity_from_phase(phi_k, params)
-    viscous = diags.viscous = assemble_viscous(disc.vspace, eta_k)
-    convective = assemble_Na(disc.vspace, density_from_phase(phi_k, params), v_k)
-    stab = assemble_stabilization(disc.vspace, disc.sspace, eta_k) \
-        if params.elements == "p1p1" else None
+    step = MomentumStep(disc.vspace, disc.sspace, params, disc.divergence,
+                        phi_k, v_k, tau, state.t)
+    diags.viscous = step.viscous
 
     def ch_solve(v_dofs: np.ndarray, phi_guess: np.ndarray):
         if convection == "fv":
@@ -245,11 +246,7 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
     for it in range(1, tols.max_inner + 1):
         diags.inner_iterations = it
         try:
-            v_i, p_i = solve_momentum(disc.vspace, disc.sspace, params,
-                                      phi_k, phi_i, mu_i, v_k, tau, state.t,
-                                      divergence=disc.divergence,
-                                      viscous=viscous, convective=convective,
-                                      stabilization=stab, saddle_cache=caches.saddle)
+            v_i, p_i = solve_momentum(step, phi_i, mu_i, caches.saddle)
         except SolverError as exc:
             raise StepRejected(f"momentum solve failed: {exc}") from exc
         phi_next, mu_next = ch_solve(v_i, phi_i)
@@ -273,7 +270,8 @@ def transfer_state(state: State, new_mesh: Mesh, transfer, params: PhysParams) -
     p = transfer.apply_p1(state.p)
     p = p - (disc_new.lumped @ p) / disc_new.lumped.sum()
     old_vs = state.disc.vspace
-    from .mesh import locate_points, barycentric_coordinates
+    # looked up in ``mesh`` at call time, so a wrapper installed there is seen
+    from .mesh import locate_points
 
     pts = disc_new.vspace.nodes
     tri = locate_points(state.disc.mesh, pts, tol=1e-9)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cahn_hilliard import DoubleWell
+from .cahn_hilliard import DoubleWell, interfacial_energy
 from .fem import ScalarSpace, VelocitySpace, lumped_mass_diagonal
 from .momentum import PhysParams, assemble_external_force, assemble_viscous, \
     density_from_phase, viscosity_from_phase
@@ -62,8 +62,6 @@ def kinetic_energy(vspace: VelocitySpace, phi: np.ndarray, v: np.ndarray,
 
 def total_energy(sspace: ScalarSpace, vspace: VelocitySpace, phi: np.ndarray,
                  v: np.ndarray, params: PhysParams) -> EnergyBreakdown:
-    from .cahn_hilliard import interfacial_energy
-
     dw = DoubleWell(sigma=params.sigma, delta=params.delta)
     e_int = interfacial_energy(sspace, phi, dw)
     return EnergyBreakdown(e_kin=kinetic_energy(vspace, phi, v, params), e_int=e_int)

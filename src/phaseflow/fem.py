@@ -169,7 +169,6 @@ class VelocitySpace:
         self.dirichlet_mask = self._compute_dirichlet()
         # geometry caches
         self.grads_p1, self.areas = p1_gradients(mesh)
-        self._quad_cache: dict[int, tuple] = {}
 
     def _compute_boundary_nodes(self) -> np.ndarray:
         mask = np.zeros(self.n_nodes, dtype=bool)
@@ -198,25 +197,36 @@ class VelocitySpace:
 
     # -- evaluation ------------------------------------------------------
 
-    def shape_table(self, quad: Quadrature):
-        """Per-element shape values and physical gradients at the quadrature
-        points: values (q, nloc), grads (m, q, nloc, 2), scaled weights (m, q)."""
-        key = id(quad)
-        if key not in self._quad_cache:
-            lam = quad.points
-            if self.degree == 2:
-                vals = p2_shape_values(lam)
-                bg = p2_shape_barygrad(lam)  # (q, 6, 3)
-                # physical grad: sum_k dN/dlam_k * grad(lam_k)
-                grads = np.einsum("qnk,mkd->mqnd", bg, self.grads_p1)
-            else:
-                vals = lam.copy()
-                grads = np.broadcast_to(
-                    self.grads_p1[:, None, :, :], (self.mesh.n_triangles, lam.shape[0], 3, 2)
-                ).copy()
-            w = (2.0 * self.areas)[:, None] * quad.weights[None, :]
-            self._quad_cache[key] = (vals, grads, w)
-        return self._quad_cache[key]
+    @cached_property
+    def shape_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-element shape values and physical gradients at the points of
+        ``QUAD_DEG4``: values (q, nloc), grads (m, q, nloc, 2), scaled
+        weights (m, q)."""
+        lam = QUAD_DEG4.points
+        if self.degree == 2:
+            vals = p2_shape_values(lam)
+            bg = p2_shape_barygrad(lam)  # (q, 6, 3)
+            # physical grad: sum_k dN/dlam_k * grad(lam_k)
+            grads = np.einsum("qnk,mkd->mqnd", bg, self.grads_p1)
+        else:
+            vals = lam.copy()
+            grads = np.broadcast_to(
+                self.grads_p1[:, None, :, :], (self.mesh.n_triangles, lam.shape[0], 3, 2)
+            ).copy()
+        w = (2.0 * self.areas)[:, None] * QUAD_DEG4.weights[None, :]
+        return vals, grads, w
+
+    def p1_at_qp(self, nodal: np.ndarray) -> np.ndarray:
+        """A P1 field on the primal mesh at the quadrature points, (m, q)."""
+        return np.einsum("mk,qk->mq", nodal[self.mesh.triangles], QUAD_DEG4.points)
+
+    def velocity_at_qp(self, v_dofs: np.ndarray) -> np.ndarray:
+        """Velocity vectors at the quadrature points, (m, q, 2)."""
+        vals = self.shape_table[0]
+        nodes = self.tri_nodes
+        vx = np.einsum("mn,qn->mq", v_dofs[nodes], vals)
+        vy = np.einsum("mn,qn->mq", v_dofs[self.n_nodes + nodes], vals)
+        return np.stack([vx, vy], axis=-1)
 
     def eval_at_bary(self, dofs: np.ndarray, tri_ids: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Velocity vectors at barycentric points lam (k, 3) in tri_ids (k,)."""

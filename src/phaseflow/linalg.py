@@ -185,11 +185,11 @@ PIN = 0
 
 
 class PinnedDivergence:
-    """The off-diagonal blocks of the monolithic saddle matrix: the
-    divergence B with the row of pressure dof ``PIN`` zeroed, and its
-    transpose.  They depend on the mesh only, so a caller that solves many
-    systems with the same B builds them once and hands them to each
-    ``SaddleSystem``."""
+    """The divergence B of a saddle system together with the off-diagonal
+    blocks of its monolithic matrix: B with the row of pressure dof ``PIN``
+    zeroed, and its transpose.  They depend on the mesh only, so a caller
+    that solves many systems with the same B builds them once and hands
+    them to each ``SaddleSystem``."""
 
     def __init__(self, B: sp.spmatrix):
         self.B = B
@@ -208,11 +208,10 @@ class SaddleSystem:
         [ G   B^T ] [v]   [f]
         [ B   -C  ] [p] = [g]
 
-    with B the gradient-form coupling (one row per pressure dof), C an
-    optional pressure stabilization (None for inf-sup stable pairs), and
-    ``mean_weights`` fixing the free pressure constant: the solution has
-    zero weighted pressure mean.  ``pinned`` optionally carries the blocks
-    of ``PinnedDivergence(B)`` built ahead of time.
+    with B = ``divergence.B`` the gradient-form coupling (one row per
+    pressure dof), C an optional pressure stabilization (None for inf-sup
+    stable pairs), and ``mean_weights`` fixing the free pressure constant:
+    the solution has zero weighted pressure mean.
 
     The pressure is defined up to constants only: B^T 1 = 0, since B pairs
     each velocity basis function with the gradients of the P1 pressure basis
@@ -225,12 +224,11 @@ class SaddleSystem:
     """
 
     G: sp.spmatrix
-    B: sp.spmatrix
+    divergence: PinnedDivergence
     C: sp.spmatrix | None
     mean_weights: np.ndarray
     rhs_v: np.ndarray
     rhs_p: np.ndarray | None = None
-    pinned: PinnedDivergence | None = None
 
     @property
     def n_v(self) -> int:
@@ -238,13 +236,12 @@ class SaddleSystem:
 
     @property
     def n_p(self) -> int:
-        return self.B.shape[0]
+        return self.divergence.B.shape[0]
 
     def monolithic(self) -> tuple[sp.csr_array, np.ndarray]:
         """The square matrix and right-hand side with the pressure dof
         ``PIN`` fixed: its row of B and its row and column of C are zeroed,
         with 1 on the diagonal and 0 on the right."""
-        blocks = self.pinned if self.pinned is not None else PinnedDivergence(self.B)
         rows, cols, vals = np.array([PIN]), np.array([PIN]), np.array([1.0])
         if self.C is not None:
             C = sp.coo_array(self.C)
@@ -253,8 +250,8 @@ class SaddleSystem:
             cols = np.concatenate([C.col[keep], cols])
             vals = np.concatenate([-C.data[keep], vals])
         Cblk = sp.csr_array((vals, (rows, cols)), shape=(self.n_p, self.n_p))
-        K = sp.bmat([[sp.csr_array(self.G), blocks.pinned_T], [blocks.pinned, Cblk]],
-                    format="csr")
+        div = self.divergence
+        K = sp.bmat([[sp.csr_array(self.G), div.pinned_T], [div.pinned, Cblk]], format="csr")
         rhs_p = np.zeros(self.n_p) if self.rhs_p is None else np.array(self.rhs_p, dtype=float)
         rhs_p[PIN] = 0.0
         return K, np.concatenate([self.rhs_v, rhs_p])
@@ -284,7 +281,7 @@ def solve_saddle(system: SaddleSystem, tol: float = 1e-9, method: str = "direct"
     # fix the weighted mean exactly
     w = system.mean_weights
     p = p - (w @ p) / w.sum()
-    div_res = np.abs(system.B @ v - (system.C @ p if system.C is not None else 0.0)
+    div_res = np.abs(system.divergence.B @ v - (system.C @ p if system.C is not None else 0.0)
                      - (system.rhs_p if system.rhs_p is not None else 0.0)).max()
     if not div_res <= tol:
         raise SolverError(f"divergence residual {div_res:.3e} exceeds tol {tol:.1e}")
@@ -293,7 +290,7 @@ def solve_saddle(system: SaddleSystem, tol: float = 1e-9, method: str = "direct"
 
 def _solve_schur(system: SaddleSystem, tol: float) -> tuple[np.ndarray, np.ndarray]:
     G = sp.csc_matrix(system.G)
-    B = sp.csr_matrix(system.B)
+    B = sp.csr_matrix(system.divergence.B)
     lu = spla.splu(G)
     # the Schur operator annihilates constant pressures (B^T 1 = 0, C 1 = 0);
     # iterate orthogonal to that kernel, fix the weighted mean afterwards

@@ -103,9 +103,6 @@ class Mesh:
         twice_area = _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         if not np.all(twice_area > 0):
             raise GeometryError("triangle with non-positive orientation or zero area")
-        counts = np.bincount(self.tri_edges.ravel(), minlength=self.n_edges)
-        if counts.max() > 2:
-            raise GeometryError("edge shared by more than two triangles")
         # non-obtuse: all three angles at most 90 degrees
         for k in range(3):
             u = p[:, (k + 1) % 3] - p[:, k]
@@ -135,6 +132,9 @@ def _cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _build_connectivity(tris: np.ndarray):
+    """Unique edges, the three edges of each triangle, and the one or two
+    triangles of each edge (-1 when absent).  An edge with more than two
+    triangles raises GeometryError."""
     m = tris.shape[0]
     # local edge k is opposite local vertex k
     e0 = tris[:, [1, 2]]
@@ -144,15 +144,17 @@ def _build_connectivity(tris: np.ndarray):
     all_edges = np.sort(all_edges, axis=1)
     edges, inverse = np.unique(all_edges, axis=0, return_inverse=True)
     tri_edges = inverse.reshape(3, m).T.copy()
+    counts = np.bincount(inverse, minlength=edges.shape[0])
+    if counts.max() > 2:
+        raise GeometryError(f"non-manifold mesh: edge {edges[counts.argmax()].tolist()} "
+                            f"shared by {counts.max()} triangles")
+    # incidences grouped by edge, in local-edge-then-triangle order
+    tri_of_entry = np.tile(np.arange(m), 3)[np.argsort(inverse, kind="stable")]
+    starts = np.cumsum(counts) - counts
     edge_tris = np.full((edges.shape[0], 2), -1, dtype=np.int64)
-    order = np.argsort(inverse, kind="stable")
-    tri_of_entry = np.tile(np.arange(m), 3)[order]
-    edge_sorted = inverse[order]
-    starts = np.searchsorted(edge_sorted, np.arange(edges.shape[0]))
-    ends = np.searchsorted(edge_sorted, np.arange(edges.shape[0]), side="right")
-    for e in range(edges.shape[0]):
-        inc = tri_of_entry[starts[e]:ends[e]]
-        edge_tris[e, : len(inc)] = inc
+    edge_tris[:, 0] = tri_of_entry[starts]
+    shared = counts == 2
+    edge_tris[shared, 1] = tri_of_entry[starts[shared] + 1]
     return edges, tri_edges, edge_tris
 
 

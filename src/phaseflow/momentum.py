@@ -17,8 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import ScalarSpace, VelocitySpace, assemble, lumped_mass_diagonal
-from .linalg import PinnedDivergence, SaddleSystem, solve_saddle
+from .fem import (
+    QUAD_DEG4,
+    ScalarSpace,
+    VelocitySpace,
+    assemble,
+    element_chunks,
+    lumped_mass_diagonal,
+    p1_gradients,
+)
+from .linalg import FactorizationCache, PinnedDivergence, SaddleSystem, solve_saddle
 
 
 @dataclass(frozen=True)
@@ -117,8 +125,6 @@ def delta_rho(phi_old: np.ndarray, phi_new: np.ndarray, params: PhysParams) -> n
 
 def compute_flux_j(mu_new: np.ndarray, mobility: float, space: ScalarSpace) -> np.ndarray:
     """Elementwise-constant diffusive mass flux -M grad(mu), shape (m, 2)."""
-    from .fem import p1_gradients
-
     g, _ = p1_gradients(space.mesh)
     grad_mu = np.einsum("mk,mkd->md", mu_new[space.mesh.triangles], g)
     return -mobility * grad_mu
@@ -144,9 +150,7 @@ def _directional_convection(vspace: VelocitySpace, weight_qp: np.ndarray,
     """One-sided convection C[(a,i),(b,j)] = delta_ab
     int weight * shape_i * (dir . grad shape_j); weight and direction given at
     the quadrature points."""
-    from .fem import QUAD_DEG4, element_chunks
-
-    vals, grads, w = vspace.shape_table(QUAD_DEG4)
+    vals, grads, w = vspace.shape_table
 
     def kernel(span):
         dgrad = np.einsum("mqd,mqnd->mqn", dir_qp[span], grads[span])
@@ -156,30 +160,10 @@ def _directional_convection(vspace: VelocitySpace, weight_qp: np.ndarray,
     return _assemble_blocks(vspace, {(0, 0): ke, (1, 1): ke})
 
 
-def _p1_at_qp(vspace: VelocitySpace, nodal: np.ndarray) -> np.ndarray:
-    from .fem import QUAD_DEG4
-
-    lam = QUAD_DEG4.points
-    tri = vspace.mesh.triangles
-    return np.einsum("mk,qk->mq", nodal[tri], lam)
-
-
-def _velocity_at_qp(vspace: VelocitySpace, v_dofs: np.ndarray) -> np.ndarray:
-    from .fem import QUAD_DEG4
-
-    vals, _, _ = vspace.shape_table(QUAD_DEG4)
-    nodes = vspace.tri_nodes
-    vx = np.einsum("mn,qn->mq", v_dofs[nodes], vals)
-    vy = np.einsum("mn,qn->mq", v_dofs[vspace.n_nodes + nodes], vals)
-    return np.stack([vx, vy], axis=-1)
-
-
 def assemble_Na(vspace: VelocitySpace, rho_old: np.ndarray, v_old: np.ndarray) -> sp.csr_array:
     """Skew-symmetrized density-weighted convection: half the difference of
     the one-sided operator and its transpose, hence exactly antisymmetric."""
-    rho_qp = _p1_at_qp(vspace, rho_old)
-    v_qp = _velocity_at_qp(vspace, v_old)
-    C = _directional_convection(vspace, rho_qp, v_qp)
+    C = _directional_convection(vspace, vspace.p1_at_qp(rho_old), vspace.velocity_at_qp(v_old))
     return 0.5 * (C - C.T)
 
 
@@ -191,12 +175,9 @@ def assemble_Nb(vspace: VelocitySpace, drho: np.ndarray, j_elem: np.ndarray,
     if model == "dss":
         n = vspace.n_dofs
         return sp.csr_array((n, n))
-    from .fem import QUAD_DEG4
-
-    drho_qp = _p1_at_qp(vspace, drho)
     q = QUAD_DEG4.points.shape[0]
     j_qp = np.broadcast_to(j_elem[:, None, :], (j_elem.shape[0], q, 2))
-    D = _directional_convection(vspace, drho_qp, j_qp)
+    D = _directional_convection(vspace, vspace.p1_at_qp(drho), j_qp)
     return 0.5 * (D - D.T)
 
 
@@ -206,11 +187,8 @@ def assemble_viscous(vspace: VelocitySpace, eta_old: np.ndarray) -> sp.csr_array
     eta_old = np.asarray(eta_old, dtype=float)
     if eta_old.min() <= 0:
         raise ValueError("viscosity must be positive")
-    from .fem import QUAD_DEG4, element_chunks
-
-    _, grads, w = vspace.shape_table(QUAD_DEG4)
-    eta_qp = _p1_at_qp(vspace, eta_old)
-    wq = w * eta_qp
+    _, grads, w = vspace.shape_table
+    wq = w * vspace.p1_at_qp(eta_old)
 
     # 2 D(w_i^a) : D(w_j^b) = delta_ab grad_i . grad_j + d_b shape_i d_a shape_j
     def kernel(span):
@@ -234,9 +212,7 @@ def assemble_viscous(vspace: VelocitySpace, eta_old: np.ndarray) -> sp.csr_array
 def assemble_divergence(vspace: VelocitySpace, pspace: ScalarSpace) -> sp.csr_array:
     """B[l, (a, j)] = int shape_j^a d_a psi_l, the gradient-form coupling
     between velocity and the P1 pressure (rows sum to zero per column)."""
-    from .fem import QUAD_DEG4
-
-    vals, _, w = vspace.shape_table(QUAD_DEG4)
+    vals, _, w = vspace.shape_table
     gp1 = vspace.grads_p1
     tri = pspace.mesh.triangles
     nodes = vspace.tri_nodes
@@ -266,24 +242,19 @@ def assemble_rhs_K(vspace: VelocitySpace, pspace: ScalarSpace, mu_new: np.ndarra
                    rho_for_force: np.ndarray | None = None) -> np.ndarray:
     """Momentum right-hand side: int mu <grad phi, w_i> plus the external
     force work int <k(t), w_i> (with the density weight when configured)."""
-    from .fem import QUAD_DEG4, p1_gradients
-
-    vals, _, w = vspace.shape_table(QUAD_DEG4)
-    lam = QUAD_DEG4.points
-    mesh = pspace.mesh
-    tri = mesh.triangles
+    vals, _, w = vspace.shape_table
     nodes = vspace.tri_nodes
     n = vspace.n_nodes
     out = np.zeros(vspace.n_dofs)
 
-    mu_qp = np.einsum("mk,qk->mq", mu_new[tri], lam)
-    gphi = np.einsum("mk,mkd->md", phi_new[tri], vspace.grads_p1)
+    mu_qp = vspace.p1_at_qp(mu_new)
+    gphi = np.einsum("mk,mkd->md", phi_new[pspace.mesh.triangles], vspace.grads_p1)
     force = params.force.vector_at(t)
     if params.force.kind == "none":
         fx_qp = fy_qp = None
     elif params.force.density_weighted:
         rho = density_from_phase(phi_new, params) if rho_for_force is None else rho_for_force
-        rho_qp = np.einsum("mk,qk->mq", rho[tri], lam)
+        rho_qp = vspace.p1_at_qp(rho)
         fx_qp = rho_qp * force[0]
         fy_qp = rho_qp * force[1]
     else:
@@ -343,50 +314,54 @@ def dirichlet_divergence(vspace: VelocitySpace, B: sp.csr_array) -> PinnedDiverg
     return PinnedDivergence(B)
 
 
-def solve_momentum(vspace: VelocitySpace, pspace: ScalarSpace, params: PhysParams,
-                   phi_old: np.ndarray, phi_new: np.ndarray, mu_new: np.ndarray,
-                   v_old: np.ndarray, tau: float, t: float,
-                   tol: float = 1e-9, divergence: PinnedDivergence | None = None,
-                   viscous: sp.csr_array | None = None,
-                   convective: sp.csr_array | None = None,
-                   stabilization: sp.csr_array | None = None,
-                   saddle_cache=None) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble and solve the momentum saddle-point system for one step.
-
-    The operators built from old-step data (viscous block, skew convection,
-    pressure stabilization) may be passed in precomputed; within one time
-    step they are constant across the splitting iterations.  So is
+class MomentumStep:
+    """The old time level of one step and the momentum operators built from
+    it: the viscous block, the skew convection and, for the equal-order
+    pair, the pressure stabilization.  They stay fixed across the splitting
+    iterations of the step, so they are assembled once, here; so is
     ``divergence``, ``dirichlet_divergence`` of the mesh's divergence
-    block, which depends on the mesh alone.  The pressure mean is taken
-    with the lumped weights of ``pspace``."""
-    rho_old = density_from_phase(phi_old, params)
+    block, which depends on the mesh alone."""
+
+    def __init__(self, vspace: VelocitySpace, pspace: ScalarSpace, params: PhysParams,
+                 divergence: PinnedDivergence, phi_old: np.ndarray, v_old: np.ndarray,
+                 tau: float, t: float):
+        self.vspace = vspace
+        self.pspace = pspace
+        self.params = params
+        self.divergence = divergence
+        self.phi_old = phi_old
+        self.v_old = v_old
+        self.tau = tau
+        self.t = t
+        self.rho_old = density_from_phase(phi_old, params)
+        eta_old = viscosity_from_phase(phi_old, params)
+        self.viscous = assemble_viscous(vspace, eta_old)
+        self.convective = assemble_Na(vspace, self.rho_old, v_old)
+        self.stabilization = assemble_stabilization(vspace, pspace, eta_old) \
+            if params.elements == "p1p1" else None
+
+
+def solve_momentum(step: MomentumStep, phi_new: np.ndarray, mu_new: np.ndarray,
+                   cache: FactorizationCache) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble and solve the momentum saddle-point system of one splitting
+    iteration: the terms of the new phase and chemical potential join the
+    step's fixed operators, and ``cache`` carries the saddle factorization
+    over from the previous solve.  The pressure mean is taken with the
+    lumped weights of the pressure space."""
+    vspace, pspace, params = step.vspace, step.pspace, step.params
     rho_new = density_from_phase(phi_new, params)
-    eta_old = viscosity_from_phase(phi_old, params)
-    drho = delta_rho(phi_old, phi_new, params)
+    drho = delta_rho(step.phi_old, phi_new, params)
     j_elem = compute_flux_j(mu_new, params.mobility, pspace)
 
-    if viscous is None:
-        viscous = assemble_viscous(vspace, eta_old)
-    if convective is None:
-        convective = assemble_Na(vspace, rho_old, v_old)
-    mat_t, rhs_t = assemble_time_terms(vspace, rho_old, rho_new, v_old, tau)
-    G = mat_t + viscous + convective \
+    mat_t, rhs_t = assemble_time_terms(vspace, step.rho_old, rho_new, step.v_old, step.tau)
+    G = mat_t + step.viscous + step.convective \
         + assemble_Nb(vspace, drho, j_elem, model=params.model)
-    rhs = rhs_t + assemble_rhs_K(vspace, pspace, mu_new, phi_new, params, t)
-
-    if divergence is None:
-        divergence = dirichlet_divergence(vspace, assemble_divergence(vspace, pspace))
-    if params.elements == "p1p1":
-        C = stabilization if stabilization is not None \
-            else assemble_stabilization(vspace, pspace, eta_old)
-    else:
-        C = None
+    rhs = rhs_t + assemble_rhs_K(vspace, pspace, mu_new, phi_new, params, step.t)
 
     mask = vspace.dirichlet_mask
     G = apply_velocity_dirichlet(G, mask)
     rhs = np.where(mask, 0.0, rhs)
 
-    system = SaddleSystem(G=G, B=divergence.B, C=C, mean_weights=pspace.lumped, rhs_v=rhs,
-                          pinned=divergence)
-    v, p = solve_saddle(system, tol=tol, cache=saddle_cache)
-    return v, p
+    system = SaddleSystem(G=G, divergence=step.divergence, C=step.stabilization,
+                          mean_weights=pspace.lumped, rhs_v=rhs)
+    return solve_saddle(system, tol=1e-9, cache=cache)

@@ -22,17 +22,15 @@ from .errors import StepRejected
 from .fem import QUAD_DEG4, ScalarSpace
 from .linalg import SaddleSystem, solve_saddle
 from .momentum import (
+    MomentumStep,
     PhysParams,
     apply_velocity_dirichlet,
-    assemble_Na,
     assemble_Nb,
     assemble_rhs_K,
     assemble_time_terms,
-    assemble_viscous,
     compute_flux_j,
     delta_rho,
     density_from_phase,
-    viscosity_from_phase,
 )
 
 
@@ -105,7 +103,7 @@ def _projection_coupling(ws: ProjectionWorkspace, params: PhysParams,
     n = vs.n_nodes
 
     # T[l, j] = int psi_l <w_j, grad phi_new>, assembled exactly
-    vals, _, w = vs.shape_table(QUAD_DEG4)
+    vals, _, w = vs.shape_table
     lam = QUAD_DEG4.points
     gphi = np.einsum("mk,mkd->md", phi_new[mesh.triangles], vs.grads_p1)
     T = np.zeros((mesh.n_vertices, vs.n_dofs))
@@ -130,35 +128,33 @@ def _projection_coupling(ws: ProjectionWorkspace, params: PhysParams,
     return S, r
 
 
-def projection_momentum_solve(ws: ProjectionWorkspace, params: PhysParams,
-                              phi_old: np.ndarray, phi_new: np.ndarray,
-                              mu_new: np.ndarray, v_old: np.ndarray,
-                              tau: float, t: float,
-                              tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum solve of the projection formulation (dense coupling rows)."""
+def projection_momentum_solve(ws: ProjectionWorkspace, step: MomentumStep,
+                              phi_new: np.ndarray,
+                              mu_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Momentum solve of the projection formulation (dense coupling rows):
+    the viscous and convection blocks are the step's, the projection terms
+    are assembled here."""
     disc = ws.disc
     vs = disc.vspace
-    rho_old = density_from_phase(phi_old, params)
+    params, v_old = step.params, step.v_old
     rho_new = density_from_phase(phi_new, params)
-    eta_old = viscosity_from_phase(phi_old, params)
-    drho = delta_rho(phi_old, phi_new, params)
+    drho = delta_rho(step.phi_old, phi_new, params)
     j_elem = compute_flux_j(mu_new, params.mobility, disc.sspace)
 
-    mat_t, _ = assemble_time_terms(vs, rho_old, rho_new, v_old, tau)
+    mat_t, _ = assemble_time_terms(vs, step.rho_old, rho_new, v_old, step.tau)
     S, r = _projection_coupling(ws, params, phi_new, v_old, j_elem)
-    G = mat_t + assemble_viscous(vs, eta_old) \
-        + assemble_Na(vs, rho_old, v_old) \
+    G = mat_t + step.viscous + step.convective \
         + assemble_Nb(vs, drho, j_elem, model=params.model) \
         - sp.csr_array(S)
     # the time term tested against w keeps the averaged mass on v_old here
-    rhs = mat_t @ v_old - r + assemble_rhs_K(vs, disc.sspace, mu_new, phi_new, params, t)
+    rhs = mat_t @ v_old - r + assemble_rhs_K(vs, disc.sspace, mu_new, phi_new, params, step.t)
 
     mask = vs.dirichlet_mask
     G = apply_velocity_dirichlet(G, mask)
     rhs = np.where(mask, 0.0, rhs)
-    system = SaddleSystem(G=G, B=disc.divergence.B, C=None, mean_weights=disc.sspace.lumped,
-                          rhs_v=rhs, pinned=disc.divergence)
-    return solve_saddle(system, tol=tol)
+    system = SaddleSystem(G=G, divergence=step.divergence, C=None,
+                          mean_weights=disc.sspace.lumped, rhs_v=rhs)
+    return solve_saddle(system, tol=1e-10)
 
 
 def projection_reference_step(state: State, tau: float, params: PhysParams,
@@ -176,6 +172,8 @@ def projection_reference_step(state: State, tau: float, params: PhysParams,
         ws = ProjectionWorkspace(disc)
     dw = DoubleWell(sigma=params.sigma, delta=params.delta)
     phi_k, v_k = state.phi, state.v
+    step = MomentumStep(disc.vspace, disc.sspace, params, disc.divergence,
+                        phi_k, v_k, tau, state.t)
 
     def ch_solve(v_dofs, phi_guess):
         conv = fe_convection_matrix(disc.sspace, v_dofs, disc.vspace)
@@ -187,8 +185,7 @@ def projection_reference_step(state: State, tau: float, params: PhysParams,
     phi_i, mu_i = ch_solve(v_k, phi_k)
     v_prev = v_k
     for _ in range(tols.max_inner):
-        v_i, p_i = projection_momentum_solve(ws, params, phi_k, phi_i, mu_i,
-                                             v_k, tau, state.t)
+        v_i, p_i = projection_momentum_solve(ws, step, phi_i, mu_i)
         phi_next, mu_next = ch_solve(v_i, phi_i)
         dv = float(np.abs(v_i - v_prev).max())
         dphi = float(np.abs(phi_next - phi_i).max())

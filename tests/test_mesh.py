@@ -208,3 +208,42 @@ def test_midpoint_refine_contains_p2_nodes_and_keeps_area():
     p2_nodes = np.concatenate([m.vertices, m.edge_midpoints()], axis=0)
     np.testing.assert_allclose(r.vertices, p2_nodes, atol=1e-14)
     assert r.areas().sum() == pytest.approx(m.areas().sum(), abs=1e-12)
+
+
+def test_non_manifold_mesh_raises_geometry_error():
+    # three triangles on the edge (0, 1)
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(GeometryError, match=r"edge \[0, 1\] shared by 3 triangles"):
+        Mesh(verts, tris, np.zeros(3, dtype=int), base_level=2, domain=(0, 1, -1, 2))
+
+
+def looped_connectivity(tris):
+    """Edges, triangle edges and edge triangles, with the incidences filled
+    in by one loop over the edges."""
+    m = tris.shape[0]
+    all_edges = np.sort(np.concatenate([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]]),
+                        axis=1)
+    edges, inverse = np.unique(all_edges, axis=0, return_inverse=True)
+    edge_tris = np.full((edges.shape[0], 2), -1, dtype=np.int64)
+    entry_tri = np.tile(np.arange(m), 3)
+    for e in range(edges.shape[0]):
+        inc = entry_tri[inverse == e]
+        edge_tris[e, :len(inc)] = inc
+    return edges, inverse.reshape(3, m).T, edge_tris
+
+
+def test_connectivity_matches_a_looped_reference():
+    rng = np.random.default_rng(11)
+    meshes = [build_structured_mesh((0, 1, 0, 1), level) for level in (2, 6)]
+    meshes.append(midpoint_refine(meshes[0]))
+    m = build_structured_mesh((0, 1, 0, 1), 4)
+    for _ in range(3):
+        marks = rng.choice([REFINE, KEEP, COARSEN], size=m.n_triangles, p=[0.3, 0.4, 0.3])
+        m, _ = refine_and_coarsen(m, marks)
+        meshes.append(m)
+    for mesh in meshes:
+        edges, tri_edges, edge_tris = looped_connectivity(mesh.triangles)
+        np.testing.assert_array_equal(mesh.edges, edges)
+        np.testing.assert_array_equal(mesh.tri_edges, tri_edges)
+        np.testing.assert_array_equal(mesh.edge_tris, edge_tris)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from phaseflow.fem import ScalarSpace, VelocitySpace, interpolate_nodal, lumped_p1_weights
-from phaseflow.linalg import SaddleSystem, solve_saddle
+from phaseflow.linalg import FactorizationCache, PinnedDivergence, SaddleSystem, solve_saddle
 from phaseflow.mesh import build_structured_mesh
 from phaseflow.momentum import (
     ForceSpec,
+    MomentumStep,
     PhysParams,
     apply_velocity_dirichlet,
     assemble_divergence,
@@ -34,6 +35,13 @@ PAPER_DENSITIES = dict(rho1=0.001, rho2=0.019)
 def setup(level=2, domain=(0, 1, 0, 1), degree=2, bc="noslip"):
     mesh = build_structured_mesh(domain, level)
     return mesh, ScalarSpace(mesh), VelocitySpace(mesh, degree=degree, bc=bc)
+
+
+def momentum_solve(vs, ss, params, phi_old, phi_new, mu_new, v_old, tau, t):
+    """One momentum solve from a fresh step and factorization cache."""
+    divergence = dirichlet_divergence(vs, assemble_divergence(vs, ss))
+    step = MomentumStep(vs, ss, params, divergence, phi_old, v_old, tau, t)
+    return solve_momentum(step, phi_new, mu_new, FactorizationCache())
 
 
 # ------------------------------------------------------------- material laws
@@ -351,7 +359,7 @@ def test_momentum_trivial_equilibrium():
     mesh, ss, vs = setup(level=2)
     p = PhysParams()
     phi = np.ones(ss.n_dofs)
-    v, pr = solve_momentum(vs, ss, p, phi, phi, np.zeros(ss.n_dofs),
+    v, pr = momentum_solve(vs, ss, p, phi, phi, np.zeros(ss.n_dofs),
                            np.zeros(vs.n_dofs), tau=1e-2, t=0.0)
     np.testing.assert_allclose(v, 0.0, atol=1e-12)
     np.testing.assert_allclose(pr, 0.0, atol=1e-10)
@@ -367,7 +375,7 @@ def test_momentum_agg_dss_coincide_for_matched_densities():
     for model in ("agg", "dss"):
         p = PhysParams(rho1=0.01, rho2=0.01, mobility=0.5, model=model,
                        force=ForceSpec(kind="weighted", k0=(0.0, -100.0)))
-        outs[model] = solve_momentum(vs, ss, p, phi_o, phi_n, mu, v_o, tau=1e-3, t=0.0)
+        outs[model] = momentum_solve(vs, ss, p, phi_o, phi_n, mu, v_o, tau=1e-3, t=0.0)
     assert np.abs(outs["agg"][0] - outs["dss"][0]).max() < 1e-12
     assert np.abs(outs["agg"][1] - outs["dss"][1]).max() < 1e-12
 
@@ -376,7 +384,7 @@ def test_momentum_hydrostatic_balance_taylor_hood():
     mesh, ss, vs = setup(level=4)
     p = PhysParams(force=ForceSpec(kind="constant", k0=(0.0, -1.0e4)))
     phi = np.ones(ss.n_dofs)
-    v, pr = solve_momentum(vs, ss, p, phi, phi, np.zeros(ss.n_dofs),
+    v, pr = momentum_solve(vs, ss, p, phi, phi, np.zeros(ss.n_dofs),
                            np.zeros(vs.n_dofs), tau=1e-3, t=0.0)
     assert np.abs(v).max() <= 1e-8
     # pressure gradient balances the force
@@ -393,7 +401,7 @@ def test_momentum_hydrostatic_p1p1_consistency_error_decays():
         p = PhysParams(eta1=1.0, eta2=1.0, elements="p1p1",
                        force=ForceSpec(kind="constant", k0=(0.0, -1.0)))
         phi = np.ones(ss.n_dofs)
-        v, _ = solve_momentum(vs, ss, p, phi, phi, np.zeros(ss.n_dofs),
+        v, _ = momentum_solve(vs, ss, p, phi, phi, np.zeros(ss.n_dofs),
                               np.zeros(vs.n_dofs), tau=1e-3, t=0.0)
         vmax[level] = np.abs(v).max()
     assert vmax[8] < vmax[4] / 4.0
@@ -414,7 +422,8 @@ def test_stokes_divergence_and_crosscheck():
     p = PhysParams(force=ForceSpec(kind="weighted", k0=(-5.0, -10.0)))
     f = assemble_rhs_K(vs, ss, np.zeros(ss.n_dofs), phi, p, 0.0)
     f = np.where(mask, 0.0, f)
-    sys = SaddleSystem(G=G, B=Bc, C=None, mean_weights=lumped_p1_weights(mesh), rhs_v=f)
+    sys = SaddleSystem(G=G, divergence=PinnedDivergence(Bc), C=None,
+                       mean_weights=lumped_p1_weights(mesh), rhs_v=f)
     v1, p1 = solve_saddle(sys, tol=1e-9, method="direct")
     assert np.abs(Bc @ v1).max() <= 1e-9
     v2, p2 = solve_saddle(sys, tol=1e-9, method="schur")
@@ -432,6 +441,7 @@ def test_assembly_chunking_is_bitwise_stable(monkeypatch):
     A1 = assemble_viscous(vs, eta).toarray()
     N1 = assemble_Na(vs, rho, v).toarray()
     import phaseflow.fem as fem
+    import phaseflow.momentum as momentum
 
     monkeypatch.setattr(fem, "assembly_threads", lambda: 4)
     orig = fem.element_chunks
@@ -439,7 +449,7 @@ def test_assembly_chunking_is_bitwise_stable(monkeypatch):
     def forced(kernel, n_elements, min_chunk=20000):
         return orig(kernel, n_elements, min_chunk=1)
 
-    monkeypatch.setattr(fem, "element_chunks", forced)
+    monkeypatch.setattr(momentum, "element_chunks", forced)
     A2 = assemble_viscous(vs, eta).toarray()
     N2 = assemble_Na(vs, rho, v).toarray()
     assert np.array_equal(A1, A2)
@@ -503,7 +513,7 @@ def captured_systems(monkeypatch, level, elements, bc):
         vs)
     v_old = np.where(vs.dirichlet_mask, 0.0, swirl)
     for tau in (1e-3, 1e-2):
-        solve_momentum(vs, ss, params, phi_old, phi_new, mu, v_old, tau=tau, t=0.0)
+        momentum_solve(vs, ss, params, phi_old, phi_new, mu, v_old, tau=tau, t=0.0)
     return seen
 
 

@@ -44,5 +44,16 @@ def test_traced_run_covers_every_layer(perfbench, tmp_path, name):
     assert out["steps"] >= 1
     expected = set(tracing.LAYER_UNITS) - {"trace.overhead_s"}
     assert expected <= set(out["layers"])
-    assert out["layers"]["coupling.accepted_steps"] == out["steps"]
+    layers = out["layers"]
+    assert layers["coupling.accepted_steps"] == out["steps"]
+    # every traced layer is live: a call routed around a traced name would
+    # read as a silent 0 here
+    assert layers["momentum.assemble_viscous.calls"] == layers["coupling.step_attempts"]
+    for key in ("momentum.assemble_Nb_s", "momentum.apply_velocity_dirichlet_s",
+                "momentum.solve_momentum.self_s"):
+        assert layers[key] > 0, key
+    assert (layers["mesh.points_located"] > 0) == (name == "ellipse-adapt")
+    convection = inputs["discretization_convection"]
+    assert (layers["cahn_hilliard.fe_convection_matrix_s"] > 0) == (convection == "fe")
+    assert (layers["cahn_hilliard.fv_transport_step_s"] > 0) == (convection == "fv")
     assert worker.environment()["assembly_threads"] >= 1
