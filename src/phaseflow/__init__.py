@@ -45,7 +45,6 @@ from .fem import (
     Quadrature,
     ScalarSpace,
     VelocitySpace,
-    assemble_lumped_mass,
     assemble_stiffness,
     element_gradient_magnitudes,
     interpolate_nodal,
@@ -74,7 +73,6 @@ from .momentum import (
     assemble_time_terms,
     assemble_viscous,
     compute_flux_j,
-    delta_rho,
     density_from_phase,
     solve_momentum,
 )

@@ -545,6 +545,18 @@ def _config_from_cli(args: dict) -> Config:
     return cfg
 
 
+def _report_abort(exc: RunAborted | SolverError) -> tuple[RunResult, int]:
+    """The steps accepted before an abort and the exit code, 2 when the
+    strict audit stopped the run and 3 when a solver failure did; prints the
+    one-line failure message."""
+    # a solver failure in the set-up leaves no steps to write
+    result = exc.result if isinstance(exc, RunAborted) else RunResult(None, [], 0)
+    code = 2 if isinstance(exc, AuditFailure) else 3
+    kind = "audit" if code == 2 else "solver"
+    print(f"{kind} failure after {len(result.records)} accepted steps: {exc}", file=sys.stderr)
+    return result, code
+
+
 def run_scenario(cfg: Config) -> tuple[RunResult, int]:
     """Execute a configured run, writing snapshots, the configuration and the
     energy ledger.  Returns the result and the process exit code: 0, or 2
@@ -563,12 +575,7 @@ def run_scenario(cfg: Config) -> tuple[RunResult, int]:
     try:
         result = run(rc)
     except (RunAborted, SolverError) as exc:
-        # a solver failure in the set-up leaves no steps to write
-        result = exc.result if isinstance(exc, RunAborted) else RunResult(None, [], 0)
-        code = 2 if isinstance(exc, AuditFailure) else 3
-        kind = "audit" if code == 2 else "solver"
-        print(f"{kind} failure after {len(result.records)} accepted steps: {exc}",
-              file=sys.stderr)
+        result, code = _report_abort(exc)
     with open(os.path.join(cfg.output_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(dump_config(cfg))
     write_energy_csv(result.records, os.path.join(cfg.output_dir, "energy.csv"))
@@ -614,7 +621,10 @@ def cli_main(argv: list[str]) -> int:
             print("error: --eoc expects a comma list of levels", file=sys.stderr)
             print(_SYNOPSIS, file=sys.stderr)
             return 1
-        rows = run_eoc(cfg, levels)
+        try:
+            rows = run_eoc(cfg, levels)
+        except (RunAborted, SolverError) as exc:
+            return _report_abort(exc)[1]
         print(f"{'level':>6} {'h':>12} {'L2 error':>14} {'ratio':>8}")
         prev = None
         for level, h, err in rows:

@@ -8,7 +8,8 @@ the splitting with finite-volume transport it is monitored, not guaranteed.
 All terms are assembled with exactly the operators the solvers use, so the
 audit checks the algebraic identity rather than a re-discretization of it:
 the stiffness matrix and lumped weights are the ones the scalar space owns,
-which the Cahn-Hilliard solve reads too.
+which the Cahn-Hilliard solve reads too, and the lumped velocity mass comes
+from the velocity space's ``lumping``, which the momentum solve reads too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cahn_hilliard import DoubleWell, interfacial_energy
-from .fem import ScalarSpace, VelocitySpace, lumped_mass_diagonal
+from .fem import ScalarSpace, VelocitySpace
 from .momentum import PhysParams, assemble_external_force, assemble_viscous, \
     density_from_phase, viscosity_from_phase
 
@@ -55,7 +56,7 @@ def kinetic_energy(vspace: VelocitySpace, phi: np.ndarray, v: np.ndarray,
     """Half the density-weighted lumped velocity square, the discrete kinetic
     energy the stability estimate controls."""
     rho = density_from_phase(phi, params)
-    d = lumped_mass_diagonal(vspace, rho)
+    d = vspace.lumping @ rho
     n = vspace.n_nodes
     return 0.5 * float(d @ (v[:n] ** 2 + v[n:] ** 2))
 
@@ -89,8 +90,8 @@ def step_inequality_check(sspace: ScalarSpace, vspace: VelocitySpace, params: Ph
 
     rho_old = density_from_phase(phi_old, params)
     rho_new = density_from_phase(phi_new, params)
-    d_old = lumped_mass_diagonal(vspace, rho_old)
-    d_new = lumped_mass_diagonal(vspace, rho_new)
+    d_old = vspace.lumping @ rho_old
+    d_new = vspace.lumping @ rho_new
 
     def kin(diag, vec):
         return float(diag @ (vec[:n] ** 2 + vec[n:] ** 2))

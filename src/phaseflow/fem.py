@@ -8,12 +8,17 @@ once per space, on first use, so the Cahn-Hilliard solve and the energy
 audit read the same matrices.  Every sparse finite element matrix is built
 by ``assemble``, the one scatter of element matrices into CSR.
 
-Velocity mass matrices are lumped on the velocity space's own nodal mesh:
-products of velocity basis functions are nodally interpolated on the midpoint
-refinement for P2 (whose vertices are exactly the P2 nodes) and on the primal
-mesh for P1.  Lumping makes those matrices diagonal and is what lets the
-kinetic-energy telescoping of the stable time discretization hold to machine
-precision.
+A ``VelocitySpace`` owns the fixed per-mesh data of the momentum operators.
+``lumping`` maps a P1 weight on the primal mesh to the diagonal of the
+weighted lumped velocity mass: it is the P1 mass matrix of the velocity
+space's own nodal mesh (the midpoint refinement for P2, whose vertices are
+exactly the P2 nodes, and the primal mesh for P1) times the exact
+restriction of P1 fields to the velocity nodes, so ``lumping @ rho`` holds
+the integrals of rho * hat_i on that mesh.  Lumping makes the velocity mass
+diagonal and is what lets the kinetic-energy telescoping of the stable time
+discretization hold to machine precision.  ``flux_moments`` holds the
+per-element integrals of shape_i * d_d shape_j, from which a convection
+operator with an elementwise-constant direction is one contraction.
 """
 
 from __future__ import annotations
@@ -195,6 +200,31 @@ class VelocitySpace:
         mask[self.n_nodes + bnodes[on_y]] = True
         return mask
 
+    # -- fixed per-mesh operators -----------------------------------------
+
+    @cached_property
+    def lumping(self) -> sp.csr_array:
+        """(n_nodes, n_vertices) matrix taking a P1 weight on the primal mesh
+        to the weighted lumped mass per scalar velocity node: the nodal
+        mesh's P1 mass times the exact P1 restriction to the velocity nodes
+        (identity on vertices, 1/2 + 1/2 on edge midpoints)."""
+        if self.degree == 1:
+            return ScalarSpace(self.mesh).mass
+        nv = self.mesh.n_vertices
+        ne = self.mesh.n_edges
+        rows = np.concatenate([np.arange(nv), np.repeat(nv + np.arange(ne), 2)])
+        cols = np.concatenate([np.arange(nv), self.mesh.edges.ravel()])
+        vals = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
+        restriction = sp.csr_array((vals, (rows, cols)), shape=(self.n_nodes, nv))
+        return ScalarSpace(self.half_mesh).mass @ restriction
+
+    @cached_property
+    def flux_moments(self) -> np.ndarray:
+        """Per-element integrals of shape_i * d_d shape_j, (m, 2, nloc, nloc),
+        exact: the integrand's degree is at most 3."""
+        vals, grads, w = self.shape_table
+        return np.einsum("mq,qi,mqjd->mdij", w, vals, grads)
+
     # -- evaluation ------------------------------------------------------
 
     @cached_property
@@ -361,40 +391,6 @@ def lumped_p1_weights(mesh: Mesh) -> np.ndarray:
     w = np.zeros(mesh.n_vertices)
     np.add.at(w, mesh.triangles.ravel(), np.repeat(mesh.areas() / 3.0, 3))
     return w
-
-
-def _nodal_mesh_integrals(tri_nodes: np.ndarray, areas: np.ndarray, nodal_weight: np.ndarray,
-                          n_nodes: int) -> np.ndarray:
-    """Per-node integrals of weight * hat_i over a P1 mesh given by tri_nodes,
-    for a weight that is P1 on the same mesh: |K| (w_i/6 + w_a/12 + w_b/12)."""
-    w = nodal_weight[tri_nodes]  # (m, 3)
-    out = np.zeros(n_nodes)
-    for k in range(3):
-        contrib = areas * (w[:, k] / 6.0 + (w.sum(axis=1) - w[:, k]) / 12.0)
-        np.add.at(out, tri_nodes[:, k], contrib)
-    return out
-
-
-def lumped_mass_diagonal(space: VelocitySpace, weight_p1: np.ndarray) -> np.ndarray:
-    """Diagonal of the weighted lumped velocity mass matrix, per scalar node.
-
-    The weight is a P1 field on the primal mesh; the lumping mesh is the
-    midpoint refinement for P2 (weight restricted exactly) and the primal
-    mesh for P1, so the result is the exact integral of weight * hat_i on the
-    velocity space's own nodal mesh.
-    """
-    weight_p1 = np.asarray(weight_p1, dtype=float)
-    if space.degree == 2:
-        half = space.half_mesh
-        w_nodes = p1_at_p2_nodes(space.mesh, weight_p1)
-        return _nodal_mesh_integrals(half.triangles, half.areas(), w_nodes, space.n_nodes)
-    return _nodal_mesh_integrals(space.mesh.triangles, space.areas, weight_p1, space.n_nodes)
-
-
-def assemble_lumped_mass(space: VelocitySpace, weight_p1: np.ndarray) -> sp.csr_array:
-    """Weighted lumped mass matrix on the full vector dof set (diagonal)."""
-    d = lumped_mass_diagonal(space, weight_p1)
-    return sp.csr_array(sp.diags_array(np.concatenate([d, d])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Momentum step: the linear saddle-point solve for velocity and pressure.
 
-The convective operators are assembled in skew-symmetrized form, so they are
-exactly antisymmetric matrices and contribute nothing to the discrete kinetic
-energy balance; together with the time-averaged lumped mass this is the
-mechanism that makes the time discretization energy stable.  The diffusive
-mass flux of the phase field enters the momentum equation through a second
-skew operator weighted by the density increment per unit phase change; the
-model switch turns exactly that coupling off (the simplified model follows
-the classical volume-averaged formulation without the flux term).
+The convective operators are skew-symmetrized on their element matrices
+before the one scatter, so they are exactly antisymmetric matrices and
+contribute nothing to the discrete kinetic energy balance; together with the
+time-averaged lumped mass this is the mechanism that makes the time
+discretization energy stable.  The diffusive mass flux of the phase field
+enters the momentum equation through a second skew operator weighted by the
+slope (rho2 - rho1)/2 of the affine density law, ``PhysParams.density_slope``;
+the model switch turns exactly that coupling off (the simplified model
+follows the classical volume-averaged formulation without the flux term).
 """
 
 from __future__ import annotations
@@ -17,15 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (
-    QUAD_DEG4,
-    ScalarSpace,
-    VelocitySpace,
-    assemble,
-    element_chunks,
-    lumped_mass_diagonal,
-    p1_gradients,
-)
+from .fem import ScalarSpace, VelocitySpace, assemble, element_chunks, p1_gradients
 from .linalg import FactorizationCache, PinnedDivergence, SaddleSystem, solve_saddle
 
 
@@ -98,29 +91,20 @@ class PhysParams:
     def atwood(self) -> float:
         return abs(self.rho1 - self.rho2) / (self.rho1 + self.rho2)
 
+    @property
+    def density_slope(self) -> float:
+        """d rho / d phi of the affine density law."""
+        return 0.5 * (self.rho2 - self.rho1)
+
 
 def density_from_phase(phi: np.ndarray, params: PhysParams) -> np.ndarray:
     """Affine mixture density (rho2 + rho1)/2 + (rho2 - rho1)/2 * phi, nodal."""
-    return 0.5 * (params.rho2 + params.rho1) + 0.5 * (params.rho2 - params.rho1) * np.asarray(phi)
+    return 0.5 * (params.rho2 + params.rho1) + params.density_slope * np.asarray(phi)
 
 
 def viscosity_from_phase(phi: np.ndarray, params: PhysParams) -> np.ndarray:
     """Affine viscosity interpolation, mirroring the density law."""
     return 0.5 * (params.eta2 + params.eta1) + 0.5 * (params.eta2 - params.eta1) * np.asarray(phi)
-
-
-def delta_rho(phi_old: np.ndarray, phi_new: np.ndarray, params: PhysParams) -> np.ndarray:
-    """Nodal difference quotient of the density law, with the derivative as
-    the fallback where the phase did not move.  Constant for the affine law,
-    but evaluated nodally so a future nonlinear law slots in."""
-    phi_old = np.asarray(phi_old, dtype=float)
-    phi_new = np.asarray(phi_new, dtype=float)
-    dphi = phi_new - phi_old
-    drho = density_from_phase(phi_new, params) - density_from_phase(phi_old, params)
-    slope = np.full_like(dphi, 0.5 * (params.rho2 - params.rho1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        quotient = np.where(dphi != 0.0, drho / np.where(dphi != 0.0, dphi, 1.0), slope)
-    return quotient
 
 
 def compute_flux_j(mu_new: np.ndarray, mobility: float, space: ScalarSpace) -> np.ndarray:
@@ -145,40 +129,39 @@ def _assemble_blocks(vspace: VelocitySpace, blocks) -> sp.csr_array:
                     (vspace.n_dofs, vspace.n_dofs))
 
 
-def _directional_convection(vspace: VelocitySpace, weight_qp: np.ndarray,
-                            dir_qp: np.ndarray) -> sp.csr_array:
-    """One-sided convection C[(a,i),(b,j)] = delta_ab
-    int weight * shape_i * (dir . grad shape_j); weight and direction given at
-    the quadrature points."""
-    vals, grads, w = vspace.shape_table
-
-    def kernel(span):
-        dgrad = np.einsum("mqd,mqnd->mqn", dir_qp[span], grads[span])
-        return np.einsum("mq,mq,qi,mqj->mij", w[span], weight_qp[span], vals, dgrad)
-
-    ke = np.concatenate(element_chunks(kernel, vspace.mesh.n_triangles), axis=0)
-    return _assemble_blocks(vspace, {(0, 0): ke, (1, 1): ke})
+def _skew_blocks(vspace: VelocitySpace, ke: np.ndarray) -> sp.csr_array:
+    """Assemble the skew parts 0.5 (ke - ke^T) of per-element (nloc x nloc)
+    matrices on both diagonal component blocks.  Two distinct nodes share at
+    most two elements, so entry (J, I) sums exactly the negated terms of
+    entry (I, J) and the result is exactly antisymmetric."""
+    skew = 0.5 * (ke - ke.transpose(0, 2, 1))
+    return _assemble_blocks(vspace, {(0, 0): skew, (1, 1): skew})
 
 
 def assemble_Na(vspace: VelocitySpace, rho_old: np.ndarray, v_old: np.ndarray) -> sp.csr_array:
-    """Skew-symmetrized density-weighted convection: half the difference of
-    the one-sided operator and its transpose, hence exactly antisymmetric."""
-    C = _directional_convection(vspace, vspace.p1_at_qp(rho_old), vspace.velocity_at_qp(v_old))
-    return 0.5 * (C - C.T)
+    """Skew-symmetrized density-weighted convection: the skew part of
+    C[(a,i),(b,j)] = delta_ab int rho_old shape_i (v_old . grad shape_j)."""
+    vals, grads, w = vspace.shape_table
+    rho_qp = vspace.p1_at_qp(rho_old)
+    v_qp = vspace.velocity_at_qp(v_old)
+
+    def kernel(span):
+        dgrad = np.einsum("mqd,mqnd->mqn", v_qp[span], grads[span])
+        return np.einsum("mq,mq,qi,mqj->mij", w[span], rho_qp[span], vals, dgrad)
+
+    return _skew_blocks(vspace, np.concatenate(element_chunks(kernel, vspace.mesh.n_triangles)))
 
 
-def assemble_Nb(vspace: VelocitySpace, drho: np.ndarray, j_elem: np.ndarray,
-                model: str = "agg") -> sp.csr_array:
-    """Skew coupling of the diffusive mass flux into the momentum equation,
-    weighted by the density increment per unit phase change.  Identically
-    zero in the simplified ('dss') model."""
-    if model == "dss":
+def assemble_Nb(vspace: VelocitySpace, j_elem: np.ndarray, params: PhysParams) -> sp.csr_array:
+    """Skew coupling of the elementwise-constant diffusive mass flux j into
+    the momentum equation, the skew part of
+    delta_ab density_slope int shape_i (j . grad shape_j).  Identically zero
+    in the simplified ('dss') model."""
+    if params.model == "dss":
         n = vspace.n_dofs
         return sp.csr_array((n, n))
-    q = QUAD_DEG4.points.shape[0]
-    j_qp = np.broadcast_to(j_elem[:, None, :], (j_elem.shape[0], q, 2))
-    D = _directional_convection(vspace, vspace.p1_at_qp(drho), j_qp)
-    return 0.5 * (D - D.T)
+    ke = params.density_slope * np.einsum("md,mdij->mij", j_elem, vspace.flux_moments)
+    return _skew_blocks(vspace, ke)
 
 
 def assemble_viscous(vspace: VelocitySpace, eta_old: np.ndarray) -> sp.csr_array:
@@ -287,8 +270,8 @@ def assemble_time_terms(vspace: VelocitySpace, rho_old: np.ndarray, rho_new: np.
     M(rho_old) v_old / tau (the density-exchange term is already folded in)."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    d_old = lumped_mass_diagonal(vspace, rho_old)
-    d_new = lumped_mass_diagonal(vspace, rho_new)
+    d_old = vspace.lumping @ rho_old
+    d_new = vspace.lumping @ rho_new
     diag = np.concatenate([d_old + d_new, d_old + d_new]) / (2.0 * tau)
     mat = sp.csr_array(sp.diags_array(diag))
     rhs = np.concatenate([d_old, d_old]) / tau * v_old
@@ -350,12 +333,11 @@ def solve_momentum(step: MomentumStep, phi_new: np.ndarray, mu_new: np.ndarray,
     lumped weights of the pressure space."""
     vspace, pspace, params = step.vspace, step.pspace, step.params
     rho_new = density_from_phase(phi_new, params)
-    drho = delta_rho(step.phi_old, phi_new, params)
     j_elem = compute_flux_j(mu_new, params.mobility, pspace)
 
     mat_t, rhs_t = assemble_time_terms(vspace, step.rho_old, rho_new, step.v_old, step.tau)
     G = mat_t + step.viscous + step.convective \
-        + assemble_Nb(vspace, drho, j_elem, model=params.model)
+        + assemble_Nb(vspace, j_elem, params)
     rhs = rhs_t + assemble_rhs_K(vspace, pspace, mu_new, phi_new, params, step.t)
 
     mask = vspace.dirichlet_mask

@@ -29,7 +29,6 @@ from .momentum import (
     assemble_rhs_K,
     assemble_time_terms,
     compute_flux_j,
-    delta_rho,
     density_from_phase,
 )
 
@@ -99,7 +98,7 @@ def _projection_coupling(ws: ProjectionWorkspace, params: PhysParams,
     disc = ws.disc
     vs = disc.vspace
     mesh = disc.mesh
-    slope = 0.5 * (params.rho2 - params.rho1)
+    slope = params.density_slope
     n = vs.n_nodes
 
     # T[l, j] = int psi_l <w_j, grad phi_new>, assembled exactly
@@ -138,13 +137,12 @@ def projection_momentum_solve(ws: ProjectionWorkspace, step: MomentumStep,
     vs = disc.vspace
     params, v_old = step.params, step.v_old
     rho_new = density_from_phase(phi_new, params)
-    drho = delta_rho(step.phi_old, phi_new, params)
     j_elem = compute_flux_j(mu_new, params.mobility, disc.sspace)
 
     mat_t, _ = assemble_time_terms(vs, step.rho_old, rho_new, v_old, step.tau)
     S, r = _projection_coupling(ws, params, phi_new, v_old, j_elem)
     G = mat_t + step.viscous + step.convective \
-        + assemble_Nb(vs, drho, j_elem, model=params.model) \
+        + assemble_Nb(vs, j_elem, params) \
         - sp.csr_array(S)
     # the time term tested against w keeps the averaged mass on v_old here
     rhs = mat_t @ v_old - r + assemble_rhs_K(vs, disc.sspace, mu_new, phi_new, params, step.t)

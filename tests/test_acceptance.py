@@ -307,10 +307,9 @@ def test_a6_skew_symmetry():
     for _ in range(100):
         rho = 0.1 + rng.uniform(0, 1, ss.n_dofs)
         v = rng.standard_normal(vs.n_dofs)
-        drho = rng.standard_normal(ss.n_dofs)
         j = rng.standard_normal((mesh.n_triangles, 2))
         Na = assemble_Na(vs, rho, v)
-        Nb = assemble_Nb(vs, drho, j)
+        Nb = assemble_Nb(vs, j, params)
         for N in (Na, Nb):
             S = N + N.T
             worst_sym = max(worst_sym, float(abs(S).max()) if S.nnz else 0.0)
@@ -365,7 +364,7 @@ def test_a8_model_variants():
     rng = np.random.default_rng(3)
     mu = rng.standard_normal(disc.sspace.n_dofs)
     j = compute_flux_j(mu, params.mobility, disc.sspace)
-    Nb = assemble_Nb(disc.vspace, np.full(disc.sspace.n_dofs, 0.009), j)
+    Nb = assemble_Nb(disc.vspace, j, params)
     nb_zero = float(abs(Nb).sum()) == 0.0
     report("A8", worst <= 1e-10 and nb_zero,
            f"matched-density agg/dss max deviation {worst:.2e} over 10 steps; "

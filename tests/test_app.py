@@ -7,18 +7,16 @@ import pytest
 
 from phaseflow.app import (
     CSV_HEADER,
-    Config,
     cli_main,
     dump_config,
     initial_phase,
     load_config,
     preset,
     run_config,
-    run_scenario,
     write_energy_csv,
     write_vtk,
 )
-from phaseflow.coupling import Discretization, State, initial_state, run
+from phaseflow.coupling import Discretization, initial_state, run
 from phaseflow.mesh import build_structured_mesh
 from phaseflow.momentum import PhysParams
 
@@ -309,6 +307,32 @@ def test_cli_solver_failure_exits_3_and_keeps_outputs(tmp_path, capsys):
     assert "solver failure after 0 accepted steps" in err and "Newton stalled" in err
     assert (out / "config.txt").exists()
     assert (out / "energy.csv").read_text().strip().split("\n") == [CSV_HEADER]
+
+
+def test_cli_eoc_solver_failure_exits_3(tmp_path, capsys):
+    p = tmp_path / "c.txt"
+    p.write_text("scenario.name = ellipse\nsolver.newton_tol = 1e-30\nscenario.tmax = 0.01\n")
+    assert cli_main(["run", str(p), "--eoc", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("solver failure after 0 accepted steps") and "Newton stalled" in err
+
+
+def test_cli_eoc_strict_audit_failure_exits_2(tmp_path, monkeypatch, capsys):
+    import phaseflow.coupling as coupling
+
+    check = coupling.step_inequality_check
+
+    def fail(*args, **kw):
+        report, breakdown = check(*args, **kw)
+        return replace(report, residual=report.tolerance + 1.0), breakdown
+
+    monkeypatch.setattr(coupling, "step_inequality_check", fail)
+    code = cli_main(["run", "--scenario", "ellipse", "--tmax", "0.01", "--audit", "strict",
+                     "--eoc", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("audit failure after 0 accepted steps")
 
 
 def test_cli_strict_audit_failure_exits_2_and_keeps_accepted_rows(tmp_path, monkeypatch,

@@ -10,7 +10,6 @@ from phaseflow.cahn_hilliard import (
     double_well_eval,
     engquist_osher_flux,
     face_normal_velocities,
-    fe_convection_matrix,
     fe_convection_vector,
     fv_transport_step,
     interfacial_energy,

@@ -17,7 +17,7 @@ from phaseflow.coupling import (
 from phaseflow.energy import step_inequality_check, total_energy
 from phaseflow.errors import RunAborted, SolverError, StepRejected
 from phaseflow.mesh import COARSEN, KEEP, REFINE, build_structured_mesh
-from phaseflow.momentum import ForceSpec, PhysParams
+from phaseflow.momentum import PhysParams
 
 
 def circle_phi0(center, radius, delta):
@@ -225,8 +225,6 @@ def test_run_zero_horizon_returns_initial_state():
 
 
 def test_run_is_deterministic():
-    import dataclasses
-
     rows = []
     for _ in range(2):
         out = run(tiny_run_config())

@@ -3,7 +3,7 @@ import pytest
 
 import phaseflow.fem as fem
 from phaseflow.cahn_hilliard import DoubleWell, interfacial_energy
-from phaseflow.coupling import Discretization, State, initial_state
+from phaseflow.coupling import Discretization
 from phaseflow.energy import (
     EnergyBreakdown,
     global_energy_ledger,
@@ -13,7 +13,7 @@ from phaseflow.energy import (
 )
 from phaseflow.fem import interpolate_nodal
 from phaseflow.mesh import build_structured_mesh
-from phaseflow.momentum import ForceSpec, PhysParams
+from phaseflow.momentum import PhysParams
 
 
 def make_disc(level=4, domain=(-1, 1, -1, 1), **kw):

@@ -8,21 +8,19 @@ from phaseflow.fem import (
     ScalarSpace,
     VelocitySpace,
     assemble,
-    assemble_lumped_mass,
     assemble_p1_mass,
     assemble_stiffness,
     assembly_threads,
     element_gradient_magnitudes,
     interpolate_nodal,
     l2_distance,
-    lumped_mass_diagonal,
     lumped_p1_weights,
     p1_at_p2_nodes,
     p2_shape_values,
 )
-from phaseflow.mesh import Mesh, build_structured_mesh
+from phaseflow.mesh import REFINE, Mesh, build_structured_mesh, refine_and_coarsen
 
-from oracles import integrate_on_mesh
+from oracles import integrate_on_mesh, integrate_on_triangle, p1_interpolant
 
 
 def reference_triangle_mesh():
@@ -99,16 +97,16 @@ def test_p2_interpolation_reproduces_p2():
 def test_lumped_mass_reference_triangle_p1():
     m = reference_triangle_mesh()
     vs = VelocitySpace(m, degree=1)
-    d = lumped_mass_diagonal(vs, np.ones(3))
+    d = vs.lumping @ np.ones(3)
     np.testing.assert_allclose(d, 0.5 / 3.0, atol=1e-15)
 
 
 def test_lumped_mass_scales_linearly():
     m = build_structured_mesh((0, 1, 0, 1), 2)
     vs = VelocitySpace(m, degree=2)
-    d1 = lumped_mass_diagonal(vs, np.ones(m.n_vertices))
+    d1 = vs.lumping @ np.ones(m.n_vertices)
     rho = 0.017
-    d2 = lumped_mass_diagonal(vs, np.full(m.n_vertices, rho))
+    d2 = vs.lumping @ np.full(m.n_vertices, rho)
     np.testing.assert_allclose(d2, rho * d1, rtol=1e-14)
 
 
@@ -117,15 +115,45 @@ def test_lumped_mass_row_sums_equal_weight_integral(degree):
     m = build_structured_mesh((0, 1, 0, 1), 4)
     vs = VelocitySpace(m, degree=degree)
     w = 1.0 + 0.5 * m.vertices[:, 0] - 0.25 * m.vertices[:, 1]
-    d = lumped_mass_diagonal(vs, w)
+    d = vs.lumping @ w
     exact = integrate_on_mesh(lambda p: 1.0 + 0.5 * p[:, 0] - 0.25 * p[:, 1], m)
+    assert d.shape == (vs.n_nodes,)
+    assert (d > 0).all()
     assert d.sum() == pytest.approx(exact, rel=1e-13)
-    M = assemble_lumped_mass(vs, w)
-    assert M.shape == (vs.n_dofs, vs.n_dofs)
-    assert (M.diagonal() > 0).all()
-    # quadratic form = lumped kinetic integrand for a constant velocity
-    v = np.concatenate([np.ones(vs.n_nodes), np.zeros(vs.n_nodes)])
-    assert v @ (M @ v) == pytest.approx(exact, rel=1e-13)
+
+
+def locally_refined_mesh():
+    m = build_structured_mesh((0, 1, 0, 1), 4)
+    marks = np.zeros(m.n_triangles, dtype=int)
+    marks[m.triangles.min(axis=1) % 3 == 0] = REFINE
+    out, _ = refine_and_coarsen(m, marks)
+    return out
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("refined", [False, True])
+def test_lumping_matches_per_element_integrals(degree, refined):
+    # integrals of w * hat_i over the velocity node mesh, element by element,
+    # with w evaluated pointwise on the primal mesh
+    m = locally_refined_mesh() if refined else build_structured_mesh((0, 1, 0, 1), 4)
+    vs = VelocitySpace(m, degree=degree)
+    rng = np.random.default_rng(11)
+    w = 0.5 + rng.uniform(0, 1, m.n_vertices)
+    w_at = p1_interpolant(m, w)
+    node_mesh = vs.half_mesh if degree == 2 else m
+    assert node_mesh.n_vertices == vs.n_nodes
+    ref = np.zeros(vs.n_nodes)
+    for tri in node_mesh.triangles:
+        corners = node_mesh.vertices[tri]
+        T = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
+        for k in range(3):
+            def f(p, k=k):
+                ab = np.linalg.solve(T, (p - corners[0]).T).T
+                lam = np.column_stack([1.0 - ab.sum(axis=1), ab])
+                return w_at(p) * lam[:, k]
+            ref[tri[k]] += integrate_on_triangle(f, corners, n=4)
+    d = vs.lumping @ w
+    np.testing.assert_allclose(d, ref, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------- stiffness

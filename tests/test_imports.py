@@ -1,0 +1,36 @@
+"""Every imported name is used in the module that imports it.
+
+An ``ast`` scan of the package and the test suite: a name bound by an
+import must occur as a name elsewhere in its module.  Exempt are
+``from __future__`` imports and the package ``__init__``'s re-exports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "phaseflow").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__" or path.name == "__init__.py":
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,6 @@ from phaseflow.momentum import (
     assemble_time_terms,
     assemble_viscous,
     compute_flux_j,
-    delta_rho,
     density_from_phase,
     dirichlet_divergence,
     solve_momentum,
@@ -52,26 +49,6 @@ def test_density_endpoints():
     assert density_from_phase(np.array([1.0]), p)[0] == pytest.approx(0.019)
     assert density_from_phase(np.array([0.0]), p)[0] == pytest.approx(0.010)
     assert p.atwood == pytest.approx(0.9)
-
-
-def test_delta_rho_constant_for_affine():
-    p = PhysParams(**PAPER_DENSITIES)
-    rng = np.random.default_rng(0)
-    a, b = rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50)
-    np.testing.assert_allclose(delta_rho(a, b, p), 0.009, atol=1e-15)
-
-
-def test_delta_rho_fallback_branch():
-    p = PhysParams(**PAPER_DENSITIES)
-    phi = np.array([0.3, -0.7])
-    np.testing.assert_allclose(delta_rho(phi, phi, p), 0.009, atol=1e-16)
-
-
-def test_delta_rho_matched_densities_zero():
-    p = PhysParams(rho1=0.01, rho2=0.01)
-    rng = np.random.default_rng(1)
-    a, b = rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20)
-    np.testing.assert_allclose(delta_rho(a, b, p), 0.0, atol=1e-16)
 
 
 def test_viscosity_affine():
@@ -194,27 +171,44 @@ def test_Na_entry_against_quadrature_oracle():
 def test_Nb_zero_flux_and_matched_densities():
     mesh, ss, vs = setup()
     n_elem = mesh.n_triangles
-    Z = assemble_Nb(vs, np.full(ss.n_dofs, 0.009), np.zeros((n_elem, 2)))
+    Z = assemble_Nb(vs, np.zeros((n_elem, 2)), PhysParams(**PAPER_DENSITIES))
     assert abs(Z).sum() == 0.0
     rng = np.random.default_rng(2)
     j = rng.standard_normal((n_elem, 2))
-    Z2 = assemble_Nb(vs, np.zeros(ss.n_dofs), j)
+    matched = PhysParams(rho1=0.01, rho2=0.01)
+    assert matched.density_slope == 0.0
+    Z2 = assemble_Nb(vs, j, matched)
     assert abs(Z2).sum() == 0.0
 
 
 def test_Nb_skew_and_dss_empty():
     mesh, ss, vs = setup(level=4)
     rng = np.random.default_rng(5)
-    drho = rng.standard_normal(ss.n_dofs)
     j = rng.standard_normal((mesh.n_triangles, 2))
-    N = assemble_Nb(vs, drho, j, model="agg")
+    N = assemble_Nb(vs, j, PhysParams(**PAPER_DENSITIES, model="agg"))
     S = N + N.T
     assert (abs(S).max() if S.nnz else 0.0) == 0.0
     w = rng.standard_normal(vs.n_dofs)
     w /= np.linalg.norm(w)
     assert abs(w @ (N @ w)) < 1e-14
-    D = assemble_Nb(vs, drho, j, model="dss")
+    D = assemble_Nb(vs, j, PhysParams(**PAPER_DENSITIES, model="dss"))
     assert D.nnz == 0
+
+
+def test_Nb_entry_against_quadrature_oracle():
+    # a linear mu makes j constant, so it is exactly a constant velocity
+    mesh, ss, vs = setup(level=2)
+    params = PhysParams(**PAPER_DENSITIES)
+    j = compute_flux_j(0.3 * mesh.vertices[:, 0] - 0.7 * mesh.vertices[:, 1], 0.5, ss)
+    jx, jy = j[0]
+    assert np.abs(j - j[0]).max() <= 1e-15
+    j_dofs = interpolate_nodal(lambda p: np.column_stack([np.full(len(p), jx),
+                                                          np.full(len(p), jy)]), vs)
+    N = assemble_Nb(vs, j, params).toarray()
+    Nref = dense_skew_convection_oracle(mesh, vs, np.ones(ss.n_dofs), j_dofs,
+                                        weight_nodal=np.full(ss.n_dofs, params.density_slope))
+    assert np.abs(Nref).max() > 1e-6
+    np.testing.assert_allclose(N, Nref, rtol=0.0, atol=1e-13 * np.abs(Nref).max())
 
 
 # ----------------------------------------------------------------- viscous
@@ -294,11 +288,9 @@ def test_time_terms_constant_density():
     tau = 0.01
     rho = np.full(ss.n_dofs, 0.4)
     mat, rhs = assemble_time_terms(vs, rho, rho, np.zeros(vs.n_dofs), tau)
-    from phaseflow.fem import assemble_lumped_mass
-
-    M = assemble_lumped_mass(vs, np.ones(ss.n_dofs))
-    diff = abs(mat - (0.4 / tau) * M)
-    assert (diff.max() if diff.nnz else 0.0) < 1e-12
+    d = vs.lumping @ np.ones(ss.n_dofs)
+    diff = abs(mat.toarray() - np.diag(0.4 / tau * np.concatenate([d, d])))
+    assert diff.max() < 1e-12
     np.testing.assert_allclose(rhs, 0.0)
 
 
@@ -310,12 +302,10 @@ def test_time_terms_identity_of_rewriting():
     rho_n = 0.5 + rng.uniform(0, 1, ss.n_dofs)
     v_o = rng.standard_normal(vs.n_dofs)
     mat, rhs = assemble_time_terms(vs, rho_o, rho_n, v_o, tau)
-    from phaseflow.fem import assemble_lumped_mass
-
-    Mo = assemble_lumped_mass(vs, rho_o)
-    Mn = assemble_lumped_mass(vs, rho_n)
+    d_o = vs.lumping @ rho_o
+    d_n = vs.lumping @ rho_n
     lhs = mat @ v_o - rhs
-    want = (Mn @ v_o - Mo @ v_o) / (2.0 * tau)
+    want = np.concatenate([d_n - d_o, d_n - d_o]) * v_o / (2.0 * tau)
     np.testing.assert_allclose(lhs, want, atol=1e-12)
 
 
