@@ -584,7 +584,8 @@ def run_scenario(cfg: Config) -> tuple[RunResult, int]:
 
 def run_eoc(cfg: Config, levels: list[int]) -> list[tuple[int, float, float]]:
     """Convergence harness: final-time phase-field L2 errors of uniform runs
-    against a reference two levels above the largest requested level."""
+    against a reference two levels above the largest requested level.  An
+    aborted run re-raises with the run named in front of its message."""
     levels = sorted(levels)
     ref_level = levels[-1] + 2
     solutions = {}
@@ -592,9 +593,13 @@ def run_eoc(cfg: Config, levels: list[int]) -> list[tuple[int, float, float]]:
         c = replace(cfg)
         c.discretization_level = level
         c.adaptivity_enabled = False
-        rcfg = run_config(c)
-        result = run(rcfg)
-        solutions[level] = result.state
+        try:
+            solutions[level] = run(run_config(c)).state
+        except (RunAborted, SolverError) as exc:
+            # name the failing run; type, result and cause stay
+            name = f"level-{level} run" if level != ref_level else f"reference level-{level} run"
+            exc.args = (f"{name}: {exc}",)
+            raise
     ref = solutions[ref_level]
     width = cfg.domain_x1 - cfg.domain_x0
     rows = []
@@ -618,7 +623,10 @@ def cli_main(argv: list[str]) -> int:
         try:
             levels = [int(s) for s in args["flags"]["eoc"].split(",") if s]
         except ValueError:
-            print("error: --eoc expects a comma list of levels", file=sys.stderr)
+            levels = []
+        if not levels or any(level < 2 or level % 2 for level in levels):
+            print("error: --eoc expects a comma list of even integer levels >= 2",
+                  file=sys.stderr)
             print(_SYNOPSIS, file=sys.stderr)
             return 1
         try:
@@ -636,8 +644,12 @@ def cli_main(argv: list[str]) -> int:
     result, code = run_scenario(cfg)
     if code == 0:
         n = len(result.records)
-        print(f"completed {n} steps to t={result.state.t:.6g}; "
-              f"audit failures: {result.audit_failures}")
+        line = (f"completed {n} steps to t={result.state.t:.6g}; "
+                f"audit failures: {result.audit_failures}")
+        if cfg.adaptivity_enabled:
+            drift = sum(r.transfer_mass_drift for r in result.records)
+            line += f"; phase mass drift from remeshing: {drift:.2g}"
+        print(line)
     return code
 
 

@@ -6,7 +6,8 @@ plus implicit diffusion, or a monolithic implicit convection) and the linear
 momentum solve, iterated until the sup-norm increments of velocity and phase
 fall below the configured tolerances.  In the monolithic mode the converged
 limit satisfies the coupled implicit scheme exactly, which is what the energy
-audit certifies.
+audit certifies.  After an adaptation every field is evaluated in the old
+elements that the new mesh records as its sources; nothing searches for points.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .mesh import (
     KEEP,
     REFINE,
     Mesh,
-    barycentric_coordinates,
     build_dual_grid,
     build_structured_mesh,
+    locate_in_source,
     refine_and_coarsen,
 )
 from .momentum import (
@@ -261,22 +262,18 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
         f"(dv={diags.dv:.3e}, dphi={diags.dphi:.3e})")
 
 
-def transfer_state(state: State, new_mesh: Mesh, transfer, params: PhysParams) -> State:
-    """Move all fields to an adapted mesh: nodal interpolation/restriction for
-    the P1 fields, re-evaluation at the new velocity nodes for the velocity."""
+def transfer_state(state: State, new_mesh: Mesh, source, params: PhysParams) -> State:
+    """Move all fields to an adapted mesh by evaluating them in the old
+    elements ``source`` names: P1 fields at vertices, velocity at its nodes."""
     disc_new = Discretization(new_mesh, params)
-    phi = transfer.apply_p1(state.phi)
-    mu = transfer.apply_p1(state.mu)
-    p = transfer.apply_p1(state.p)
+    old = state.disc.mesh
+    tri, lam = locate_in_source(old, source, new_mesh.vertices, new_mesh.triangles)
+    phi, mu, p = ((f[old.triangles[tri]] * lam).sum(axis=1)
+                  for f in (state.phi, state.mu, state.p))
     p = p - (disc_new.lumped @ p) / disc_new.lumped.sum()
-    old_vs = state.disc.vspace
-    # looked up in ``mesh`` at call time, so a wrapper installed there is seen
-    from .mesh import locate_points
-
-    pts = disc_new.vspace.nodes
-    tri = locate_points(state.disc.mesh, pts, tol=1e-9)
-    lam = barycentric_coordinates(state.disc.mesh, pts, tri)
-    vec = old_vs.eval_at_bary(state.v, tri, lam)
+    vs = disc_new.vspace
+    tri, lam = locate_in_source(old, source, vs.nodes, vs.tri_nodes)
+    vec = state.disc.vspace.eval_at_bary(state.v, tri, lam)
     v = np.concatenate([vec[:, 0], vec[:, 1]])
     v = np.where(disc_new.vspace.dirichlet_mask, 0.0, v)
     return State(t=state.t, phi=phi, mu=mu, v=v, p=p, disc=disc_new)
@@ -403,10 +400,10 @@ def run(cfg: RunConfig, keep_states: bool = False) -> RunResult:
         if cfg.adaptivity.enabled:
             marks = mark_elements(new, cfg.adaptivity)
             if (marks != KEEP).any():
-                new_mesh, transfer = refine_and_coarsen(new.disc.mesh, marks)
+                new_mesh, source = refine_and_coarsen(new.disc.mesh, marks)
                 if new_mesh.n_triangles != new.disc.mesh.n_triangles or \
                         new_mesh.n_vertices != new.disc.mesh.n_vertices:
-                    moved = transfer_state(new, new_mesh, transfer, cfg.params)
+                    moved = transfer_state(new, new_mesh, source, cfg.params)
                     rec.transfer_mass_drift = float(
                         moved.disc.lumped @ moved.phi) - mass
                     new = moved

@@ -24,6 +24,7 @@ operator with an elementwise-constant direction is one contraction.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,8 +54,6 @@ def element_chunks(kernel, n_elements: int, min_chunk: int = 20000) -> list:
     threads = assembly_threads()
     if threads <= 1 or n_elements < 2 * min_chunk:
         return [kernel(slice(0, n_elements))]
-    from concurrent.futures import ThreadPoolExecutor
-
     bounds = np.linspace(0, n_elements, threads + 1).astype(int)
     spans = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ThreadPoolExecutor(max_workers=threads) as pool:

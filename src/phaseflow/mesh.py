@@ -10,7 +10,8 @@ perpendicular bisector segment of a primal edge.
 Triangles are stored as vertex triples ``(a, b, peak)`` with positive
 orientation; the refinement edge is ``(a, b)`` and ``peak`` is the newest
 vertex.  Bisection of ``(a, b, peak)`` at ``m = (a + b) / 2`` produces the
-children ``(peak, a, m)`` and ``(b, peak, m)``.
+children ``(peak, a, m)`` and ``(b, peak, m)``.  ``refine_and_coarsen`` records
+the old elements each new one lies in; ``locate_in_source`` evaluates that.
 """
 
 from __future__ import annotations
@@ -202,46 +203,25 @@ def build_structured_mesh(domain: tuple[float, float, float, float], level: int)
     return Mesh(vertices, triangles, generation, base_level=level, domain=(x0, x1, y0, y1))
 
 
-class FieldTransfer:
-    """Maps P1 nodal data from a source mesh to the mesh produced by
-    refine_and_coarsen: created midpoints interpolate their edge endpoints,
-    surviving vertices keep their values."""
-
-    def __init__(self, n_old: int, midpoints: list[tuple[int, int, int]], keep: np.ndarray):
-        self.n_old = n_old
-        self._midpoints = midpoints
-        self._keep = keep
-
-    def apply_p1(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != self.n_old:
-            raise ValueError("field length does not match the source mesh")
-        grown = np.empty(self.n_old + len(self._midpoints), dtype=float)
-        grown[: self.n_old] = values
-        for idx, a, b in self._midpoints:
-            grown[idx] = 0.5 * (grown[a] + grown[b])
-        return grown[self._keep]
-
-
-def refine_and_coarsen(mesh: Mesh, marks: np.ndarray) -> tuple[Mesh, FieldTransfer]:
+def refine_and_coarsen(mesh: Mesh, marks: np.ndarray) -> tuple[Mesh, np.ndarray]:
     """Newest-vertex bisection of refine-marked elements with recursive
     conformity closure, then one generation of coarsening where every child
     of a bisection is coarsen-marked and the patch can be merged conformingly.
 
     Coarsen requests that cannot be honored are dropped silently.  Returns the
-    new mesh together with the nodal transfer map.
+    new mesh and, per new element, two old elements it lies in: the halves
+    it merges, else the old element it is or was cut from, twice.
     """
     marks = np.asarray(marks)
     if marks.shape[0] != mesh.n_triangles:
         raise ValueError("marks must have one entry per triangle")
 
     verts: list[np.ndarray] = list(mesh.vertices)
-    n_old = mesh.n_vertices
     tris: list[tuple[int, int, int]] = [tuple(t) for t in mesh.triangles]
     gens: list[int] = list(mesh.generation)
+    source: list[tuple[int, int]] = [(t, t) for t in range(len(tris))]
     alive: list[bool] = [True] * len(tris)
     coarsen_flag: list[bool] = list(marks == COARSEN)
-    midpoint_records: list[tuple[int, int, int]] = []
 
     # edge (sorted pair) -> midpoint vertex id, and edge -> alive incident tris
     midpoint_of: dict[tuple[int, int], int] = {}
@@ -270,7 +250,6 @@ def refine_and_coarsen(mesh: Mesh, marks: np.ndarray) -> tuple[Mesh, FieldTransf
             m = len(verts)
             verts.append(0.5 * (verts[a] + verts[b]))
             midpoint_of[k] = m
-            midpoint_records.append((m, a, b))
         return m
 
     def bisect(t: int) -> None:
@@ -281,6 +260,7 @@ def refine_and_coarsen(mesh: Mesh, marks: np.ndarray) -> tuple[Mesh, FieldTransf
         for child in ((c, a, m), (b, c, m)):
             tris.append(child)
             gens.append(gens[t] + 1)
+            source.append(source[t])
             alive.append(True)
             coarsen_flag.append(False)
             register(len(tris) - 1)
@@ -358,6 +338,7 @@ def refine_and_coarsen(mesh: Mesh, marks: np.ndarray) -> tuple[Mesh, FieldTransf
             alive[t2] = False
             tris.append((a, b, c))
             gens.append(gens[t1] - 1)
+            source.append((t1, t2))  # only old elements carry the coarsen flag
             alive.append(True)
             coarsen_flag.append(False)
         removed_vertex[p] = True
@@ -375,12 +356,12 @@ def refine_and_coarsen(mesh: Mesh, marks: np.ndarray) -> tuple[Mesh, FieldTransf
 
     new_tris = np.array([tris[t] for t, ok in enumerate(alive) if ok], dtype=np.int64)
     new_gens = np.array([gens[t] for t, ok in enumerate(alive) if ok], dtype=np.int64)
+    new_source = np.array([source[t] for t, ok in enumerate(alive) if ok], dtype=np.int64)
     new_tris = renum[new_tris]
     new_verts = np.array([verts[i] for i in keep])
 
     out = Mesh(new_verts, new_tris, new_gens, base_level=mesh.base_level, domain=mesh.domain)
-    transfer = FieldTransfer(n_old, midpoint_records, keep)
-    return out, transfer
+    return out, new_source
 
 
 def midpoint_refine(mesh: Mesh) -> Mesh:
@@ -547,6 +528,25 @@ def barycentric_coordinates(mesh: Mesh, points: np.ndarray, tri_ids: np.ndarray)
     l2 = _cross(b - a, points - a) / det
     l0 = 1.0 - l1 - l2
     return np.column_stack([l0, l1, l2])
+
+
+def locate_in_source(mesh: Mesh, source: np.ndarray, points: np.ndarray,
+                     elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Old element and barycentric coordinates of the points of a mesh that
+    ``refine_and_coarsen`` made from ``mesh``.  Each point is looked up in the
+    sources of one element of the table ``elements`` that lists it; a point in
+    neither source raises GeometryError."""
+    owner = np.empty(points.shape[0], dtype=np.int64)
+    owner[elements] = np.arange(elements.shape[0])[:, None]
+    tri = source[owner, 0]
+    lam = barycentric_coordinates(mesh, points, tri)
+    second = lam.min(axis=1) < -1e-9
+    tri[second] = source[owner[second], 1]
+    lam[second] = barycentric_coordinates(mesh, points[second], tri[second])
+    outside = lam.min(axis=1) < -1e-9
+    if outside.any():
+        raise GeometryError(f"point {points[outside][0]} lies in none of its source elements")
+    return tri, lam
 
 
 def locate_points(mesh: Mesh, points: np.ndarray, tol: float = 1e-10) -> np.ndarray:

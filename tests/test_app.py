@@ -262,6 +262,7 @@ def test_cli_smoke_run(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "energy.csv"))
     assert os.path.exists(os.path.join(out, "state_final.vtk"))
     assert os.path.exists(os.path.join(out, "config.txt"))
+    assert "remeshing" not in capsys.readouterr().out  # a fixed-mesh run
 
 
 def test_cli_force_flag_switch(tmp_path):
@@ -280,6 +281,33 @@ def test_cli_eoc_prints_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "L2 error" in out
     assert "ratio" in out
+
+
+@pytest.mark.parametrize("levels", [",", "3"])
+def test_cli_eoc_rejects_bad_levels(capsys, levels):
+    code = cli_main(["run", "--scenario", "ellipse", "--tmax", "0.001", "--eoc", levels])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --eoc expects a comma list of even integer levels >= 2")
+    assert "usage: phaseflow run" in err and "Traceback" not in err
+
+
+def test_cli_adaptive_run_prints_remeshing_mass_drift(tmp_path, capsys):
+    out = tmp_path / "out"
+    p = tmp_path / "c.txt"
+    p.write_text(f"scenario.name = ellipse\ndiscretization.level = 4\n"
+                 f"adaptivity.enabled = true\nadaptivity.min_level = 4\n"
+                 f"adaptivity.max_level = 6\nscenario.tmax = 0.01\noutput.dir = {out}\n")
+    assert cli_main(["run", str(p)]) == 0
+    line = capsys.readouterr().out.strip()
+    match = re.fullmatch(r"completed 2 steps to t=0.01; audit failures: 0; "
+                         r"phase mass drift from remeshing: (\S+)", line)
+    assert match, line
+    # the same run through the library: the summed drift of its remeshings
+    result = run(run_config(load_config(str(p))))
+    drift = sum(r.transfer_mass_drift for r in result.records)
+    assert drift != 0.0 and match.group(1) == f"{drift:.2g}"
+    assert (out / "energy.csv").read_text().count("\n") == 3
 
 
 @pytest.mark.parametrize("line,key", [("timestep.v_min = 0", "timestep.v_min"),
@@ -316,6 +344,7 @@ def test_cli_eoc_solver_failure_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("solver failure after 0 accepted steps") and "Newton stalled" in err
+    assert "level-2 run: " in err
 
 
 def test_cli_eoc_strict_audit_failure_exits_2(tmp_path, monkeypatch, capsys):

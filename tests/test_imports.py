@@ -1,8 +1,10 @@
-"""Every imported name is used in the module that imports it.
+"""Every imported name is used in the module that imports it, and the
+package imports at module level only.
 
 An ``ast`` scan of the package and the test suite: a name bound by an
 import must occur as a name elsewhere in its module.  Exempt are
 ``from __future__`` imports and the package ``__init__``'s re-exports.
+Package modules may not import inside a function; tests may.
 """
 
 import ast
@@ -11,7 +13,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "phaseflow").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "phaseflow").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(path: pathlib.Path) -> list[str]:
@@ -34,3 +37,16 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def function_level_imports(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{path.name}:{node.lineno}: in {func.name}"
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_function_level_imports(path):
+    assert function_level_imports(path) == []

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from phaseflow.errors import GeometryError
+from phaseflow.fem import VelocitySpace
 from phaseflow.mesh import (
     COARSEN,
     KEEP,
     REFINE,
     Mesh,
+    barycentric_coordinates,
     build_dual_grid,
     build_structured_mesh,
+    locate_in_source,
+    locate_points,
     midpoint_refine,
     refine_and_coarsen,
 )
@@ -20,6 +24,13 @@ def crisscross_square():
     # peak (right angle) at the center for all four
     tris = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
     return Mesh(verts, tris, np.ones(4, dtype=int), base_level=3, domain=(0, 1, 0, 1))
+
+
+def transfer_p1(old, new, source, f):
+    """P1 field on ``old`` evaluated at the vertices of ``new`` through the
+    source map of the adaptation that made ``new``."""
+    tri, lam = locate_in_source(old, source, new.vertices, new.triangles)
+    return (f[old.triangles[tri]] * lam).sum(axis=1)
 
 
 def test_structured_level2_unit_square():
@@ -52,12 +63,12 @@ def test_structured_rectangle():
 
 def test_no_marks_identity():
     m = build_structured_mesh((0, 1, 0, 1), 2)
-    out, transfer = refine_and_coarsen(m, np.full(m.n_triangles, KEEP))
+    out, source = refine_and_coarsen(m, np.full(m.n_triangles, KEEP))
     assert out.n_triangles == m.n_triangles
     assert out.n_vertices == m.n_vertices
     np.testing.assert_allclose(out.vertices, m.vertices)
     f = np.arange(m.n_vertices, dtype=float)
-    np.testing.assert_allclose(transfer.apply_p1(f), f)
+    np.testing.assert_allclose(transfer_p1(m, out, source, f), f)
 
 
 def test_refine_single_interior_triangle_stays_conforming():
@@ -88,24 +99,24 @@ def test_refine_all_doubles_and_two_sweeps_halve_h():
 
 def test_refine_then_coarsen_round_trip():
     m = build_structured_mesh((0, 1, 0, 1), 2)
-    m1, tr = refine_and_coarsen(m, np.full(m.n_triangles, REFINE))
-    m2, tr2 = refine_and_coarsen(m1, np.full(m1.n_triangles, COARSEN))
+    m1, _ = refine_and_coarsen(m, np.full(m.n_triangles, REFINE))
+    m2, source2 = refine_and_coarsen(m1, np.full(m1.n_triangles, COARSEN))
     assert m2.n_triangles == m.n_triangles
     assert m2.n_vertices == m.n_vertices
     assert sorted(map(tuple, m2.vertices.tolist())) == sorted(map(tuple, m.vertices.tolist()))
     m2.validate()
     # restriction keeps surviving nodal values
     f1 = m1.vertices[:, 0] + 2.0 * m1.vertices[:, 1]
-    f2 = tr2.apply_p1(f1)
+    f2 = transfer_p1(m1, m2, source2, f1)
     np.testing.assert_allclose(f2, m2.vertices[:, 0] + 2.0 * m2.vertices[:, 1])
 
 
 def test_refinement_transfer_is_linear_interpolation():
     m = build_structured_mesh((0, 1, 0, 1), 2)
     marks = np.full(m.n_triangles, REFINE)
-    out, tr = refine_and_coarsen(m, marks)
+    out, source = refine_and_coarsen(m, marks)
     f = 3.0 * m.vertices[:, 0] - m.vertices[:, 1] + 0.5
-    fn = tr.apply_p1(f)
+    fn = transfer_p1(m, out, source, f)
     np.testing.assert_allclose(fn, 3.0 * out.vertices[:, 0] - out.vertices[:, 1] + 0.5, atol=1e-14)
 
 
@@ -127,6 +138,71 @@ def test_mesh_stays_non_obtuse_under_random_marks():
         marks = rng.choice([REFINE, KEEP, COARSEN], size=m.n_triangles, p=[0.2, 0.5, 0.3])
         m, _ = refine_and_coarsen(m, marks)
         m.validate()
+
+
+def adaptation_sequence():
+    """(old mesh, new mesh, source map) of six random refine/coarsen passes
+    from level 4, every other one mostly coarsening so that elements merge,
+    and of a full refinement and full coarsening of level 2."""
+    rng = np.random.default_rng(7)
+    passes = []
+    m = build_structured_mesh((0, 1, 0, 1), 4)
+    for k in range(6):
+        p = [0.3, 0.5, 0.2] if k % 2 == 0 else [0.05, 0.15, 0.8]
+        marks = rng.choice([REFINE, KEEP, COARSEN], size=m.n_triangles, p=p)
+        new, source = refine_and_coarsen(m, marks)
+        passes.append((m, new, source))
+        m = new
+    m = build_structured_mesh((0, 1, 0, 1), 2)
+    for mark in (REFINE, COARSEN):
+        new, source = refine_and_coarsen(m, np.full(m.n_triangles, mark))
+        passes.append((m, new, source))
+        m = new
+    return passes
+
+
+def test_source_map_matches_point_search():
+    rng = np.random.default_rng(5)
+
+    def searched(old, pts):
+        tri = locate_points(old, pts, tol=1e-9)
+        return tri, barycentric_coordinates(old, pts, tri)
+
+    merged = 0
+    for old, new, source in adaptation_sequence():
+        merged += int((source[:, 0] != source[:, 1]).sum())
+        f = np.sin(3.0 * old.vertices[:, 0]) + old.vertices[:, 1] ** 2
+        tri, lam = locate_in_source(old, source, new.vertices, new.triangles)
+        assert lam.min() >= -1e-9
+        t_pt, lam_pt = searched(old, new.vertices)
+        np.testing.assert_allclose((f[old.triangles[tri]] * lam).sum(axis=1),
+                                   (f[old.triangles[t_pt]] * lam_pt).sum(axis=1),
+                                   rtol=0, atol=1e-14)
+        for degree in (1, 2):
+            vs_old, vs_new = VelocitySpace(old, degree=degree), VelocitySpace(new, degree=degree)
+            v = rng.standard_normal(vs_old.n_dofs)
+            tri, lam = locate_in_source(old, source, vs_new.nodes, vs_new.tri_nodes)
+            assert lam.min() >= -1e-9
+            np.testing.assert_allclose(vs_old.eval_at_bary(v, tri, lam),
+                                       vs_old.eval_at_bary(v, *searched(old, vs_new.nodes)),
+                                       rtol=0, atol=1e-14)
+    assert merged == 8 + 26  # the full coarsening's and the random passes' merges
+
+
+def test_full_coarsening_uses_second_sources():
+    old, new, source = adaptation_sequence()[-1]
+    assert new.n_triangles == 8 and (source[:, 0] != source[:, 1]).all()
+    # each merged element has a vertex that lies only in its second half
+    uses_second = 0
+    for t in range(new.n_triangles):
+        tri, _ = locate_in_source(old, source[[t]], new.vertices[new.triangles[t]],
+                                  np.array([[0, 1, 2]]))
+        uses_second += int((tri == source[t, 1]).any())
+    assert uses_second == 8
+    wrong = source.copy()
+    wrong[:, 1] = wrong[:, 0]
+    with pytest.raises(GeometryError):
+        locate_in_source(old, wrong, new.vertices, new.triangles)
 
 
 def test_dual_partition_of_domain():

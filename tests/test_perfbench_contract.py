@@ -52,7 +52,7 @@ def test_traced_run_covers_every_layer(perfbench, tmp_path, name):
     for key in ("momentum.assemble_Nb_s", "momentum.apply_velocity_dirichlet_s",
                 "momentum.solve_momentum.self_s"):
         assert layers[key] > 0, key
-    assert (layers["mesh.points_located"] > 0) == (name == "ellipse-adapt")
+    assert layers["mesh.points_located"] == 0
     convection = inputs["discretization_convection"]
     assert (layers["cahn_hilliard.fe_convection_matrix_s"] > 0) == (convection == "fe")
     assert (layers["cahn_hilliard.fv_transport_step_s"] > 0) == (convection == "fv")
