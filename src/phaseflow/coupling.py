@@ -401,8 +401,10 @@ def run(cfg: RunConfig, keep_states: bool = False) -> RunResult:
             marks = mark_elements(new, cfg.adaptivity)
             if (marks != KEEP).any():
                 new_mesh, source = refine_and_coarsen(new.disc.mesh, marks)
-                if new_mesh.n_triangles != new.disc.mesh.n_triangles or \
-                        new_mesh.n_vertices != new.disc.mesh.n_vertices:
+                # refining and coarsening the same number of elements keeps
+                # the counts but still changes the mesh
+                if not (np.array_equal(new_mesh.triangles, new.disc.mesh.triangles)
+                        and np.array_equal(new_mesh.vertices, new.disc.mesh.vertices)):
                     moved = transfer_state(new, new_mesh, source, cfg.params)
                     rec.transfer_mass_drift = float(
                         moved.disc.lumped @ moved.phi) - mass

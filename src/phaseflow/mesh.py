@@ -10,8 +10,17 @@ perpendicular bisector segment of a primal edge.
 Triangles are stored as vertex triples ``(a, b, peak)`` with positive
 orientation; the refinement edge is ``(a, b)`` and ``peak`` is the newest
 vertex.  Bisection of ``(a, b, peak)`` at ``m = (a + b) / 2`` produces the
-children ``(peak, a, m)`` and ``(b, peak, m)``.  ``refine_and_coarsen`` records
-the old elements each new one lies in; ``locate_in_source`` evaluates that.
+children ``(peak, a, m)`` and ``(b, peak, m)``.
+
+``refine_and_coarsen`` works on the mesh's edge arrays.  It marks the
+refinement edge of every refine-marked element as cut and closes that set:
+an element with any cut edge also cuts its refinement edge.  Each cut edge
+gets one midpoint, and two rounds of bisection finish the conforming mesh,
+since after the second round every refinement edge is a new edge.  Siblings
+are written as adjacent pairs and unsplit elements keep their relative
+order, so coarsening finds the two children of one bisection as neighbours
+in the element list.  ``refine_and_coarsen`` also records the old elements
+each new one lies in; ``locate_in_source`` evaluates that.
 """
 
 from __future__ import annotations
@@ -48,9 +57,9 @@ class Mesh:
     base_level: int
     domain: tuple[float, float, float, float]
     # derived connectivity, filled in __post_init__
-    edges: np.ndarray = field(default=None, repr=False)
-    tri_edges: np.ndarray = field(default=None, repr=False)
-    edge_tris: np.ndarray = field(default=None, repr=False)
+    edges: np.ndarray = field(init=False, repr=False)
+    tri_edges: np.ndarray = field(init=False, repr=False)
+    edge_tris: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         verts = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
@@ -204,164 +213,95 @@ def build_structured_mesh(domain: tuple[float, float, float, float], level: int)
 
 
 def refine_and_coarsen(mesh: Mesh, marks: np.ndarray) -> tuple[Mesh, np.ndarray]:
-    """Newest-vertex bisection of refine-marked elements with recursive
-    conformity closure, then one generation of coarsening where every child
-    of a bisection is coarsen-marked and the patch can be merged conformingly.
+    """Newest-vertex bisection of refine-marked elements and the cut-edge
+    closure that keeps the mesh conforming, then one generation of coarsening
+    where every child of a bisection is coarsen-marked and the patch can be
+    merged conformingly.
 
     Coarsen requests that cannot be honored are dropped silently.  Returns the
     new mesh and, per new element, two old elements it lies in: the halves
     it merges, else the old element it is or was cut from, twice.
     """
     marks = np.asarray(marks)
-    if marks.shape[0] != mesh.n_triangles:
+    n = mesh.n_triangles
+    if marks.shape[0] != n:
         raise ValueError("marks must have one entry per triangle")
+    tri_edges = mesh.tri_edges
 
-    verts: list[np.ndarray] = list(mesh.vertices)
-    tris: list[tuple[int, int, int]] = [tuple(t) for t in mesh.triangles]
-    gens: list[int] = list(mesh.generation)
-    source: list[tuple[int, int]] = [(t, t) for t in range(len(tris))]
-    alive: list[bool] = [True] * len(tris)
-    coarsen_flag: list[bool] = list(marks == COARSEN)
+    # ---- refinement: an element with a cut edge also cuts its refinement edge
+    cut = np.zeros(mesh.n_edges, dtype=bool)
+    cut[tri_edges[marks == REFINE, 2]] = True
+    while True:
+        closure = tri_edges[cut[tri_edges].any(axis=1), 2]
+        if cut[closure].all():
+            break
+        cut[closure] = True
+    midpoint = mesh.n_vertices + np.cumsum(cut) - 1  # read only at cut edges
+    vertices = np.concatenate([mesh.vertices, mesh.edge_midpoints()[cut]])
 
-    # edge (sorted pair) -> midpoint vertex id, and edge -> alive incident tris
-    midpoint_of: dict[tuple[int, int], int] = {}
-    incident: dict[tuple[int, int], list[int]] = {}
-
-    def edge_key(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    def register(t: int) -> None:
-        a, b, c = tris[t]
-        for k in (edge_key(a, b), edge_key(b, c), edge_key(c, a)):
-            incident.setdefault(k, []).append(t)
-
-    def unregister(t: int) -> None:
-        a, b, c = tris[t]
-        for k in (edge_key(a, b), edge_key(b, c), edge_key(c, a)):
-            incident[k].remove(t)
-
-    for t in range(len(tris)):
-        register(t)
-
-    def get_midpoint(a: int, b: int) -> int:
-        k = edge_key(a, b)
-        m = midpoint_of.get(k)
-        if m is None:
-            m = len(verts)
-            verts.append(0.5 * (verts[a] + verts[b]))
-            midpoint_of[k] = m
-        return m
-
-    def bisect(t: int) -> None:
-        a, b, c = tris[t]
-        m = get_midpoint(a, b)
-        unregister(t)
-        alive[t] = False
-        for child in ((c, a, m), (b, c, m)):
-            tris.append(child)
-            gens.append(gens[t] + 1)
-            source.append(source[t])
-            alive.append(True)
-            coarsen_flag.append(False)
-            register(len(tris) - 1)
-
-    def partner_across_refedge(t: int) -> int:
-        a, b, _ = tris[t]
-        for s in incident[edge_key(a, b)]:
-            if s != t:
-                return s
-        return -1
-
-    for t0 in np.nonzero(marks == REFINE)[0]:
-        if not alive[t0]:
-            continue  # already bisected by an earlier closure pass
-        stack = [int(t0)]
-        while stack:
-            if len(stack) > len(tris) + 1:
-                raise GeometryError("bisection closure did not terminate")
-            t = stack[-1]
-            if not alive[t]:
-                stack.pop()
-                continue
-            partner = partner_across_refedge(t)
-            if partner < 0:
-                bisect(t)
-                stack.pop()
-            else:
-                pa, pb, _ = tris[partner]
-                ta, tb, _ = tris[t]
-                if edge_key(pa, pb) == edge_key(ta, tb):
-                    bisect(t)
-                    bisect(partner)
-                    stack.pop()
-                else:
-                    stack.append(partner)
+    # round 1 splits the elements whose refinement edge is cut; the children's
+    # refinement edges are the parent's local edges 1 and 0, old edges, and
+    # round 2 splits the children where those are cut.  Grandchildren have
+    # new refinement edges, which nothing cuts.
+    split = cut[tri_edges[:, 2]]
+    ids = np.arange(n)
+    tris, gens, source = _bisect(mesh.triangles, mesh.generation, np.column_stack([ids, ids]),
+                                 split, midpoint[tri_edges[split, 2]])
+    old = ids[~split]  # the unsplit old elements, in order at the front from here on
+    child_edges = tri_edges[split][:, [1, 0]].ravel()
+    tris, gens, source = _bisect(tris, gens, source,
+                                 np.concatenate([np.zeros(old.size, dtype=bool), cut[child_edges]]),
+                                 midpoint[child_edges[cut[child_edges]]])
 
     # ---- coarsening: remove peaks whose whole star is coarsen-marked ----
-    # Sibling children of one bisection are always appended back to back as
-    # (c, a, m), (b, c, m), and every compaction preserves relative order, so
-    # true pairs are adjacent in the triangle list.  A removable vertex p is
-    # the peak of every triangle containing it, its star consists of such
-    # pairs (one on the boundary, two in the interior), and all of them are
-    # coarsen-marked.
-    n_grown = len(verts)
-    tris_containing: dict[int, list[int]] = {}
-    for t, ok in enumerate(alive):
-        if ok:
-            for v in tris[t]:
-                tris_containing.setdefault(v, []).append(t)
+    # A removable vertex p is the peak of every triangle containing it, its
+    # star consists of sibling pairs (one on the boundary, two in the
+    # interior) of one generation, and all of them are old coarsen-marked
+    # elements.  Siblings are written back to back as (c, a, m), (b, c, m) and
+    # every pass keeps the relative order of unsplit elements, so a sibling
+    # pair is two adjacent old elements.
+    cand = old[(marks[old] == COARSEN) & (mesh.generation[old] >= 1)]
+    peak = mesh.triangles[cand, 2]
+    size = np.bincount(peak, minlength=vertices.shape[0])
+    star = np.bincount(tris.ravel(), minlength=vertices.shape[0])
+    whole = (size == star) & ((size == 2) | (size == 4))
+    cand = cand[whole[peak]]
+    cand = cand[np.argsort(mesh.triangles[cand, 2], kind="stable")]
+    # every star left has an even size, so consecutive entries pair up in it
+    t1, t2 = cand[0::2], cand[1::2]
+    p, gen = mesh.triangles[t1, 2], mesh.generation[t1]
+    bad = (t2 != t1 + 1) | (mesh.triangles[t1, 0] != mesh.triangles[t2, 1]) \
+        | (mesh.generation[t2] != gen)
+    bad[1:] |= (p[1:] == p[:-1]) & (gen[1:] != gen[:-1])  # the two pairs of an interior star
+    stays = np.zeros(vertices.shape[0], dtype=bool)
+    stays[p[bad]] = True
+    t1, t2 = t1[~stays[p]], t2[~stays[p]]
+    merged = np.zeros(n, dtype=bool)
+    merged[t1] = merged[t2] = True
+    keep = np.concatenate([~merged[old], np.ones(tris.shape[0] - old.size, dtype=bool)])
+    tri1 = mesh.triangles[t1]
+    tris = np.concatenate([tris[keep],
+                           np.column_stack([tri1[:, 1], mesh.triangles[t2, 0], tri1[:, 0]])])
+    gens = np.concatenate([gens[keep], mesh.generation[t1] - 1])
+    source = np.concatenate([source[keep], np.column_stack([t1, t2])])
 
-    removed_vertex = np.zeros(n_grown, dtype=bool)
-    for p, star in tris_containing.items():
-        if len(star) not in (2, 4):
-            continue
-        if not all(alive[t] and tris[t][2] == p and coarsen_flag[t] for t in star):
-            continue
-        gen_set = {gens[t] for t in star}
-        if len(gen_set) != 1 or min(gen_set) < 1:
-            continue
-        star = sorted(star)
-        pairs = []
-        ok = True
-        for k in range(0, len(star), 2):
-            t1, t2 = star[k], star[k + 1]
-            if t2 != t1 + 1 or tris[t1][0] != tris[t2][1]:
-                ok = False
-                break
-            pairs.append((t1, t2))
-        if not ok:
-            continue
-        for t1, t2 in pairs:
-            c, a, _ = tris[t1]
-            b = tris[t2][0]
-            alive[t1] = False
-            alive[t2] = False
-            tris.append((a, b, c))
-            gens.append(gens[t1] - 1)
-            source.append((t1, t2))  # only old elements carry the coarsen flag
-            alive.append(True)
-            coarsen_flag.append(False)
-        removed_vertex[p] = True
+    # vertices no element uses (the removed peaks) are dropped
+    used = np.bincount(tris.ravel(), minlength=vertices.shape[0]) > 0
+    renum = np.cumsum(used) - 1
+    out = Mesh(vertices[used], renum[tris], gens, base_level=mesh.base_level, domain=mesh.domain)
+    return out, source
 
-    # vertices (including earlier bisection midpoints) referenced by no
-    # surviving triangle are dropped
-    used = np.zeros(n_grown, dtype=bool)
-    for t, ok in enumerate(alive):
-        if ok:
-            for v in tris[t]:
-                used[v] = True
-    keep = np.nonzero(used & ~removed_vertex)[0]
-    renum = -np.ones(n_grown, dtype=np.int64)
-    renum[keep] = np.arange(len(keep))
 
-    new_tris = np.array([tris[t] for t, ok in enumerate(alive) if ok], dtype=np.int64)
-    new_gens = np.array([gens[t] for t, ok in enumerate(alive) if ok], dtype=np.int64)
-    new_source = np.array([source[t] for t, ok in enumerate(alive) if ok], dtype=np.int64)
-    new_tris = renum[new_tris]
-    new_verts = np.array([verts[i] for i in keep])
-
-    out = Mesh(new_verts, new_tris, new_gens, base_level=mesh.base_level, domain=mesh.domain)
-    return out, new_source
+def _bisect(tris: np.ndarray, gens: np.ndarray, source: np.ndarray, split: np.ndarray,
+            midpoints: np.ndarray):
+    """Replace each ``split`` element (a, b, c) by its children (c, a, m) and
+    (b, c, m), written as an adjacent pair after the unsplit elements."""
+    a, b, c = tris[split].T
+    children = np.stack([np.column_stack([c, a, midpoints]),
+                         np.column_stack([b, c, midpoints])], axis=1).reshape(-1, 3)
+    return (np.concatenate([tris[~split], children]),
+            np.concatenate([gens[~split], np.repeat(gens[split] + 1, 2)]),
+            np.concatenate([source[~split], np.repeat(source[split], 2, axis=0)]))
 
 
 def midpoint_refine(mesh: Mesh) -> Mesh:

@@ -221,8 +221,7 @@ def assemble_stabilization(vspace: VelocitySpace, pspace: ScalarSpace,
 
 
 def assemble_rhs_K(vspace: VelocitySpace, pspace: ScalarSpace, mu_new: np.ndarray,
-                   phi_new: np.ndarray, params: PhysParams, t: float,
-                   rho_for_force: np.ndarray | None = None) -> np.ndarray:
+                   phi_new: np.ndarray, params: PhysParams, t: float) -> np.ndarray:
     """Momentum right-hand side: int mu <grad phi, w_i> plus the external
     force work int <k(t), w_i> (with the density weight when configured)."""
     vals, _, w = vspace.shape_table
@@ -236,7 +235,7 @@ def assemble_rhs_K(vspace: VelocitySpace, pspace: ScalarSpace, mu_new: np.ndarra
     if params.force.kind == "none":
         fx_qp = fy_qp = None
     elif params.force.density_weighted:
-        rho = density_from_phase(phi_new, params) if rho_for_force is None else rho_for_force
+        rho = density_from_phase(phi_new, params)
         rho_qp = vspace.p1_at_qp(rho)
         fx_qp = rho_qp * force[0]
         fy_qp = rho_qp * force[1]
@@ -257,10 +256,9 @@ def assemble_rhs_K(vspace: VelocitySpace, pspace: ScalarSpace, mu_new: np.ndarra
 def assemble_external_force(vspace: VelocitySpace, pspace: ScalarSpace,
                             phi_new: np.ndarray, params: PhysParams, t: float) -> np.ndarray:
     """Only the external-force part of the right-hand side (used by the
-    energy auditor so the work term matches the solve exactly)."""
-    zero = np.zeros(pspace.n_dofs)
-    return assemble_rhs_K(vspace, pspace, zero, zero, params, t,
-                          rho_for_force=density_from_phase(phi_new, params))
+    energy auditor so the work term matches the solve exactly): with mu = 0
+    the capillary term adds only zeros."""
+    return assemble_rhs_K(vspace, pspace, np.zeros(pspace.n_dofs), phi_new, params, t)
 
 
 def assemble_time_terms(vspace: VelocitySpace, rho_old: np.ndarray, rho_new: np.ndarray,

@@ -16,7 +16,7 @@ from phaseflow.coupling import (
 )
 from phaseflow.energy import step_inequality_check, total_energy
 from phaseflow.errors import RunAborted, SolverError, StepRejected
-from phaseflow.mesh import COARSEN, KEEP, REFINE, build_structured_mesh
+from phaseflow.mesh import COARSEN, KEEP, REFINE, build_structured_mesh, refine_and_coarsen
 from phaseflow.momentum import PhysParams
 
 
@@ -257,6 +257,39 @@ def test_run_with_adaptivity_refines_interface():
     band = np.abs(phi_elem).min(axis=1) < 0.9
     share = (level[band] == 8).mean()
     assert share >= 0.9
+
+
+def test_run_moves_the_state_when_adaptation_keeps_the_counts(monkeypatch):
+    # coarsening one interior star (-2 elements, -1 vertex) while refining one
+    # compatible pair elsewhere (+2, +1) changes the mesh at equal counts
+    import phaseflow.coupling as coupling
+
+    adapted = []
+
+    def equal_count_marks(state, cfg):
+        mesh = state.disc.mesh
+        if state.t == 0.0:  # initial adaptation: bisect every element once
+            return np.full(mesh.n_triangles, REFINE if mesh.generation.max() == 0 else KEEP)
+        marks = np.full(mesh.n_triangles, KEEP)
+        peak = mesh.triangles[:, 2]
+        marks[peak == peak[0]] = COARSEN
+        far = np.linalg.norm(mesh.vertices[mesh.triangles].mean(axis=1)
+                             - mesh.vertices[peak[0]], axis=1)
+        far[mesh.edge_tris[mesh.tri_edges[:, 2], 1] < 0] = 0.0  # refinement edge on the boundary
+        marks[np.argmax(far)] = REFINE
+        new_mesh, _ = refine_and_coarsen(mesh, marks)
+        assert (new_mesh.n_triangles, new_mesh.n_vertices) == (mesh.n_triangles, mesh.n_vertices)
+        assert not np.array_equal(new_mesh.triangles, mesh.triangles)
+        adapted.append(new_mesh)
+        return marks
+
+    monkeypatch.setattr(coupling, "mark_elements", equal_count_marks)
+    cfg = tiny_run_config(t_end=1.0, max_steps=1,
+                          adaptivity=AdaptivityConfig(enabled=True, min_level=2, max_level=8))
+    out = run(cfg)
+    assert len(adapted) == 1
+    np.testing.assert_array_equal(out.state.disc.mesh.triangles, adapted[0].triangles)
+    np.testing.assert_array_equal(out.state.disc.mesh.vertices, adapted[0].vertices)
 
 
 @pytest.mark.parametrize("corrupt", ["singular", "nan"])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,24 @@ def test_mesh_stays_non_obtuse_under_random_marks():
         m.validate()
 
 
+def scaled(points):
+    """Coordinates on the 2**-12 grid as exact integers (the vertices of
+    these meshes are dyadic)."""
+    s = points * 2.0**12
+    assert np.array_equal(s, np.round(s))
+    return s.astype(np.int64)
+
+
+def geometric_marks(rng, mesh, p):
+    """Random marks dealt to the elements in the order of their integer-scaled
+    barycenters, so that an element's mark does not depend on its index."""
+    key = scaled(mesh.vertices)[mesh.triangles].sum(axis=1)
+    marks = np.empty(mesh.n_triangles, dtype=np.int64)
+    marks[np.lexsort((key[:, 1], key[:, 0]))] = rng.choice([REFINE, KEEP, COARSEN],
+                                                          size=mesh.n_triangles, p=p)
+    return marks
+
+
 def adaptation_sequence():
     """(old mesh, new mesh, source map) of six random refine/coarsen passes
     from level 4, every other one mostly coarsening so that elements merge,
@@ -149,8 +169,7 @@ def adaptation_sequence():
     m = build_structured_mesh((0, 1, 0, 1), 4)
     for k in range(6):
         p = [0.3, 0.5, 0.2] if k % 2 == 0 else [0.05, 0.15, 0.8]
-        marks = rng.choice([REFINE, KEEP, COARSEN], size=m.n_triangles, p=p)
-        new, source = refine_and_coarsen(m, marks)
+        new, source = refine_and_coarsen(m, geometric_marks(rng, m, p))
         passes.append((m, new, source))
         m = new
     m = build_structured_mesh((0, 1, 0, 1), 2)
@@ -186,7 +205,28 @@ def test_source_map_matches_point_search():
             np.testing.assert_allclose(vs_old.eval_at_bary(v, tri, lam),
                                        vs_old.eval_at_bary(v, *searched(old, vs_new.nodes)),
                                        rtol=0, atol=1e-14)
-    assert merged == 8 + 26  # the full coarsening's and the random passes' merges
+    assert merged == 8 + 30  # the full coarsening's and the random passes' merges
+
+
+def pass_digest(old, new, source):
+    """Digest of one adaptation that ignores vertex and element order: the
+    sorted rows of each new element's integer vertex coordinates in
+    (a, b, peak) order, its generation and its source elements' coordinates."""
+    rows = np.column_stack([scaled(new.vertices)[new.triangles].reshape(-1, 6), new.generation,
+                            scaled(old.vertices)[old.triangles[source]].reshape(-1, 12)])
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return hashlib.sha256(rows.tobytes()).hexdigest()[:16]
+
+
+# pass_digest of each adaptation_sequence pass, recorded with an independent
+# per-element (dict and closure stack) implementation of the same adaptation
+RECORDED = ["28008b3f79ca2eb7", "8d36ce94639305b3", "6980fb1d1e1a0a82", "b8fc06dee849a8e0",
+            "e414ca8edf3e2213", "f32753f4c8d1f9c3", "3a82300b6df9b981", "b1c37709c48a1136"]
+
+
+def test_adaptation_sequence_gives_the_recorded_meshes():
+    digests = [pass_digest(*adaptation) for adaptation in adaptation_sequence()]
+    assert digests == RECORDED
 
 
 def test_full_coarsening_uses_second_sources():

@@ -56,4 +56,6 @@ def test_traced_run_covers_every_layer(perfbench, tmp_path, name):
     convection = inputs["discretization_convection"]
     assert (layers["cahn_hilliard.fe_convection_matrix_s"] > 0) == (convection == "fe")
     assert (layers["cahn_hilliard.fv_transport_step_s"] > 0) == (convection == "fv")
+    for key in ("mesh.refine_and_coarsen_s", "coupling.transfer_state_s"):
+        assert (layers[key] > 0) == (name == "ellipse-adapt"), key
     assert worker.environment()["assembly_threads"] >= 1
