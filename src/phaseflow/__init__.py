@@ -12,10 +12,8 @@ from .cahn_hilliard import (
     ChReport,
     DoubleWell,
     ch_diffusive_solve,
-    double_well_eval,
     engquist_osher_flux,
     fe_convection_matrix,
-    fe_convection_vector,
     fv_transport_step,
     minmod_reconstruct,
 )
@@ -76,6 +74,5 @@ from .momentum import (
     density_from_phase,
     solve_momentum,
 )
-from .projection_ref import ProjectionWorkspace, l2_project, projection_reference_step
 
 __version__ = "0.1.0"

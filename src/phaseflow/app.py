@@ -647,8 +647,9 @@ def cli_main(argv: list[str]) -> int:
         line = (f"completed {n} steps to t={result.state.t:.6g}; "
                 f"audit failures: {result.audit_failures}")
         if cfg.adaptivity_enabled:
-            drift = sum(r.transfer_mass_drift for r in result.records)
-            line += f"; phase mass drift from remeshing: {drift:.2g}"
+            drifts = [r.transfer_mass_drift for r in result.records]
+            line += (f"; phase mass drift from remeshing: {sum(drifts):.2g}"
+                     f"; largest remeshing drift: {max(map(abs, drifts), default=0.0):.2g}")
         print(line)
     return code
 

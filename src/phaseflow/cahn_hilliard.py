@@ -68,13 +68,6 @@ class DoubleWell:
         return 3.0 * phi**2
 
 
-def double_well_eval(phi, dw: DoubleWell):
-    """(F, F', F+', F-') at phi; F' = F+' + F-' by construction."""
-    fp = dw.f_plus_prime(phi)
-    fm = dw.f_minus_prime(phi)
-    return dw.f(phi), fp + fm, fp, fm
-
-
 # ---------------------------------------------------------------------------
 # finite-volume transport on the dual grid
 
@@ -220,13 +213,6 @@ def fe_convection_matrix(space: ScalarSpace, v_dofs: np.ndarray,
     lam = QUAD_DEG4.points
     ke = np.einsum("mq,qi,mqj->mij", w, lam, conv)
     return assemble(mesh.triangles, mesh.triangles, ke, (space.n_dofs, space.n_dofs))
-
-
-def fe_convection_vector(space: ScalarSpace, phi: np.ndarray, v_dofs: np.ndarray,
-                         vspace: VelocitySpace) -> np.ndarray:
-    """Assembled vector of int <v, grad phi> psi_i (monolithic convection and
-    reference-scheme right-hand sides)."""
-    return fe_convection_matrix(space, v_dofs, vspace) @ phi
 
 
 def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,

@@ -123,9 +123,6 @@ class ScalarSpace:
     def n_dofs(self) -> int:
         return self.mesh.n_vertices
 
-    def node_coords(self) -> np.ndarray:
-        return self.mesh.vertices
-
     @cached_property
     def mass(self) -> sp.csr_array:
         """Consistent mass matrix."""
@@ -319,25 +316,16 @@ def assemble(row_dofs: np.ndarray, col_dofs: np.ndarray, ke: np.ndarray,
 
 
 def interpolate_nodal(f, space) -> np.ndarray:
-    """Nodal interpolation onto a scalar or velocity space.
-
-    ``f`` is either a vectorized callable (points (k, 2) -> values) or a tuple
-    ``(source_space, dofs)`` with a P1 source field.  Scalar targets return
-    (n,) arrays, velocity targets (2 * n_nodes,) component-major arrays.
+    """Nodal interpolation of a vectorized callable (points (k, 2) -> values)
+    onto a scalar or velocity space.  Scalar targets return (n,) arrays,
+    velocity targets (2 * n_nodes,) component-major arrays.
     """
     if isinstance(space, ScalarSpace):
-        pts = space.node_coords()
-        if callable(f):
-            return np.asarray(f(pts), dtype=float)
-        src_space, dofs = f
-        return _eval_p1(src_space.mesh, dofs, pts)
-    pts = space.nodes
-    if callable(f):
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape != (space.n_nodes, 2):
-            raise ValueError("vector interpolant must return (n, 2) values")
-        return np.concatenate([vals[:, 0], vals[:, 1]])
-    raise ValueError("P1 source into a velocity space needs a per-component callable")
+        return np.asarray(f(space.mesh.vertices), dtype=float)
+    vals = np.asarray(f(space.nodes), dtype=float)
+    if vals.shape != (space.n_nodes, 2):
+        raise ValueError("vector interpolant must return (n, 2) values")
+    return np.concatenate([vals[:, 0], vals[:, 1]])
 
 
 def _eval_p1(mesh: Mesh, dofs: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -396,16 +384,11 @@ def lumped_p1_weights(mesh: Mesh) -> np.ndarray:
 # gradients and norms
 
 
-def element_gradient_magnitudes(space, dofs: np.ndarray, component: int | None = None) -> np.ndarray:
-    """|grad f| per element: exact for P1 scalars, barycenter value for P2."""
-    if isinstance(space, ScalarSpace):
-        g, _ = p1_gradients(space.mesh)
-        vec = np.einsum("mk,mkd->md", dofs[space.mesh.triangles], g)
-        return np.sqrt((vec**2).sum(axis=1))
-    grads = space.component_gradients_at_barycenter(dofs)
-    if component is None:
-        raise ValueError("velocity fields need an explicit component")
-    return np.sqrt((grads[:, component, :] ** 2).sum(axis=1))
+def element_gradient_magnitudes(space: ScalarSpace, dofs: np.ndarray) -> np.ndarray:
+    """|grad f| per element of a P1 field, exact."""
+    g, _ = p1_gradients(space.mesh)
+    vec = np.einsum("mk,mkd->md", dofs[space.mesh.triangles], g)
+    return np.sqrt((vec**2).sum(axis=1))
 
 
 def l2_distance(coarse_mesh: Mesh, coarse_vals: np.ndarray,

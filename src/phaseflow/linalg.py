@@ -3,11 +3,13 @@
 Every LU-backed solve, ``direct_solve`` included, goes through
 ``FactorizationCache.solve`` and meets its one contract.  Saddle-point
 systems (momentum) are factorized as the square indefinite block matrix,
-made nonsingular by pinning one pressure dof to zero; the pressure is
-re-centered to zero weighted mean afterwards.  The pin keeps the matrix as
-sparse as its blocks, where a constraint row for the mean would couple every
-pressure dof and wreck the fill-reducing ordering.  Only the well-conditioned
-P1 mass matrix goes through Jacobi-preconditioned BiCGstab (``solve_linear``).
+made nonsingular by pinning one pressure dof to zero; ``solve_saddle``
+returns that pinned pressure, and the caller fixes the free constant (the
+momentum solve re-centers to zero weighted mean with the pressure space's
+lumped weights).  The pin keeps the matrix as sparse as its blocks, where a
+constraint row for the mean would couple every pressure dof and wreck the
+fill-reducing ordering.  Only the well-conditioned P1 mass matrix goes
+through Jacobi-preconditioned BiCGstab (``solve_linear``).
 """
 
 from __future__ import annotations
@@ -50,12 +52,12 @@ def _inf_norm(A: sp.spmatrix) -> float:
     return float(abs(A).sum(axis=1).max()) if A.nnz else 0.0
 
 
-def bicgstab(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 1000,
+def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10, maxit: int = 1000,
              M=None) -> tuple[np.ndarray, int]:
-    """Preconditioned BiCGstab; A may be a sparse matrix or a LinearOperator.
+    """Preconditioned BiCGstab on a sparse matrix A.
 
     ``M``, when given, is a callable applying the preconditioner (overriding
-    the diagonal scaling of a sparse A).  Returns (x, iterations).  Converged
+    the diagonal scaling of A).  Returns (x, iterations).  Converged
     when ||r|| <= tol * ||b|| (or ||r|| below an absolute floor for b = 0).
     Breakdown or exceeding maxit raises IterativeFailure so callers can fall
     back to a factorization.
@@ -64,15 +66,10 @@ def bicgstab(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 1000,
         raise ValueError("tol must be positive")
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    if sp.issparse(A):
-        diag = A.diagonal()
-        matvec = A.__matmul__
-    else:
-        matvec = A.matvec if hasattr(A, "matvec") else A
-        diag = None
+    diag = A.diagonal()
     if M is not None:
         apply_m = M
-    elif diag is not None and np.all(np.abs(diag) > 0):
+    elif np.all(np.abs(diag) > 0):
         inv_diag = 1.0 / diag
         apply_m = lambda v: inv_diag * v
     else:
@@ -95,7 +92,7 @@ def bicgstab(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 1000,
         beta = (rho / rho_old) * (alpha / omega)
         p = r + beta * (p - omega * v)
         p_hat = apply_m(p)
-        v = matvec(p_hat)
+        v = A @ p_hat
         denom = float(r_hat @ v)
         if abs(denom) < 1e-300:
             raise IterativeFailure(f"BiCGstab breakdown (r_hat . v ~ 0) at iteration {it}")
@@ -105,7 +102,7 @@ def bicgstab(A, b: np.ndarray, tol: float = 1e-10, maxit: int = 1000,
             x = x + alpha * p_hat
             return x, it
         s_hat = apply_m(s)
-        t = matvec(s_hat)
+        t = A @ s_hat
         tt = float(t @ t)
         if tt < 1e-300:
             raise IterativeFailure(f"BiCGstab breakdown (t = 0) at iteration {it}")
@@ -206,12 +203,11 @@ class SaddleSystem:
     """Assembled saddle-point blocks:
 
         [ G   B^T ] [v]   [f]
-        [ B   -C  ] [p] = [g]
+        [ B   -C  ] [p] = [0]
 
     with B = ``divergence.B`` the gradient-form coupling (one row per
-    pressure dof), C an optional pressure stabilization (None for inf-sup
-    stable pairs), and ``mean_weights`` fixing the free pressure constant:
-    the solution has zero weighted pressure mean.
+    pressure dof) and C an optional pressure stabilization (None for inf-sup
+    stable pairs).
 
     The pressure is defined up to constants only: B^T 1 = 0, since B pairs
     each velocity basis function with the gradients of the P1 pressure basis
@@ -220,15 +216,13 @@ class SaddleSystem:
     therefore fixes one pressure dof to zero, which changes neither the
     velocity nor the pressure up to that constant: with C symmetric, the
     dropped divergence row is minus the sum of the others, so it holds
-    whenever 1^T g = 0, and ``solve_saddle`` checks every row afterwards.
+    whenever the others do, and ``solve_saddle`` checks every row afterwards.
     """
 
     G: sp.spmatrix
     divergence: PinnedDivergence
     C: sp.spmatrix | None
-    mean_weights: np.ndarray
     rhs_v: np.ndarray
-    rhs_p: np.ndarray | None = None
 
     @property
     def n_v(self) -> int:
@@ -241,7 +235,8 @@ class SaddleSystem:
     def monolithic(self) -> tuple[sp.csr_array, np.ndarray]:
         """The square matrix and right-hand side with the pressure dof
         ``PIN`` fixed: its row of B and its row and column of C are zeroed,
-        with 1 on the diagonal and 0 on the right."""
+        with 1 on the diagonal; every pressure row of the right-hand side
+        is 0."""
         rows, cols, vals = np.array([PIN]), np.array([PIN]), np.array([1.0])
         if self.C is not None:
             C = sp.coo_array(self.C)
@@ -252,63 +247,24 @@ class SaddleSystem:
         Cblk = sp.csr_array((vals, (rows, cols)), shape=(self.n_p, self.n_p))
         div = self.divergence
         K = sp.bmat([[sp.csr_array(self.G), div.pinned_T], [div.pinned, Cblk]], format="csr")
-        rhs_p = np.zeros(self.n_p) if self.rhs_p is None else np.array(self.rhs_p, dtype=float)
-        rhs_p[PIN] = 0.0
-        return K, np.concatenate([self.rhs_v, rhs_p])
+        return K, np.concatenate([self.rhs_v, np.zeros(self.n_p)])
 
 
-def solve_saddle(system: SaddleSystem, tol: float = 1e-9, method: str = "direct",
+def solve_saddle(system: SaddleSystem, tol: float,
                  cache: FactorizationCache | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the saddle-point problem; returns (velocity, pressure).
+    """Solve the saddle-point problem; returns (velocity, pressure) with the
+    pressure dof ``PIN`` at 0.
 
-    method 'direct' solves the monolithic indefinite matrix through
-    ``FactorizationCache.solve`` (a given cache carries its factorization
-    over to the next, nearby matrix); 'schur' runs BiCGstab on the pressure
-    Schur complement, used as the independent cross-check path.  Both
-    enforce the divergence constraint to ``tol`` on every pressure row and a
-    zero weighted pressure mean.  Failures raise SolverError.
+    The monolithic matrix goes through ``FactorizationCache.solve`` (a given
+    cache carries its factorization over to the next, nearby matrix).  A
+    failed solve, or a divergence residual above ``tol`` on any pressure
+    row, the pinned one included, raises SolverError.
     """
-    n_v, n_p = system.n_v, system.n_p
-    if method == "direct":
-        K, rhs = system.monolithic()
-        sol = (cache or FactorizationCache()).solve(K, rhs, tol=1e-13)
-        v, p = sol[:n_v], sol[n_v:n_v + n_p]
-    elif method == "schur":
-        v, p = _solve_schur(system, tol)
-    else:
-        raise ValueError(f"unknown saddle solver {method!r}")
-
-    # fix the weighted mean exactly
-    w = system.mean_weights
-    p = p - (w @ p) / w.sum()
-    div_res = np.abs(system.divergence.B @ v - (system.C @ p if system.C is not None else 0.0)
-                     - (system.rhs_p if system.rhs_p is not None else 0.0)).max()
+    n_v = system.n_v
+    K, rhs = system.monolithic()
+    sol = (cache or FactorizationCache()).solve(K, rhs, tol=1e-13)
+    v, p = sol[:n_v], sol[n_v:]
+    div_res = np.abs(system.divergence.B @ v - (system.C @ p if system.C is not None else 0.0)).max()
     if not div_res <= tol:
         raise SolverError(f"divergence residual {div_res:.3e} exceeds tol {tol:.1e}")
-    return v, p
-
-
-def _solve_schur(system: SaddleSystem, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    G = sp.csc_matrix(system.G)
-    B = sp.csr_matrix(system.divergence.B)
-    lu = spla.splu(G)
-    # the Schur operator annihilates constant pressures (B^T 1 = 0, C 1 = 0);
-    # iterate orthogonal to that kernel, fix the weighted mean afterwards
-    e = np.full(system.n_p, 1.0 / np.sqrt(system.n_p))
-
-    def project(q):
-        return q - (e @ q) * e
-
-    def schur_mv(q):
-        q = project(q)
-        y = B @ lu.solve(B.T @ q)
-        if system.C is not None:
-            y = y + system.C @ q
-        return project(y)
-
-    rhs_p = system.rhs_p if system.rhs_p is not None else np.zeros(system.n_p)
-    rhs = project(B @ lu.solve(system.rhs_v) - rhs_p)
-    op = spla.LinearOperator((system.n_p, system.n_p), matvec=schur_mv)
-    p, _ = bicgstab(op, rhs, tol=min(tol * 1e-3, 1e-12), maxit=40 * system.n_p)
-    v = lu.solve(system.rhs_v - B.T @ p)
     return v, p

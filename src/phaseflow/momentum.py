@@ -88,10 +88,6 @@ class PhysParams:
         return 2 if self.elements == "th" else 1
 
     @property
-    def atwood(self) -> float:
-        return abs(self.rho1 - self.rho2) / (self.rho1 + self.rho2)
-
-    @property
     def density_slope(self) -> float:
         """d rho / d phi of the affine density law."""
         return 0.5 * (self.rho2 - self.rho1)
@@ -327,8 +323,8 @@ def solve_momentum(step: MomentumStep, phi_new: np.ndarray, mu_new: np.ndarray,
     """Assemble and solve the momentum saddle-point system of one splitting
     iteration: the terms of the new phase and chemical potential join the
     step's fixed operators, and ``cache`` carries the saddle factorization
-    over from the previous solve.  The pressure mean is taken with the
-    lumped weights of the pressure space."""
+    over from the previous solve.  The pressure is returned with zero mean
+    under the lumped weights of the pressure space."""
     vspace, pspace, params = step.vspace, step.pspace, step.params
     rho_new = density_from_phase(phi_new, params)
     j_elem = compute_flux_j(mu_new, params.mobility, pspace)
@@ -342,6 +338,7 @@ def solve_momentum(step: MomentumStep, phi_new: np.ndarray, mu_new: np.ndarray,
     G = apply_velocity_dirichlet(G, mask)
     rhs = np.where(mask, 0.0, rhs)
 
-    system = SaddleSystem(G=G, divergence=step.divergence, C=step.stabilization,
-                          mean_weights=pspace.lumped, rhs_v=rhs)
-    return solve_saddle(system, tol=1e-9, cache=cache)
+    system = SaddleSystem(G=G, divergence=step.divergence, C=step.stabilization, rhs_v=rhs)
+    v, p = solve_saddle(system, tol=1e-9, cache=cache)
+    w = pspace.lumped
+    return v, p - (w @ p) / w.sum()

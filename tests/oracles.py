@@ -1,11 +1,17 @@
-"""Independent integration helpers used only by the test suite.
+"""Independent helpers used only by the test suite.
 
-These deliberately avoid the package's own quadrature tables: integrals are
-computed with a tensorized Gauss-Legendre rule mapped onto each triangle via
-the Duffy transform, exact for polynomial integrands up to degree ~13.
+The integration helpers deliberately avoid the package's own quadrature
+tables: integrals are computed with a tensorized Gauss-Legendre rule mapped
+onto each triangle via the Duffy transform, exact for polynomial integrands
+up to degree ~13.  ``schur_solve`` solves a saddle system without the
+package's Krylov and factorization-cache code.
 """
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from phaseflow.linalg import PIN
 
 
 def duffy_rule(n=8):
@@ -46,3 +52,34 @@ def p1_interpolant(mesh, vals):
         return (vals[mesh.triangles[tri]] * lam).sum(axis=1)
 
     return f
+
+
+def schur_solve(system, tol):
+    """(v, p) of a ``linalg.SaddleSystem`` through its pressure Schur
+    complement B G^-1 B^T + C, iterated with SciPy's BiCGstab: the
+    independent cross-check of ``linalg.solve_saddle``.  The Schur operator
+    annihilates constant pressures (B^T 1 = 0, C 1 = 0), so the iteration
+    runs orthogonal to them; p is then shifted to p[PIN] = 0, the
+    normalization ``solve_saddle`` returns."""
+    G = sp.csc_matrix(system.G)
+    B = sp.csr_matrix(system.divergence.B)
+    lu = spla.splu(G)
+    e = np.full(system.n_p, 1.0 / np.sqrt(system.n_p))
+
+    def project(q):
+        return q - (e @ q) * e
+
+    def schur_mv(q):
+        q = project(q)
+        y = B @ lu.solve(B.T @ q)
+        if system.C is not None:
+            y = y + system.C @ q
+        return project(y)
+
+    rhs = project(B @ lu.solve(system.rhs_v))
+    op = spla.LinearOperator((system.n_p, system.n_p), matvec=schur_mv)
+    p, info = spla.bicgstab(op, rhs, rtol=min(tol * 1e-3, 1e-12), atol=0.0,
+                            maxiter=40 * system.n_p)
+    assert info == 0, f"Schur BiCGstab did not converge (info {info})"
+    v = lu.solve(system.rhs_v - B.T @ p)
+    return v, p - p[PIN]

@@ -16,12 +16,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cahn_hilliard import DoubleWell, ch_diffusive_solve, fe_convection_matrix
-from .coupling import Discretization, SplitTolerances, State
-from .errors import StepRejected
-from .fem import QUAD_DEG4, ScalarSpace
-from .linalg import SaddleSystem, solve_saddle
-from .momentum import (
+from phaseflow.cahn_hilliard import DoubleWell, ch_diffusive_solve, fe_convection_matrix
+from phaseflow.coupling import Discretization, SplitTolerances, State
+from phaseflow.errors import StepRejected
+from phaseflow.fem import QUAD_DEG4, ScalarSpace
+from phaseflow.linalg import SaddleSystem, solve_saddle
+from phaseflow.momentum import (
     MomentumStep,
     PhysParams,
     apply_velocity_dirichlet,
@@ -150,9 +150,10 @@ def projection_momentum_solve(ws: ProjectionWorkspace, step: MomentumStep,
     mask = vs.dirichlet_mask
     G = apply_velocity_dirichlet(G, mask)
     rhs = np.where(mask, 0.0, rhs)
-    system = SaddleSystem(G=G, divergence=step.divergence, C=None,
-                          mean_weights=disc.sspace.lumped, rhs_v=rhs)
-    return solve_saddle(system, tol=1e-10)
+    system = SaddleSystem(G=G, divergence=step.divergence, C=None, rhs_v=rhs)
+    v, p = solve_saddle(system, tol=1e-10)
+    w = disc.sspace.lumped
+    return v, p - (w @ p) / w.sum()
 
 
 def projection_reference_step(state: State, tau: float, params: PhysParams,

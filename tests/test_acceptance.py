@@ -38,7 +38,8 @@ from phaseflow.momentum import (
     assemble_external_force,
     compute_flux_j,
 )
-from phaseflow.projection_ref import ProjectionWorkspace, projection_reference_step
+
+from projection_oracle import ProjectionWorkspace, projection_reference_step
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

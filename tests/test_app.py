@@ -301,13 +301,27 @@ def test_cli_adaptive_run_prints_remeshing_mass_drift(tmp_path, capsys):
     assert cli_main(["run", str(p)]) == 0
     line = capsys.readouterr().out.strip()
     match = re.fullmatch(r"completed 2 steps to t=0.01; audit failures: 0; "
-                         r"phase mass drift from remeshing: (\S+)", line)
+                         r"phase mass drift from remeshing: (\S+); "
+                         r"largest remeshing drift: (\S+)", line)
     assert match, line
-    # the same run through the library: the summed drift of its remeshings
+    # the same run through the library: the summed drift of its remeshings,
+    # and the largest of them in magnitude
     result = run(run_config(load_config(str(p))))
-    drift = sum(r.transfer_mass_drift for r in result.records)
-    assert drift != 0.0 and match.group(1) == f"{drift:.2g}"
+    drifts = [r.transfer_mass_drift for r in result.records]
+    assert sum(drifts) != 0.0 and match.group(1) == f"{sum(drifts):.2g}"
+    assert match.group(2) == f"{max(abs(d) for d in drifts):.2g}"
     assert (out / "energy.csv").read_text().count("\n") == 3
+
+
+def test_cli_adaptive_run_without_steps_prints_zero_drifts(tmp_path, capsys):
+    p = tmp_path / "c.txt"
+    p.write_text(f"scenario.name = ellipse\ndiscretization.level = 4\n"
+                 f"adaptivity.enabled = true\nadaptivity.min_level = 4\n"
+                 f"adaptivity.max_level = 6\nscenario.tmax = 0\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["run", str(p)]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "completed 0 steps to t=0; audit failures: 0; "
+        "phase mass drift from remeshing: 0; largest remeshing drift: 0")
 
 
 @pytest.mark.parametrize("line,key", [("timestep.v_min = 0", "timestep.v_min"),

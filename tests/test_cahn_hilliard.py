@@ -7,10 +7,9 @@ from phaseflow.cahn_hilliard import (
     ChReport,
     DoubleWell,
     ch_diffusive_solve,
-    double_well_eval,
     engquist_osher_flux,
     face_normal_velocities,
-    fe_convection_vector,
+    fe_convection_matrix,
     fv_transport_step,
     interfacial_energy,
     minmod_reconstruct,
@@ -28,30 +27,26 @@ finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 def test_double_well_minima():
     dw = DoubleWell()
-    f, fp, _, _ = double_well_eval(1.0, dw)
-    assert f == 0.0 and fp == 0.0
-    f, fp, _, _ = double_well_eval(-1.0, dw)
-    assert f == 0.0 and fp == 0.0
+    for phi in (1.0, -1.0):
+        assert dw.f(phi) == 0.0 and dw.f_prime(phi) == 0.0
 
 
 def test_double_well_saddle():
     dw = DoubleWell()
-    f, _, fpp, fmp = double_well_eval(0.0, dw)
-    assert f == 0.25 and fpp == 0.0 and fmp == 0.0
+    assert dw.f(0.0) == 0.25 and dw.f_plus_prime(0.0) == 0.0 and dw.f_minus_prime(0.0) == 0.0
 
 
 def test_double_well_at_two():
     dw = DoubleWell()
-    _, fp, fpp, fmp = double_well_eval(2.0, dw)
-    assert fpp == 8.0 and fmp == -2.0 and fp == 6.0
+    assert dw.f_plus_prime(2.0) == 8.0 and dw.f_minus_prime(2.0) == -2.0
+    assert dw.f_prime(2.0) == 6.0
 
 
 @given(finite)
 def test_split_reconstructs_potential(phi):
     dw = DoubleWell()
-    f, fp, fpp, fmp = double_well_eval(phi, dw)
-    assert fp == fpp + fmp
-    assert np.isclose(f, (phi**4 + 1) / 4 - phi**2 / 2, rtol=1e-12, atol=1e-12)
+    assert dw.f_prime(phi) == dw.f_plus_prime(phi) + dw.f_minus_prime(phi)
+    assert np.isclose(dw.f(phi), (phi**4 + 1) / 4 - phi**2 / 2, rtol=1e-12, atol=1e-12)
 
 
 @given(finite, finite)
@@ -313,7 +308,7 @@ def test_convection_zero_velocity():
     vs = VelocitySpace(mesh, degree=2)
     v = np.zeros(vs.n_dofs)
     phi = np.random.default_rng(2).standard_normal(space.n_dofs)
-    out = fe_convection_vector(space, phi, v, vs)
+    out = fe_convection_matrix(space, v, vs) @ phi
     np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
 
@@ -322,7 +317,7 @@ def test_convection_constant_phase():
     space = ScalarSpace(mesh)
     vs = VelocitySpace(mesh, degree=2)
     v = interpolate_nodal(lambda p: np.column_stack([p[:, 1] ** 2, p[:, 0]]), vs)
-    out = fe_convection_vector(space, np.full(space.n_dofs, 2.5), v, vs)
+    out = fe_convection_matrix(space, v, vs) @ np.full(space.n_dofs, 2.5)
     np.testing.assert_allclose(out, 0.0, atol=1e-13)
 
 
@@ -333,7 +328,7 @@ def test_convection_partition_of_unity_total():
     vf = lambda p: np.column_stack([1.0 + p[:, 1] ** 2, p[:, 0] - 0.3])
     v = interpolate_nodal(vf, vs)
     phi = mesh.vertices[:, 0] * 2.0 - mesh.vertices[:, 1]
-    out = fe_convection_vector(space, phi, v, vs)
+    out = fe_convection_matrix(space, v, vs) @ phi
     # sum over all P1 tests = int <v, grad phi>, grad phi = (2, -1)
     oracle = integrate_on_mesh(lambda p: 2.0 * (1.0 + p[:, 1] ** 2) - (p[:, 0] - 0.3), mesh)
     assert out.sum() == pytest.approx(oracle, rel=1e-12)

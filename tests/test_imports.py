@@ -1,5 +1,6 @@
-"""Every imported name is used in the module that imports it, and the
-package imports at module level only.
+"""Every imported name is used in the module that imports it, the
+package imports at module level only, and its functions stay within a
+budget of defaulted parameters.
 
 An ``ast`` scan of the package and the test suite: a name bound by an
 import must occur as a name elsewhere in its module.  Exempt are
@@ -50,3 +51,24 @@ def function_level_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_function_level_imports(path):
     assert function_level_imports(path) == []
+
+
+# Defaulted parameters of the package's functions, each an option a caller
+# may set.  A change that adds one raises this budget in its own diff.
+DEFAULTED_PARAMETER_BUDGET = 25
+
+
+def defaulted_parameters(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = func.args
+            n = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            found += [f"{path.name}:{func.lineno}: {getattr(func, 'name', 'lambda')}"] * n
+    return found
+
+
+def test_defaulted_parameters_within_budget():
+    found = [entry for path in PACKAGE for entry in defaulted_parameters(path)]
+    assert len(found) <= DEFAULTED_PARAMETER_BUDGET, found

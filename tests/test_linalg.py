@@ -14,6 +14,8 @@ from phaseflow.linalg import (
     solve_saddle,
 )
 
+from oracles import schur_solve
+
 
 def laplacian_1d(n):
     main = 2.0 * np.ones(n)
@@ -137,9 +139,8 @@ def synthetic_saddle(n_v=24, n_p=7, seed=11, with_c=False):
         S = rng.standard_normal((n_p, n_p - 1))
         S -= S.mean(axis=0, keepdims=True)
         C = sp.csr_array(S @ S.T)
-    w = np.abs(rng.standard_normal(n_p)) + 0.5
     f = rng.standard_normal(n_v)
-    return SaddleSystem(G=G, divergence=PinnedDivergence(B), C=C, mean_weights=w, rhs_v=f)
+    return SaddleSystem(G=G, divergence=PinnedDivergence(B), C=C, rhs_v=f)
 
 
 def test_saddle_zero_rhs():
@@ -156,22 +157,30 @@ def test_saddle_direct_constraints(with_c):
     v, p = solve_saddle(sys, tol=1e-9)
     div = sys.divergence.B @ v - (sys.C @ p if sys.C is not None else 0.0)
     assert np.abs(div).max() <= 1e-9
-    assert abs(sys.mean_weights @ p) <= 1e-12 * np.abs(p).max()
+    assert p[PIN] == 0.0
     mom = sys.G @ v + sys.divergence.B.T @ p - sys.rhs_v
     assert np.abs(mom).max() <= 1e-9 * (1.0 + np.abs(sys.rhs_v).max())
 
 
 def test_saddle_direct_vs_schur():
     sys = synthetic_saddle()
-    v1, p1 = solve_saddle(sys, tol=1e-10, method="direct")
-    v2, p2 = solve_saddle(sys, tol=1e-10, method="schur")
+    v1, p1 = solve_saddle(sys, tol=1e-10)
+    v2, p2 = schur_solve(sys, tol=1e-10)
+    assert np.abs(v1 - v2).max() < 1e-8
+    assert np.abs(p1 - p2).max() < 1e-8
+
+
+@pytest.mark.parametrize("with_c", [False, True])
+def test_saddle_pinned_direct_matches_schur(with_c):
+    sys = synthetic_saddle(with_c=with_c, seed=5)
+    v1, p1 = solve_saddle(sys, tol=1e-10)
+    v2, p2 = schur_solve(sys, tol=1e-10)
     assert np.abs(v1 - v2).max() < 1e-8
     assert np.abs(p1 - p2).max() < 1e-8
 
 
 def test_saddle_monolithic_pins_one_pressure_dof():
     sys = synthetic_saddle(with_c=True)
-    sys.rhs_p = np.linspace(-1.0, 1.0, sys.n_p)
     K, rhs = sys.monolithic()
     K = K.toarray()
     n_v, n_p = sys.n_v, sys.n_p
@@ -181,28 +190,18 @@ def test_saddle_monolithic_pins_one_pressure_dof():
     unit[n_v] = 1.0
     np.testing.assert_array_equal(K[n_v], unit)
     np.testing.assert_array_equal(K[:, n_v], unit)
-    assert rhs[n_v] == 0.0
-    np.testing.assert_array_equal(rhs[n_v + 1:], sys.rhs_p[1:])
+    np.testing.assert_array_equal(rhs[n_v:], 0.0)
     np.testing.assert_array_equal(K[n_v + 1:, :n_v], sys.divergence.B.toarray()[1:])
     np.testing.assert_array_equal(K[n_v + 1:, n_v + 1:], -sys.C.toarray()[1:, 1:])
 
 
-@pytest.mark.parametrize("with_c", [False, True])
-def test_saddle_pinned_direct_matches_schur_with_rhs_p(with_c):
-    sys = synthetic_saddle(with_c=with_c, seed=5)
-    g = np.random.default_rng(2).standard_normal(sys.n_p)
-    sys.rhs_p = g - g.mean()  # compatible: orthogonal to the constants
-    v1, p1 = solve_saddle(sys, tol=1e-10, method="direct")
-    v2, p2 = solve_saddle(sys, tol=1e-10, method="schur")
-    assert np.abs(v1 - v2).max() < 1e-8
-    assert np.abs(p1 - p2).max() < 1e-8
-
-
-def test_saddle_incompatible_rhs_p_fails_the_divergence_check():
-    # the pinned row is dropped from the solve, so only the check over every
-    # pressure row can see a divergence datum with a nonzero total
+def test_saddle_divergence_with_constants_outside_its_left_kernel_fails_the_check():
+    # B^T 1 != 0 breaks the identity that makes the pinned row hold, so
+    # only the check over every pressure row can see the violation
     sys = synthetic_saddle()
-    sys.rhs_p = np.ones(sys.n_p)
+    B = sys.divergence.B.toarray()
+    B[1, 5] += 1.0
+    sys.divergence = PinnedDivergence(sp.csr_array(B))
     with pytest.raises(SolverError, match="divergence residual"):
         solve_saddle(sys, tol=1e-9)
 

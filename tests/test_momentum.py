@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from phaseflow.fem import ScalarSpace, VelocitySpace, interpolate_nodal, lumped_p1_weights
-from phaseflow.linalg import FactorizationCache, PinnedDivergence, SaddleSystem, solve_saddle
+from phaseflow.fem import ScalarSpace, VelocitySpace, interpolate_nodal
+from phaseflow.linalg import PIN, FactorizationCache, PinnedDivergence, SaddleSystem, solve_saddle
 from phaseflow.mesh import build_structured_mesh
 from phaseflow.momentum import (
     ForceSpec,
@@ -23,7 +23,7 @@ from phaseflow.momentum import (
     viscosity_from_phase,
 )
 
-from oracles import duffy_rule
+from oracles import duffy_rule, schur_solve
 
 
 PAPER_DENSITIES = dict(rho1=0.001, rho2=0.019)
@@ -48,7 +48,7 @@ def test_density_endpoints():
     assert density_from_phase(np.array([-1.0]), p)[0] == pytest.approx(0.001)
     assert density_from_phase(np.array([1.0]), p)[0] == pytest.approx(0.019)
     assert density_from_phase(np.array([0.0]), p)[0] == pytest.approx(0.010)
-    assert p.atwood == pytest.approx(0.9)
+    assert p.density_slope == pytest.approx(0.009)
 
 
 def test_viscosity_affine():
@@ -412,11 +412,10 @@ def test_stokes_divergence_and_crosscheck():
     p = PhysParams(force=ForceSpec(kind="weighted", k0=(-5.0, -10.0)))
     f = assemble_rhs_K(vs, ss, np.zeros(ss.n_dofs), phi, p, 0.0)
     f = np.where(mask, 0.0, f)
-    sys = SaddleSystem(G=G, divergence=PinnedDivergence(Bc), C=None,
-                       mean_weights=lumped_p1_weights(mesh), rhs_v=f)
-    v1, p1 = solve_saddle(sys, tol=1e-9, method="direct")
+    sys = SaddleSystem(G=G, divergence=PinnedDivergence(Bc), C=None, rhs_v=f)
+    v1, p1 = solve_saddle(sys, tol=1e-9)
     assert np.abs(Bc @ v1).max() <= 1e-9
-    v2, p2 = solve_saddle(sys, tol=1e-9, method="schur")
+    v2, p2 = schur_solve(sys, tol=1e-9)
     assert np.abs(v1 - v2).max() < 1e-8
     assert np.abs(p1 - p2).max() < 1e-8
 
@@ -477,8 +476,9 @@ def test_apply_velocity_dirichlet_matches_dense():
 
 
 def captured_systems(monkeypatch, level, elements, bc):
-    """The saddle systems of two real momentum solves on the unit square:
-    a layered phase under weighted gravity with a swirling old velocity."""
+    """The saddle systems of two real momentum solves on the unit square (a
+    layered phase under weighted gravity with a swirling old velocity),
+    the (v, p) each momentum solve returned, and the pressure space."""
     import phaseflow.momentum as momentum
 
     seen = []
@@ -502,9 +502,9 @@ def captured_systems(monkeypatch, level, elements, bc):
                                    -np.sin(2 * np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]) ** 2]),
         vs)
     v_old = np.where(vs.dirichlet_mask, 0.0, swirl)
-    for tau in (1e-3, 1e-2):
-        momentum_solve(vs, ss, params, phi_old, phi_new, mu, v_old, tau=tau, t=0.0)
-    return seen
+    solved = [momentum_solve(vs, ss, params, phi_old, phi_new, mu, v_old, tau=tau, t=0.0)
+              for tau in (1e-3, 1e-2)]
+    return seen, solved, ss
 
 
 PAIRS = [("th", "noslip"), ("th", "freeslip"), ("p1p1", "noslip")]
@@ -512,14 +512,18 @@ PAIRS = [("th", "noslip"), ("th", "freeslip"), ("p1p1", "noslip")]
 
 @pytest.mark.parametrize("elements,bc", PAIRS)
 def test_pinned_direct_solve_matches_schur_level6(monkeypatch, elements, bc):
-    for system in captured_systems(monkeypatch, 6, elements, bc):
-        v1, p1 = solve_saddle(system, tol=1e-9, method="direct")
-        v2, p2 = solve_saddle(system, tol=1e-9, method="schur")
+    systems, solved, ss = captured_systems(monkeypatch, 6, elements, bc)
+    for system, (v, p) in zip(systems, solved):
+        v1, p1 = solve_saddle(system, tol=1e-9)
+        v2, p2 = schur_solve(system, tol=1e-9)
+        assert p1[PIN] == 0.0 and p2[PIN] == 0.0
         assert np.abs(v1 - v2).max() <= 1e-9 * np.abs(v1).max()
         assert np.abs(p1 - p2).max() <= 1e-9 * np.abs(p1).max()
-        w = system.mean_weights
-        assert abs(w @ p1) <= 1e-12 * (w @ np.abs(p1))
-        assert abs(w @ p2) <= 1e-12 * (w @ np.abs(p2))
+        # the momentum solve returns that solution with zero lumped pressure mean
+        w = ss.lumped
+        assert np.array_equal(v, v1)
+        assert np.ptp(p - p1) <= 1e-12 * np.abs(p1).max()
+        assert abs(w @ p) <= 1e-12 * (w @ np.abs(p))
 
 
 @pytest.mark.parametrize("bc", ["noslip", "freeslip"])
@@ -537,7 +541,7 @@ def test_divergence_annihilates_constant_pressures(bc):
 def test_monolithic_matrix_has_no_dense_row(monkeypatch, elements, bc):
     counts = {}
     for level in (4, 6):
-        K, _ = captured_systems(monkeypatch, level, elements, bc)[0].monolithic()
+        K, _ = captured_systems(monkeypatch, level, elements, bc)[0][0].monolithic()
         K = K.tocsr()
         counts[level] = (int(np.diff(K.indptr).max()), int(np.diff(K.tocsc().indptr).max()))
     assert counts[4] == counts[6]

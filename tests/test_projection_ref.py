@@ -5,7 +5,8 @@ from phaseflow.coupling import Discretization, SplitTolerances, initial_state, s
 from phaseflow.energy import step_inequality_check, total_energy
 from phaseflow.mesh import build_structured_mesh
 from phaseflow.momentum import PhysParams
-from phaseflow.projection_ref import l2_project, projection_reference_step
+
+from projection_oracle import l2_project, projection_reference_step
 
 
 def ellipse_phi0(p):
