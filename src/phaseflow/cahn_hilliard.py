@@ -269,7 +269,7 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
         it += 1
         dpot = sp.csr_array(sp.diags_array((sig / dlt) * c * dw.f_plus_second(phi)))
         J = sp.bmat([[a_phi, kmu], [-(sig * dlt) * K - dpot, M]], format="csr")
-        delta = cache.solve(J, -np.concatenate([r1, r2]), tol=LIN_TOL)
+        delta = cache.solve(J, -np.concatenate([r1, r2]), tol=LIN_TOL, order=None)
         dphi, dmu = delta[:n], delta[n:]
         step = 1.0
         for _ in range(10):

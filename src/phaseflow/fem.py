@@ -19,6 +19,10 @@ diagonal and is what lets the kinetic-energy telescoping of the stable time
 discretization hold to machine precision.  ``flux_moments`` holds the
 per-element integrals of shape_i * d_d shape_j, from which a convection
 operator with an elementwise-constant direction is one contraction.
+``saddle_order`` is the fill-reducing order in which the momentum saddle
+matrix is factorized: a nested dissection of the velocity nodes
+(``nested_dissection``, after George, SIAM J. Numer. Anal. 10, 1973), each
+node expanded to its two velocity dofs and, at a vertex, its pressure dof.
 """
 
 from __future__ import annotations
@@ -221,6 +225,19 @@ class VelocitySpace:
         vals, grads, w = self.shape_table
         return np.einsum("mq,qi,mqjd->mdij", w, vals, grads)
 
+    @cached_property
+    def saddle_order(self) -> np.ndarray:
+        """A fill-reducing permutation of the saddle dofs [velocity; P1
+        pressure], 2 n_nodes + n_vertices of them: the nested-dissection
+        order of the nodes, each expanded to its dofs v_x, v_y and, when the
+        node is a vertex, p, so that the dofs of one node are contiguous."""
+        nodes = nested_dissection(self.nodes, self.tri_nodes)
+        n = self.n_nodes
+        dofs = np.column_stack([nodes, n + nodes, 2 * n + nodes])
+        keep = np.ones(dofs.shape, dtype=bool)
+        keep[:, 2] = nodes < self.mesh.n_vertices
+        return dofs[keep]
+
     # -- evaluation ------------------------------------------------------
 
     @cached_property
@@ -282,6 +299,53 @@ class VelocitySpace:
         out[:, 0, :] = gx
         out[:, 1, :] = gy
         return out
+
+
+# nested dissection stops splitting a part with at most this many free nodes
+DISSECTION_LEAF = 8
+
+
+def nested_dissection(points: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """A nested-dissection order of the nodes ``points`` (n, 2) of a mesh
+    whose element ``e`` couples the nodes ``elements[e]``.
+
+    Recursive geometric bisection: a part's elements are split at the median
+    of their largest node coordinate along the part's longer extent, so the
+    cut follows a row of nodes; the nodes that elements of both halves touch
+    form the separator, which is ordered after both halves.  A part with at
+    most ``DISSECTION_LEAF`` nodes not yet ordered, or whose elements all
+    share one key, keeps its nodes in index order.  Deterministic: the
+    result depends on the geometry and the numbering alone."""
+    placed = np.zeros(len(points), dtype=bool)
+    touched = np.zeros((2, len(points)), dtype=bool)
+    out = []
+
+    def dissect(part: np.ndarray) -> None:
+        elems = elements[part]
+        nodes = np.unique(elems)
+        nodes = nodes[~placed[nodes]]
+        if len(nodes) > DISSECTION_LEAF:
+            axis = int(np.argmax(np.ptp(points[nodes], axis=0)))
+            key = points[elems, axis].max(axis=1)
+            median = np.median(key)
+            left = key <= median
+            if left.all():
+                left = key < median
+            if left.any():
+                touched[0, elems[left]] = True
+                touched[1, elems[~left]] = True
+                separator = nodes[touched[0, nodes] & touched[1, nodes]]
+                touched[:, elems] = False
+                placed[separator] = True
+                dissect(part[left])
+                dissect(part[~left])
+                out.append(separator)
+                return
+        placed[nodes] = True
+        out.append(nodes)
+
+    dissect(np.arange(len(elements)))
+    return np.concatenate(out)
 
 
 def p1_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:

@@ -7,13 +7,21 @@ made nonsingular by pinning one pressure dof to zero; ``solve_saddle``
 returns that pinned pressure, and the caller fixes the free constant (the
 momentum solve re-centers to zero weighted mean with the pressure space's
 lumped weights).  The pin keeps the matrix as sparse as its blocks, where a
-constraint row for the mean would couple every pressure dof and wreck the
-fill-reducing ordering.  Only the well-conditioned P1 mass matrix goes
-through Jacobi-preconditioned BiCGstab (``solve_linear``).
+constraint row for the mean would couple every pressure dof.
+
+The saddle matrix is factorized in the fill-reducing order its
+``PinnedDivergence`` carries, one per mesh (the velocity space's nested
+dissection), with SuperLU told to keep it: no column reordering, and a
+diagonal pivot kept unless it is ten times smaller than the largest entry
+of its column.  Full partial pivoting would swap rows away from the order.
+Every other matrix, the phase-field Newton systems included, is factorized
+in SuperLU's own column order.  Only the well-conditioned P1 mass matrix
+goes through Jacobi-preconditioned BiCGstab (``solve_linear``).
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +29,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import IterativeFailure, SolverError
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # not glibc: the heap keeps its free pages
+    _malloc_trim = None
+else:  # glibc's int malloc_trim(size_t pad) hands the heap's free pages back
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
 
 
 def direct_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
@@ -33,7 +48,7 @@ def direct_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise ValueError("direct_solve needs a square system")
-    return FactorizationCache().solve(A, b, tol=1e-13)
+    return FactorizationCache().solve(A, b, tol=1e-13, order=None)
 
 
 def _check_direct(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> None:
@@ -117,6 +132,32 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10, maxit: int = 100
     raise IterativeFailure(f"BiCGstab did not converge in {maxit} iterations")
 
 
+class PermutedLU:
+    """The LU factors of A[order][:, order], applied as the inverse of A."""
+
+    # a plain module-level class in no reference cycle: a replaced
+    # factorization is freed when the cache drops it, not at the next
+    # cyclic garbage collection
+    __slots__ = ("lu", "order", "__weakref__")
+
+    def __init__(self, lu: spla.SuperLU, order: np.ndarray):
+        self.lu = lu
+        self.order = order
+
+    @property
+    def nnz(self) -> int:
+        return self.lu.nnz
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.lu.shape
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
+
+
 class FactorizationCache:
     """The LU-backed solve: one LU factorization preconditions BiCGstab
     solves with nearby matrices (successive inner iterations and time steps).
@@ -125,26 +166,50 @@ class FactorizationCache:
     defect-correction pass, and the result must be finite with
     ||Ax - b||_inf <= 1e-10 (||A||_inf ||x||_inf + ||b||_inf), else
     SolverError.  A factorization that needed more than ``REFRESH_AFTER``
-    iterations is dropped, so the next call refactorizes."""
+    iterations is dropped, so the next call refactorizes.
+
+    SuperLU sizes its factor storage from a fill estimate and writes only
+    the part the fill needs.  The C heap keeps a replaced factorization's
+    storage resident, and where the next one lands in it would decide the
+    process's peak memory, so ``refresh`` returns the free heap pages to the
+    system before it factorizes.
+
+    A factorization belongs to the ``order`` it was computed in: a solve
+    with another order object, such as the order of another mesh with the
+    same dof count, refactorizes.  ``order`` None means SuperLU's own
+    ordering."""
 
     REFRESH_AFTER = 5
 
     def __init__(self, maxit: int = 40):
         self.lu = None
+        self.order = None
         self.maxit = maxit
 
-    def refresh(self, A: sp.spmatrix):
-        """Factorize A; a singular or NaN matrix raises SolverError and
-        leaves the cache empty."""
-        self.lu = None
+    def refresh(self, A: sp.spmatrix, order: np.ndarray | None):
+        """Factorize A, in SuperLU's own column order with partial pivoting
+        when ``order`` is None, else as A[order][:, order] in exactly that
+        order with threshold pivoting; a singular or NaN matrix raises
+        SolverError and leaves the cache empty."""
+        self.lu = None  # free the old factors before the new ones are built
+        if _malloc_trim is not None:
+            _malloc_trim(0)
+        self.order = order
         try:
-            self.lu = spla.splu(sp.csc_matrix(A))
+            if order is None:
+                self.lu = spla.splu(sp.csc_matrix(A))
+            else:
+                lu = spla.splu(sp.csc_matrix(sp.csr_array(A)[order][:, order]),
+                               permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                               options=dict(SymmetricMode=True))
+                self.lu = PermutedLU(lu, order)
         except RuntimeError as exc:  # SuperLU reports singularity here
             raise SolverError(f"sparse factorization failed: {exc}") from exc
         return self.lu
 
-    def solve(self, A: sp.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
-        if self.lu is not None and self.lu.shape[0] == A.shape[0]:
+    def solve(self, A: sp.spmatrix, b: np.ndarray, tol: float,
+              order: np.ndarray | None) -> np.ndarray:
+        if self.lu is not None and self.order is order and self.lu.shape == A.shape:
             try:
                 x, its = bicgstab(A, b, tol=tol, maxit=self.maxit, M=self.lu.solve)
             except IterativeFailure:
@@ -155,7 +220,7 @@ class FactorizationCache:
                 # the recursive residual can drift from the true one; NaN fails too
                 if np.linalg.norm(A @ x - b) <= 10.0 * tol * np.linalg.norm(b):
                     return x
-        lu = self.refresh(A)
+        lu = self.refresh(A, order)
         x = lu.solve(b)
         # one defect-correction pass guards against a marginal pivot
         r = b - A @ x
@@ -184,12 +249,15 @@ PIN = 0
 class PinnedDivergence:
     """The divergence B of a saddle system together with the off-diagonal
     blocks of its monolithic matrix: B with the row of pressure dof ``PIN``
-    zeroed, and its transpose.  They depend on the mesh only, so a caller
-    that solves many systems with the same B builds them once and hands
-    them to each ``SaddleSystem``."""
+    zeroed, and its transpose; and ``order``, the permutation of the
+    monolithic dofs [velocity; pressure] its matrices are factorized in
+    (None: SuperLU's own).  They depend on the mesh only, so a caller that
+    solves many systems with the same B builds them once and hands them to
+    each ``SaddleSystem``."""
 
-    def __init__(self, B: sp.spmatrix):
+    def __init__(self, B: sp.spmatrix, order: np.ndarray | None):
         self.B = B
+        self.order = order
         # CSR throughout lets sp.bmat stack the blocks without sorting
         coo = sp.coo_array(B)
         keep = coo.row != PIN
@@ -255,14 +323,16 @@ def solve_saddle(system: SaddleSystem, tol: float,
     """Solve the saddle-point problem; returns (velocity, pressure) with the
     pressure dof ``PIN`` at 0.
 
-    The monolithic matrix goes through ``FactorizationCache.solve`` (a given
-    cache carries its factorization over to the next, nearby matrix).  A
-    failed solve, or a divergence residual above ``tol`` on any pressure
-    row, the pinned one included, raises SolverError.
+    The monolithic matrix goes through ``FactorizationCache.solve`` in the
+    divergence's order (a given cache carries its factorization over to the
+    next, nearby matrix in the same order).  A failed solve, or a divergence
+    residual above ``tol`` on any pressure row, the pinned one included,
+    raises SolverError.
     """
     n_v = system.n_v
     K, rhs = system.monolithic()
-    sol = (cache or FactorizationCache()).solve(K, rhs, tol=1e-13)
+    sol = (cache or FactorizationCache()).solve(K, rhs, tol=1e-13,
+                                                order=system.divergence.order)
     v, p = sol[:n_v], sol[n_v:]
     div_res = np.abs(system.divergence.B @ v - (system.C @ p if system.C is not None else 0.0)).max()
     if not div_res <= tol:

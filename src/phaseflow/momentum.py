@@ -284,11 +284,12 @@ def apply_velocity_dirichlet(A: sp.csr_array, mask: np.ndarray) -> sp.csr_array:
 
 def dirichlet_divergence(vspace: VelocitySpace, B: sp.csr_array) -> PinnedDivergence:
     """The divergence block with the columns of constrained velocity dofs
-    zeroed, with its pinned saddle blocks; depends on the mesh only."""
+    zeroed, with its pinned saddle blocks and the velocity space's
+    ``saddle_order``; depends on the mesh only."""
     B = sp.csr_array(B, copy=True)
     B.data *= ~vspace.dirichlet_mask[B.indices]
     B.eliminate_zeros()
-    return PinnedDivergence(B)
+    return PinnedDivergence(B, vspace.saddle_order)
 
 
 class MomentumStep:

@@ -20,7 +20,7 @@ from phaseflow.cahn_hilliard import DoubleWell, ch_diffusive_solve, fe_convectio
 from phaseflow.coupling import Discretization, SplitTolerances, State
 from phaseflow.errors import StepRejected
 from phaseflow.fem import QUAD_DEG4, ScalarSpace
-from phaseflow.linalg import SaddleSystem, solve_saddle
+from phaseflow.linalg import PinnedDivergence, SaddleSystem, solve_saddle
 from phaseflow.momentum import (
     MomentumStep,
     PhysParams,
@@ -34,8 +34,8 @@ from phaseflow.momentum import (
 
 
 class ProjectionWorkspace:
-    """Factorized P1 mass matrix and the projections of the velocity-node hat
-    functions, precomputed once per mesh.
+    """Factorized P1 mass matrix, the projections of the velocity-node hat
+    functions and the saddle divergence, precomputed once per mesh.
 
     For a nodal velocity basis, interpolating <v, w_i> on the velocity node
     mesh gives V_i times the hat function of node(i) there, so the projection
@@ -63,6 +63,12 @@ class ProjectionWorkspace:
             cross = disc.sspace.mass.toarray()
         # projected hats, one column per velocity node
         self.projected_hats = self.mass_lu.solve(cross)
+        # the projection terms fill the velocity block densely, so the mesh's
+        # sparse factorization order has nothing to save; the oracle keeps
+        # SuperLU's own order with partial pivoting, the rounding its fixed
+        # point converges under (in the nested order the increments of the
+        # fifth A3 step stall near 2e-10, above eps_v = 1e-10)
+        self.divergence = PinnedDivergence(disc.divergence.B, None)
 
     def l2_project(self, rhs_moments: np.ndarray) -> np.ndarray:
         """P1 field x with mass_matrix @ x = rhs_moments, i.e. the orthogonal
@@ -150,7 +156,7 @@ def projection_momentum_solve(ws: ProjectionWorkspace, step: MomentumStep,
     mask = vs.dirichlet_mask
     G = apply_velocity_dirichlet(G, mask)
     rhs = np.where(mask, 0.0, rhs)
-    system = SaddleSystem(G=G, divergence=step.divergence, C=None, rhs_v=rhs)
+    system = SaddleSystem(G=G, divergence=ws.divergence, C=None, rhs_v=rhs)
     v, p = solve_saddle(system, tol=1e-10)
     w = disc.sspace.lumped
     return v, p - (w @ p) / w.sum()

@@ -15,6 +15,7 @@ from phaseflow.fem import (
     interpolate_nodal,
     l2_distance,
     lumped_p1_weights,
+    nested_dissection,
     p1_at_p2_nodes,
     p2_shape_values,
 )
@@ -254,10 +255,6 @@ def test_gradient_magnitudes_p2_quadratic():
     g = np.sqrt((grads[:, 0, :] ** 2).sum(axis=1))
     bary = m.vertices[m.triangles].mean(axis=1)
     np.testing.assert_allclose(g, 2.0 * np.abs(bary[:, 0]), atol=1e-12)
-    half = bary[:, 0] == pytest.approx(0.5)  # noqa: F841  (barycenters vary)
-    picked = np.nonzero(np.abs(bary[:, 0] - 0.5) < 1e-12)[0]
-    if len(picked):
-        np.testing.assert_allclose(g[picked], 1.0, atol=1e-12)
 
 
 # --------------------------------------------------------------- dirichlet
@@ -280,6 +277,49 @@ def test_freeslip_pins_normal_components_only():
         on_y = y in (0.0, 1.0)
         assert mask[n] == on_x
         assert mask[vs.n_nodes + n] == on_y
+
+
+# --------------------------------------------------------------- saddle order
+
+@pytest.mark.parametrize("refined", [False, True], ids=["structured", "adapted"])
+@pytest.mark.parametrize("bc", ["noslip", "freeslip"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_saddle_order_permutes_the_saddle_dofs_node_by_node(degree, bc, refined):
+    m = locally_refined_mesh() if refined else build_structured_mesh((0, 1, 0, 2), 4)
+    vs = VelocitySpace(m, degree=degree, bc=bc)
+    order = vs.saddle_order
+    n, nv = vs.n_nodes, m.n_vertices
+    np.testing.assert_array_equal(np.sort(order), np.arange(2 * n + nv))
+    # one contiguous run per node: v_x = i, v_y = n + i, then p = 2 n + i at a vertex
+    node = np.where(order < 2 * n, order % n, order - 2 * n)
+    runs = np.split(order, np.flatnonzero(np.diff(node)) + 1)
+    assert len(runs) == n
+    for run in runs:
+        i = run[0]
+        expected = [i, n + i, 2 * n + i] if i < nv else [i, n + i]
+        np.testing.assert_array_equal(run, expected)
+
+
+def test_saddle_order_is_cached_and_deterministic():
+    m = locally_refined_mesh()
+    vs = VelocitySpace(m, degree=2)
+    assert vs.saddle_order is vs.saddle_order
+    np.testing.assert_array_equal(vs.saddle_order, VelocitySpace(m, degree=2).saddle_order)
+
+
+def test_nested_dissection_orders_a_separator_after_both_halves():
+    # a 4 x 4 grid of squares: the first cut is the middle node column
+    # x = 0.5, ordered last, after the nodes left of it and then those right
+    m = build_structured_mesh((0, 1, 0, 1), 4)
+    order = nested_dissection(m.vertices, m.triangles)
+    np.testing.assert_array_equal(np.sort(order), np.arange(m.n_vertices))
+    last = order[-5:]
+    np.testing.assert_allclose(m.vertices[last, 0], 0.5)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    left = m.vertices[:, 0] < 0.5
+    right = m.vertices[:, 0] > 0.5
+    assert rank[left].max() < rank[right].min()
 
 
 def test_p1_at_p2_nodes_exact():

@@ -412,7 +412,7 @@ def test_stokes_divergence_and_crosscheck():
     p = PhysParams(force=ForceSpec(kind="weighted", k0=(-5.0, -10.0)))
     f = assemble_rhs_K(vs, ss, np.zeros(ss.n_dofs), phi, p, 0.0)
     f = np.where(mask, 0.0, f)
-    sys = SaddleSystem(G=G, divergence=PinnedDivergence(Bc), C=None, rhs_v=f)
+    sys = SaddleSystem(G=G, divergence=PinnedDivergence(Bc, vs.saddle_order), C=None, rhs_v=f)
     v1, p1 = solve_saddle(sys, tol=1e-9)
     assert np.abs(Bc @ v1).max() <= 1e-9
     v2, p2 = schur_solve(sys, tol=1e-9)
