@@ -26,6 +26,7 @@ from .coupling import (
 )
 from .errors import AuditFailure, RunAborted, SolverError
 from .fem import l2_distance, p1_at_p2_nodes
+from .mesh import midpoint_refine
 from .momentum import ForceSpec, PhysParams
 
 
@@ -393,25 +394,22 @@ def write_vtk(state: State, path: str, quadratic: bool = False) -> None:
     """Legacy-VTK ASCII snapshot: triangles, nodal phi/mu/p, velocity vectors.
 
     By default the quadratic velocity is sampled at the primal vertices; with
-    ``quadratic`` the midpoint-refined mesh is written instead so every
-    velocity node appears (P1 fields are prolonged exactly)."""
+    ``quadratic`` a midpoint refinement of the mesh is built and written
+    instead so every velocity node appears (P1 fields are prolonged exactly)."""
     disc = state.disc
     mesh = disc.mesh
+    n = disc.vspace.n_nodes
     if quadratic and disc.vspace.degree == 2:
-        out_mesh = disc.vspace.half_mesh
+        out_mesh = midpoint_refine(mesh)
         points = out_mesh.vertices
         tris = out_mesh.triangles
-        phi = p1_at_p2_nodes(mesh, state.phi)
-        mu = p1_at_p2_nodes(mesh, state.mu)
-        p = p1_at_p2_nodes(mesh, state.p)
-        n = disc.vspace.n_nodes
+        phi, mu, p = (p1_at_p2_nodes(mesh, f) for f in (state.phi, state.mu, state.p))
         vel = np.column_stack([state.v[:n], state.v[n:]])
     else:
         points = mesh.vertices
         tris = mesh.triangles
         phi, mu, p = state.phi, state.mu, state.p
         nv = mesh.n_vertices
-        n = disc.vspace.n_nodes
         vel = np.column_stack([state.v[:n][:nv], state.v[n:][:nv]])
 
     lines = [

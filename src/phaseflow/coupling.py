@@ -88,22 +88,27 @@ class AdaptivityConfig:
 
 
 class Discretization:
-    """Per-mesh bundle of spaces, the dual grid, and cached matrices.  The
-    P1 mass, stiffness and lumped weights belong to ``sspace``; ``lumped``
-    is the same array as ``sspace.lumped``."""
+    """Per-mesh bundle of the two spaces and ``lumped`` (``sspace.lumped``).
+    Every per-mesh operator, the dual grid and divergence blocks here and
+    the spaces' own matrices, is built on first use."""
 
     def __init__(self, mesh: Mesh, params: PhysParams):
         self.mesh = mesh
         self.sspace = ScalarSpace(mesh)
         self.vspace = VelocitySpace(mesh, degree=params.velocity_degree, bc=params.bc)
-        self.dual = build_dual_grid(mesh)
         self.lumped = self.sspace.lumped
-        self.B = assemble_divergence(self.vspace, self.sspace)
+
+    @cached_property
+    def dual(self):
+        return build_dual_grid(self.mesh)
+
+    @cached_property
+    def B(self):
+        return assemble_divergence(self.vspace, self.sspace)
 
     @cached_property
     def divergence(self):
-        """The saddle solve's divergence blocks, built at the first step on
-        this mesh rather than with the set-up."""
+        """The saddle solve's divergence blocks."""
         return dirichlet_divergence(self.vspace, self.B)
 
     @property

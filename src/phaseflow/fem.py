@@ -8,14 +8,17 @@ once per space, on first use, so the Cahn-Hilliard solve and the energy
 audit read the same matrices.  Every sparse finite element matrix is built
 by ``assemble``, the one scatter of element matrices into CSR.
 
-A ``VelocitySpace`` owns the fixed per-mesh data of the momentum operators.
+A ``VelocitySpace`` owns the fixed per-mesh data of the momentum operators;
+P1 and P2 differ only in their node table and ``REFERENCE_ELEMENTS`` entry.
 ``lumping`` maps a P1 weight on the primal mesh to the diagonal of the
-weighted lumped velocity mass: it is the P1 mass matrix of the velocity
-space's own nodal mesh (the midpoint refinement for P2, whose vertices are
-exactly the P2 nodes, and the primal mesh for P1) times the exact
-restriction of P1 fields to the velocity nodes, so ``lumping @ rho`` holds
-the integrals of rho * hat_i on that mesh.  Lumping makes the velocity mass
-diagonal and is what lets the kinetic-energy telescoping of the stable time
+weighted lumped velocity mass: entry (i, j) integrates the hat of velocity
+node i on the node mesh (the primal mesh, or for P2 its midpoint refinement)
+times the primal hat of vertex j.  Per element K that is |K| times a fixed
+matrix: the P1 mass (1 + delta) / 12, or for P2, both factors being linear
+on the four children of K, 1/16 on lambda_i and 1/96 on the others in the
+row of vertex i, 1/24 on lambda_k and 5/48 on the others in the row of the
+midpoint opposite vertex k.  Lumping makes the velocity mass diagonal and
+is what lets the kinetic-energy telescoping of the stable time
 discretization hold to machine precision.  ``flux_moments`` holds the
 per-element integrals of shape_i * d_d shape_j, from which a convection
 operator with an elementwise-constant direction is one contraction.
@@ -31,12 +34,13 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError
-from .mesh import Mesh, barycentric_coordinates, locate_points, midpoint_refine
+from .mesh import Mesh, barycentric_coordinates, locate_points
 
 
 def assembly_threads() -> int:
@@ -117,6 +121,27 @@ def p2_shape_barygrad(lam: np.ndarray) -> np.ndarray:
     return g
 
 
+# lumping element matrices (see the module docstring)
+P1_MASS = (1.0 + np.eye(3)) / 12.0
+P2_LUMPING = np.vstack([(1.0 + 5.0 * np.eye(3)) / 96.0, (5.0 - 3.0 * np.eye(3)) / 48.0])
+
+
+class ReferenceElement(NamedTuple):
+    """Velocity shapes of one degree: values (q, nloc) and barycentric gradients
+    (q, nloc, 3) at barycentric points (q, 3); the (nloc, 3) lumping matrix."""
+
+    values: Callable[[np.ndarray], np.ndarray]
+    barygrad: Callable[[np.ndarray], np.ndarray]
+    lumping: np.ndarray
+
+
+REFERENCE_ELEMENTS = {
+    # P1: the shapes are the barycentric coordinates, their gradient table I
+    1: ReferenceElement(np.copy, lambda lam: np.broadcast_to(np.eye(3), (len(lam), 3, 3)), P1_MASS),
+    2: ReferenceElement(p2_shape_values, p2_shape_barygrad, P2_LUMPING),
+}
+
+
 @dataclass(frozen=True)
 class ScalarSpace:
     """Continuous piecewise linears; one dof per mesh vertex."""
@@ -153,21 +178,20 @@ class VelocitySpace:
     """
 
     def __init__(self, mesh: Mesh, degree: int = 2, bc: str = "noslip"):
-        if degree not in (1, 2):
+        if degree not in REFERENCE_ELEMENTS:
             raise ValueError("velocity degree must be 1 or 2")
         if bc not in ("noslip", "freeslip"):
             raise ValueError(f"unknown boundary condition {bc!r}")
         self.mesh = mesh
         self.degree = degree
+        self.reference = REFERENCE_ELEMENTS[degree]
         self.bc = bc
         if degree == 2:
             self.nodes = np.concatenate([mesh.vertices, mesh.edge_midpoints()], axis=0)
             self.tri_nodes = np.column_stack([mesh.triangles, mesh.n_vertices + mesh.tri_edges])
-            self.half_mesh = midpoint_refine(mesh)
         else:
             self.nodes = mesh.vertices
             self.tri_nodes = mesh.triangles
-            self.half_mesh = None
         self.n_nodes = self.nodes.shape[0]
         self.n_dofs = 2 * self.n_nodes
         self._boundary_node_mask = self._compute_boundary_nodes()
@@ -205,18 +229,11 @@ class VelocitySpace:
     @cached_property
     def lumping(self) -> sp.csr_array:
         """(n_nodes, n_vertices) matrix taking a P1 weight on the primal mesh
-        to the weighted lumped mass per scalar velocity node: the nodal
-        mesh's P1 mass times the exact P1 restriction to the velocity nodes
-        (identity on vertices, 1/2 + 1/2 on edge midpoints)."""
-        if self.degree == 1:
-            return ScalarSpace(self.mesh).mass
-        nv = self.mesh.n_vertices
-        ne = self.mesh.n_edges
-        rows = np.concatenate([np.arange(nv), np.repeat(nv + np.arange(ne), 2)])
-        cols = np.concatenate([np.arange(nv), self.mesh.edges.ravel()])
-        vals = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
-        restriction = sp.csr_array((vals, (rows, cols)), shape=(self.n_nodes, nv))
-        return ScalarSpace(self.half_mesh).mass @ restriction
+        to the weighted lumped mass per scalar velocity node: |K| times the
+        reference lumping matrix per element (for P1, the P1 mass itself)."""
+        ke = self.areas[:, None, None] * self.reference.lumping[None, :, :]
+        return assemble(self.tri_nodes, self.mesh.triangles, ke,
+                        (self.n_nodes, self.mesh.n_vertices))
 
     @cached_property
     def flux_moments(self) -> np.ndarray:
@@ -246,16 +263,9 @@ class VelocitySpace:
         ``QUAD_DEG4``: values (q, nloc), grads (m, q, nloc, 2), scaled
         weights (m, q)."""
         lam = QUAD_DEG4.points
-        if self.degree == 2:
-            vals = p2_shape_values(lam)
-            bg = p2_shape_barygrad(lam)  # (q, 6, 3)
-            # physical grad: sum_k dN/dlam_k * grad(lam_k)
-            grads = np.einsum("qnk,mkd->mqnd", bg, self.grads_p1)
-        else:
-            vals = lam.copy()
-            grads = np.broadcast_to(
-                self.grads_p1[:, None, :, :], (self.mesh.n_triangles, lam.shape[0], 3, 2)
-            ).copy()
+        vals = self.reference.values(lam)
+        # physical grad: sum_k dN/dlam_k * grad(lam_k)
+        grads = np.einsum("qnk,mkd->mqnd", self.reference.barygrad(lam), self.grads_p1)
         w = (2.0 * self.areas)[:, None] * QUAD_DEG4.weights[None, :]
         return vals, grads, w
 
@@ -273,10 +283,7 @@ class VelocitySpace:
 
     def eval_at_bary(self, dofs: np.ndarray, tri_ids: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Velocity vectors at barycentric points lam (k, 3) in tri_ids (k,)."""
-        if self.degree == 2:
-            shape = p2_shape_values(lam)
-        else:
-            shape = lam
+        shape = self.reference.values(lam)
         nodes = self.tri_nodes[tri_ids]
         ux = (dofs[nodes] * shape).sum(axis=1)
         uy = (dofs[self.n_nodes + nodes] * shape).sum(axis=1)
@@ -285,20 +292,12 @@ class VelocitySpace:
     def component_gradients_at_barycenter(self, dofs: np.ndarray) -> np.ndarray:
         """(m, 2, 2) array: [element, component, d/dx d/dy], P2 evaluated at
         the barycenter, exact for P1."""
-        m = self.mesh.n_triangles
-        if self.degree == 2:
-            lam = np.full((1, 3), 1.0 / 3.0)
-            bg = p2_shape_barygrad(lam)[0]  # (6, 3)
-            gphys = np.einsum("nk,mkd->mnd", bg, self.grads_p1)  # (m, 6, 2)
-        else:
-            gphys = self.grads_p1
+        bg = self.reference.barygrad(np.full((1, 3), 1.0 / 3.0))[0]  # (nloc, 3)
+        gphys = np.einsum("nk,mkd->mnd", bg, self.grads_p1)  # (m, nloc, 2)
         nodes = self.tri_nodes
         gx = np.einsum("mn,mnd->md", dofs[nodes], gphys)
         gy = np.einsum("mn,mnd->md", dofs[self.n_nodes + nodes], gphys)
-        out = np.empty((m, 2, 2))
-        out[:, 0, :] = gx
-        out[:, 1, :] = gy
-        return out
+        return np.stack([gx, gy], axis=1)
 
 
 # nested dissection stops splitting a part with at most this many free nodes
@@ -430,10 +429,7 @@ def assemble_stiffness(space: ScalarSpace, coeff) -> sp.csr_array:
 def assemble_p1_mass(space: ScalarSpace) -> sp.csr_array:
     """Consistent P1 mass matrix (|K|/6 diagonal, |K|/12 off-diagonal)."""
     mesh = space.mesh
-    areas = mesh.areas()
-    local = np.full((3, 3), 1.0 / 12.0)
-    np.fill_diagonal(local, 1.0 / 6.0)
-    ke = areas[:, None, None] * local[None, :, :]
+    ke = mesh.areas()[:, None, None] * P1_MASS[None, :, :]
     return assemble(mesh.triangles, mesh.triangles, ke, (space.n_dofs, space.n_dofs))
 
 

@@ -21,6 +21,7 @@ from phaseflow.coupling import Discretization, SplitTolerances, State
 from phaseflow.errors import StepRejected
 from phaseflow.fem import QUAD_DEG4, ScalarSpace
 from phaseflow.linalg import PinnedDivergence, SaddleSystem, solve_saddle
+from phaseflow.mesh import midpoint_refine
 from phaseflow.momentum import (
     MomentumStep,
     PhysParams,
@@ -49,7 +50,7 @@ class ProjectionWorkspace:
         self.mass_lu = spla.splu(mass)
         vs = disc.vspace
         if vs.degree == 2:
-            half = vs.half_mesh
+            half = midpoint_refine(disc.mesh)
             m_half = ScalarSpace(half).mass.toarray()
             # prolongation: coarse hat values at the fine nodes
             n_c, n_f = disc.mesh.n_vertices, half.n_vertices

@@ -139,6 +139,16 @@ def test_splitting_quiescent_pure_phase_fixed_point():
     np.testing.assert_allclose(new.v, 0.0, atol=1e-12)
 
 
+def test_discretization_builds_dual_grid_and_divergence_on_first_use():
+    params = quiescent_params()
+    disc = Discretization(build_structured_mesh((-1, 1, -1, 1), 4), params)
+    assert "dual" not in vars(disc) and "B" not in vars(disc)
+    state = initial_state(disc, params, circle_phi0((0, 0), 0.5, 0.1))
+    splitting_step(state, 1e-4, params, SplitTolerances(), convection="fe")
+    assert "B" in vars(disc)
+    assert "dual" not in vars(disc)
+
+
 @pytest.mark.parametrize("convection", ["fv", "fe"])
 def test_splitting_agg_dss_agree_when_decoupled(convection):
     mesh = build_structured_mesh((-1, 1, -1, 1), 4)

@@ -19,7 +19,7 @@ from phaseflow.fem import (
     p1_at_p2_nodes,
     p2_shape_values,
 )
-from phaseflow.mesh import REFINE, Mesh, build_structured_mesh, refine_and_coarsen
+from phaseflow.mesh import REFINE, Mesh, build_structured_mesh, midpoint_refine, refine_and_coarsen
 
 from oracles import integrate_on_mesh, integrate_on_triangle, p1_interpolant
 
@@ -141,7 +141,7 @@ def test_lumping_matches_per_element_integrals(degree, refined):
     rng = np.random.default_rng(11)
     w = 0.5 + rng.uniform(0, 1, m.n_vertices)
     w_at = p1_interpolant(m, w)
-    node_mesh = vs.half_mesh if degree == 2 else m
+    node_mesh = midpoint_refine(m) if degree == 2 else m
     assert node_mesh.n_vertices == vs.n_nodes
     ref = np.zeros(vs.n_nodes)
     for tri in node_mesh.triangles:
@@ -155,6 +155,17 @@ def test_lumping_matches_per_element_integrals(degree, refined):
             ref[tri[k]] += integrate_on_triangle(f, corners, n=4)
     d = vs.lumping @ w
     np.testing.assert_allclose(d, ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("refined", [False, True])
+def test_p1_lumping_is_bitwise_the_p1_mass(refined):
+    # the P1/P1 path reads the same bytes whether it goes through the
+    # reference-element table or the scalar space
+    m = locally_refined_mesh() if refined else build_structured_mesh((0, 1, 0, 1), 4)
+    L = VelocitySpace(m, degree=1).lumping
+    M = ScalarSpace(m).mass
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(L, name), getattr(M, name))
 
 
 # ---------------------------------------------------------------- stiffness
