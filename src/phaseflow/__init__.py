@@ -48,7 +48,7 @@ from .fem import (
     interpolate_nodal,
     l2_distance,
 )
-from .linalg import SaddleSystem, bicgstab, direct_solve, solve_saddle
+from .linalg import bicgstab, direct_solve
 from .mesh import (
     COARSEN,
     KEEP,
@@ -73,6 +73,7 @@ from .momentum import (
     compute_flux_j,
     density_from_phase,
     solve_momentum,
+    solve_saddle,
 )
 
 __version__ = "0.1.0"

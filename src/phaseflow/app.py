@@ -114,10 +114,12 @@ def _parse_value(raw: str, pytype):
         if raw.lower() in ("false", "no", "off", "0"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if pytype is int:
-        return int(raw)
-    if pytype is float:
-        return float(raw)
+    if pytype in (int, float):
+        try:
+            return pytype(raw)
+        except ValueError:
+            kind = "an integer" if pytype is int else "a number"
+            raise ValueError(f"not {kind}: {raw!r}") from None
     return raw
 
 
@@ -527,7 +529,11 @@ def _config_from_cli(args: dict) -> Config:
         raise ValueError("need a config file or --scenario")
     for flag, attr in _FLAG_ATTRS.items():
         if flag in flags:
-            setattr(cfg, attr, _parse_value(flags[flag], type(_CONFIG_FIELDS[attr].default)))
+            try:
+                value = _parse_value(flags[flag], type(_CONFIG_FIELDS[attr].default))
+            except ValueError as exc:
+                raise ValueError(f"--{flag}: {exc}") from None
+            setattr(cfg, attr, value)
     if flags.get("vtk_quadratic"):
         cfg.output_vtk_quadratic = True
     if "force" in flags:
@@ -619,7 +625,7 @@ def cli_main(argv: list[str]) -> int:
 
     if "eoc" in args["flags"]:
         try:
-            levels = [int(s) for s in args["flags"]["eoc"].split(",") if s]
+            levels = [int(s) for s in args["flags"]["eoc"].split(",")]
         except ValueError:
             levels = []
         if not levels or any(level < 2 or level % 2 for level in levels):

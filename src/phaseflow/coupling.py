@@ -314,7 +314,6 @@ class RunConfig:
     newton_tol: float = 1e-12
     audit_tol: float = 1e-8
     audit_strict: bool = False
-    max_rejections: int = 5
     snapshot_every: int = 0
     snapshot_hook: object = None  # callable(state, step_index)
     max_steps: int = 10**9
@@ -325,35 +324,37 @@ class RunResult:
     state: State
     records: list[StepRecord]
     audit_failures: int
-    states: list[State] | None = None
 
 
 def _initial_adapted_state(cfg: RunConfig) -> State:
-    mesh = build_structured_mesh(cfg.domain, cfg.base_level)
-    disc = Discretization(mesh, cfg.params)
-    state = initial_state(disc, cfg.params, cfg.phi0)
-    if not cfg.adaptivity.enabled:
-        return state
-    # resolve the initial interface before stepping: re-sample the analytic
-    # datum after every adaptation pass
-    for _ in range(cfg.adaptivity.max_level - cfg.adaptivity.min_level + 2):
-        marks = mark_elements(state, cfg.adaptivity)
-        if not (marks == REFINE).any():
-            break
-        new_mesh, _ = refine_and_coarsen(state.disc.mesh, marks)
-        disc = Discretization(new_mesh, cfg.params)
-        state = initial_state(disc, cfg.params, cfg.phi0)
-    return state
+    disc = Discretization(build_structured_mesh(cfg.domain, cfg.base_level), cfg.params)
+    if cfg.adaptivity.enabled:
+        # resolve the initial interface before stepping: re-sample the
+        # analytic datum after every adaptation pass.  Marking reads only phi
+        # and v = 0, so mu is solved on the final mesh alone
+        for _ in range(cfg.adaptivity.max_level - cfg.adaptivity.min_level + 2):
+            phi = np.asarray(cfg.phi0(disc.mesh.vertices), dtype=float)
+            marking = State(t=0.0, phi=phi, mu=None, v=np.zeros(disc.vspace.n_dofs),
+                            p=None, disc=disc)
+            marks = mark_elements(marking, cfg.adaptivity)
+            if not (marks == REFINE).any():
+                break
+            disc = Discretization(refine_and_coarsen(disc.mesh, marks)[0], cfg.params)
+    return initial_state(disc, cfg.params, cfg.phi0)
 
 
-def run(cfg: RunConfig, keep_states: bool = False) -> RunResult:
+# tries of one step, each with half the increment of the last, before the
+# run aborts
+MAX_REJECTIONS = 5
+
+
+def run(cfg: RunConfig) -> RunResult:
     """Advance the coupled system to t_end.  Deterministic for a fixed config:
     iteration orders, marking, and solver paths carry no randomness.  A step
-    rejected ``max_rejections`` times raises RunAborted, a failed strict audit
+    rejected ``MAX_REJECTIONS`` times raises RunAborted, a failed strict audit
     AuditFailure; both carry the steps accepted before."""
     state = _initial_adapted_state(cfg)
     records: list[StepRecord] = []
-    states = [state] if keep_states else None
     interval = 0
     audit_failures = 0
     step_index = 0
@@ -367,7 +368,7 @@ def run(cfg: RunConfig, keep_states: bool = False) -> RunResult:
         tau = min(compute_timestep(state, cfg.timestep), cfg.t_end - state.t)
         new = None
         diags = None
-        for attempt in range(1, cfg.max_rejections + 1):
+        for attempt in range(1, MAX_REJECTIONS + 1):
             try:
                 new, diags = splitting_step(state, tau, cfg.params, cfg.tols,
                                             convection=cfg.convection,
@@ -377,10 +378,10 @@ def run(cfg: RunConfig, keep_states: bool = False) -> RunResult:
             except StepRejected as exc:
                 # raised in here: an exception kept past its handler would hold
                 # the failed attempt's arrays through its traceback
-                if attempt == cfg.max_rejections:
+                if attempt == MAX_REJECTIONS:
                     raise RunAborted(f"step at t={state.t:.6g} rejected {attempt} times; "
                                      f"last: {exc}",
-                                     RunResult(state, records, audit_failures, states)) from exc
+                                     RunResult(state, records, audit_failures)) from exc
                 tau *= 0.5
 
         report, breakdown = step_inequality_check(
@@ -393,7 +394,7 @@ def run(cfg: RunConfig, keep_states: bool = False) -> RunResult:
                 raise AuditFailure(
                     f"energy audit failed at t={new.t:.6g}: residual "
                     f"{report.residual:.3e} > {report.tolerance:.3e}",
-                    RunResult(state, records, audit_failures, states))
+                    RunResult(state, records, audit_failures))
 
         step_index += 1
         mass = float(state.disc.lumped @ new.phi)
@@ -418,13 +419,10 @@ def run(cfg: RunConfig, keep_states: bool = False) -> RunResult:
 
         records.append(rec)
         state = new
-        if keep_states:
-            states.append(state)
         if cfg.snapshot_hook is not None and cfg.snapshot_every > 0 \
                 and step_index % cfg.snapshot_every == 0:
             cfg.snapshot_hook(state, step_index)
 
     if cfg.snapshot_hook is not None:
         cfg.snapshot_hook(state, -1)
-    return RunResult(state=state, records=records, audit_failures=audit_failures,
-                     states=states)
+    return RunResult(state=state, records=records, audit_failures=audit_failures)

@@ -22,10 +22,10 @@ is what lets the kinetic-energy telescoping of the stable time
 discretization hold to machine precision.  ``flux_moments`` holds the
 per-element integrals of shape_i * d_d shape_j, from which a convection
 operator with an elementwise-constant direction is one contraction.
-``saddle_order`` is the fill-reducing order in which the momentum saddle
-matrix is factorized: a nested dissection of the velocity nodes
-(``nested_dissection``, after George, SIAM J. Numer. Anal. 10, 1973), each
-node expanded to its two velocity dofs and, at a vertex, its pressure dof.
+
+``nested_dissection`` is a fill-reducing order of the nodes of a mesh
+(after George, SIAM J. Numer. Anal. 10, 1973); the momentum solve expands
+it to the dofs of its saddle matrix.
 """
 
 from __future__ import annotations
@@ -241,19 +241,6 @@ class VelocitySpace:
         exact: the integrand's degree is at most 3."""
         vals, grads, w = self.shape_table
         return np.einsum("mq,qi,mqjd->mdij", w, vals, grads)
-
-    @cached_property
-    def saddle_order(self) -> np.ndarray:
-        """A fill-reducing permutation of the saddle dofs [velocity; P1
-        pressure], 2 n_nodes + n_vertices of them: the nested-dissection
-        order of the nodes, each expanded to its dofs v_x, v_y and, when the
-        node is a vertex, p, so that the dofs of one node are contiguous."""
-        nodes = nested_dissection(self.nodes, self.tri_nodes)
-        n = self.n_nodes
-        dofs = np.column_stack([nodes, n + nodes, 2 * n + nodes])
-        keep = np.ones(dofs.shape, dtype=bool)
-        keep[:, 2] = nodes < self.mesh.n_vertices
-        return dofs[keep]
 
     # -- evaluation ------------------------------------------------------
 

@@ -1,17 +1,9 @@
 """Sparse linear solvers for the time stepper.
 
 Every LU-backed solve, ``direct_solve`` included, goes through
-``FactorizationCache.solve`` and meets its one contract.  Saddle-point
-systems (momentum) are factorized as the square indefinite block matrix,
-made nonsingular by pinning one pressure dof to zero; ``solve_saddle``
-returns that pinned pressure, and the caller fixes the free constant (the
-momentum solve re-centers to zero weighted mean with the pressure space's
-lumped weights).  The pin keeps the matrix as sparse as its blocks, where a
-constraint row for the mean would couple every pressure dof.
-
-The saddle matrix is factorized in the fill-reducing order its
-``PinnedDivergence`` carries, one per mesh (the velocity space's nested
-dissection), with SuperLU told to keep it: no column reordering, and a
+``FactorizationCache.solve`` and meets its one contract.  A caller may hand
+it a fill-reducing order of its own (the momentum saddle does, one per
+mesh); SuperLU is then told to keep it: no column reordering, and a
 diagonal pivot kept unless it is ten times smaller than the largest entry
 of its column.  Full partial pivoting would swap rows away from the order.
 Every other matrix, the phase-field Newton systems included, is factorized
@@ -22,7 +14,6 @@ goes through Jacobi-preconditioned BiCGstab (``solve_linear``).
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -241,100 +232,3 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-12,
     except IterativeFailure:
         return direct_solve(A, b)
 
-
-# the pressure dof the monolithic saddle solve fixes to zero
-PIN = 0
-
-
-class PinnedDivergence:
-    """The divergence B of a saddle system together with the off-diagonal
-    blocks of its monolithic matrix: B with the row of pressure dof ``PIN``
-    zeroed, and its transpose; and ``order``, the permutation of the
-    monolithic dofs [velocity; pressure] its matrices are factorized in
-    (None: SuperLU's own).  They depend on the mesh only, so a caller that
-    solves many systems with the same B builds them once and hands them to
-    each ``SaddleSystem``."""
-
-    def __init__(self, B: sp.spmatrix, order: np.ndarray | None):
-        self.B = B
-        self.order = order
-        # CSR throughout lets sp.bmat stack the blocks without sorting
-        coo = sp.coo_array(B)
-        keep = coo.row != PIN
-        self.pinned = sp.csr_array((coo.data[keep], (coo.row[keep], coo.col[keep])),
-                                   shape=B.shape)
-        self.pinned_T = self.pinned.T.tocsr()
-
-
-@dataclass
-class SaddleSystem:
-    """Assembled saddle-point blocks:
-
-        [ G   B^T ] [v]   [f]
-        [ B   -C  ] [p] = [0]
-
-    with B = ``divergence.B`` the gradient-form coupling (one row per
-    pressure dof) and C an optional pressure stabilization (None for inf-sup
-    stable pairs).
-
-    The pressure is defined up to constants only: B^T 1 = 0, since B pairs
-    each velocity basis function with the gradients of the P1 pressure basis
-    functions, which sum to the gradient of 1, and C 1 = 0, since the
-    stabilization vanishes on elementwise constants.  ``monolithic``
-    therefore fixes one pressure dof to zero, which changes neither the
-    velocity nor the pressure up to that constant: with C symmetric, the
-    dropped divergence row is minus the sum of the others, so it holds
-    whenever the others do, and ``solve_saddle`` checks every row afterwards.
-    """
-
-    G: sp.spmatrix
-    divergence: PinnedDivergence
-    C: sp.spmatrix | None
-    rhs_v: np.ndarray
-
-    @property
-    def n_v(self) -> int:
-        return self.G.shape[0]
-
-    @property
-    def n_p(self) -> int:
-        return self.divergence.B.shape[0]
-
-    def monolithic(self) -> tuple[sp.csr_array, np.ndarray]:
-        """The square matrix and right-hand side with the pressure dof
-        ``PIN`` fixed: its row of B and its row and column of C are zeroed,
-        with 1 on the diagonal; every pressure row of the right-hand side
-        is 0."""
-        rows, cols, vals = np.array([PIN]), np.array([PIN]), np.array([1.0])
-        if self.C is not None:
-            C = sp.coo_array(self.C)
-            keep = (C.row != PIN) & (C.col != PIN)
-            rows = np.concatenate([C.row[keep], rows])
-            cols = np.concatenate([C.col[keep], cols])
-            vals = np.concatenate([-C.data[keep], vals])
-        Cblk = sp.csr_array((vals, (rows, cols)), shape=(self.n_p, self.n_p))
-        div = self.divergence
-        K = sp.bmat([[sp.csr_array(self.G), div.pinned_T], [div.pinned, Cblk]], format="csr")
-        return K, np.concatenate([self.rhs_v, np.zeros(self.n_p)])
-
-
-def solve_saddle(system: SaddleSystem, tol: float,
-                 cache: FactorizationCache | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the saddle-point problem; returns (velocity, pressure) with the
-    pressure dof ``PIN`` at 0.
-
-    The monolithic matrix goes through ``FactorizationCache.solve`` in the
-    divergence's order (a given cache carries its factorization over to the
-    next, nearby matrix in the same order).  A failed solve, or a divergence
-    residual above ``tol`` on any pressure row, the pinned one included,
-    raises SolverError.
-    """
-    n_v = system.n_v
-    K, rhs = system.monolithic()
-    sol = (cache or FactorizationCache()).solve(K, rhs, tol=1e-13,
-                                                order=system.divergence.order)
-    v, p = sol[:n_v], sol[n_v:]
-    div_res = np.abs(system.divergence.B @ v - (system.C @ p if system.C is not None else 0.0)).max()
-    if not div_res <= tol:
-        raise SolverError(f"divergence residual {div_res:.3e} exceeds tol {tol:.1e}")
-    return v, p

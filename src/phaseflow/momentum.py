@@ -9,6 +9,11 @@ enters the momentum equation through a second skew operator weighted by the
 slope (rho2 - rho1)/2 of the affine density law, ``PhysParams.density_slope``;
 the model switch turns exactly that coupling off (the simplified model
 follows the classical volume-averaged formulation without the flux term).
+
+The saddle-point system of velocity and pressure is this module's alone:
+``dirichlet_divergence`` fixes its divergence blocks and the dof order
+they are factorized in, once per mesh, and ``solve_saddle`` stacks and
+solves its monolithic matrix; ``linalg`` supplies the generic sparse solve.
 """
 
 from __future__ import annotations
@@ -18,8 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import ScalarSpace, VelocitySpace, assemble, element_chunks, p1_gradients
-from .linalg import FactorizationCache, PinnedDivergence, SaddleSystem, solve_saddle
+from .errors import SolverError
+from .fem import (
+    ScalarSpace,
+    VelocitySpace,
+    assemble,
+    element_chunks,
+    nested_dissection,
+    p1_gradients,
+)
+from .linalg import FactorizationCache
 
 
 @dataclass(frozen=True)
@@ -282,14 +295,101 @@ def apply_velocity_dirichlet(A: sp.csr_array, mask: np.ndarray) -> sp.csr_array:
     return A + sp.diags_array(mask.astype(float), format="csr")
 
 
+# the pressure dof the monolithic saddle solve fixes to zero
+PIN = 0
+
+
+class PinnedDivergence:
+    """The divergence B of a saddle system together with the off-diagonal
+    blocks of its monolithic matrix: B with the row of pressure dof ``PIN``
+    zeroed, and its transpose; and ``order``, the permutation of the
+    monolithic dofs [velocity; pressure] its matrices are factorized in
+    (None: SuperLU's own).  They depend on the mesh only, so a caller that
+    solves many systems with the same B builds them once and hands them to
+    each ``solve_saddle``."""
+
+    def __init__(self, B: sp.spmatrix, order: np.ndarray | None):
+        self.B = B
+        self.order = order
+        # CSR throughout lets sp.bmat stack the blocks without sorting
+        coo = sp.coo_array(B)
+        keep = coo.row != PIN
+        self.pinned = sp.csr_array((coo.data[keep], (coo.row[keep], coo.col[keep])),
+                                   shape=B.shape)
+        self.pinned_T = self.pinned.T.tocsr()
+
+
 def dirichlet_divergence(vspace: VelocitySpace, B: sp.csr_array) -> PinnedDivergence:
     """The divergence block with the columns of constrained velocity dofs
-    zeroed, with its pinned saddle blocks and the velocity space's
-    ``saddle_order``; depends on the mesh only."""
+    zeroed, with its pinned saddle blocks and the saddle's fill-reducing
+    order; depends on the mesh only.
+
+    The order permutes the dofs [v_x; v_y; p] of the monolithic matrix: the
+    nested-dissection order of the velocity nodes (``fem.nested_dissection``),
+    each node expanded to its dofs v_x, v_y and, when the node is a vertex
+    and so carries a P1 pressure dof, p, so that the dofs of one node are
+    contiguous."""
     B = sp.csr_array(B, copy=True)
     B.data *= ~vspace.dirichlet_mask[B.indices]
     B.eliminate_zeros()
-    return PinnedDivergence(B, vspace.saddle_order)
+    nodes = nested_dissection(vspace.nodes, vspace.tri_nodes)
+    n = vspace.n_nodes
+    dofs = np.column_stack([nodes, n + nodes, 2 * n + nodes])
+    keep = np.ones(dofs.shape, dtype=bool)
+    keep[:, 2] = nodes < vspace.mesh.n_vertices
+    return PinnedDivergence(B, dofs[keep])
+
+
+def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, divergence: PinnedDivergence,
+                 C: sp.spmatrix | None, tol: float,
+                 cache: FactorizationCache) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the saddle-point problem
+
+        [ G   B^T ] [v]   [rhs_v]
+        [ B   -C  ] [p] = [  0  ]
+
+    with B = ``divergence.B`` the gradient-form coupling (one row per
+    pressure dof) and C an optional pressure stabilization (None for inf-sup
+    stable pairs); returns (velocity, pressure) with the pressure dof ``PIN``
+    at 0.
+
+    The pressure is defined up to constants only: B^T 1 = 0, since B pairs
+    each velocity basis function with the gradients of the P1 pressure basis
+    functions, which sum to the gradient of 1, and C 1 = 0, since the
+    stabilization vanishes on elementwise constants.  The monolithic matrix
+    therefore fixes the pressure dof ``PIN`` to zero: its row of B and its
+    row and column of C are zeroed, with 1 on the diagonal, and every
+    pressure row of the right-hand side is 0.  That changes neither the
+    velocity nor the pressure up to that constant: with C symmetric, the
+    dropped divergence row is minus the sum of the others, so it holds
+    whenever the others do.  It holds only through that identity, so the
+    divergence is still checked on every pressure row afterwards.  The pin
+    keeps the matrix as sparse as its blocks, where a constraint row for the
+    mean would couple every pressure dof.
+
+    The matrix goes through ``cache.solve`` in the divergence's order; the
+    cache carries its factorization over to the next, nearby matrix in the
+    same order.  A failed solve, or a divergence residual above ``tol`` on
+    any pressure row, the pinned one included, raises SolverError.
+    """
+    n_v, n_p = G.shape[0], divergence.B.shape[0]
+    rows, cols, vals = np.array([PIN]), np.array([PIN]), np.array([1.0])
+    if C is not None:
+        coo = sp.coo_array(C)
+        keep = (coo.row != PIN) & (coo.col != PIN)
+        rows = np.concatenate([coo.row[keep], rows])
+        cols = np.concatenate([coo.col[keep], cols])
+        vals = np.concatenate([-coo.data[keep], vals])
+    Cblk = sp.csr_array((vals, (rows, cols)), shape=(n_p, n_p))
+    K = sp.bmat([[sp.csr_array(G), divergence.pinned_T], [divergence.pinned, Cblk]],
+                format="csr")
+    sol = cache.solve(K, np.concatenate([rhs_v, np.zeros(n_p)]), tol=1e-13,
+                      order=divergence.order)
+    v, p = sol[:n_v], sol[n_v:]
+    div_res = np.abs(divergence.B @ v - (C @ p if C is not None else 0.0)).max()
+    if not div_res <= tol:
+        raise SolverError(f"divergence residual {div_res:.3e} exceeds tol {tol:.1e}")
+    return v, p
 
 
 class MomentumStep:
@@ -339,7 +439,6 @@ def solve_momentum(step: MomentumStep, phi_new: np.ndarray, mu_new: np.ndarray,
     G = apply_velocity_dirichlet(G, mask)
     rhs = np.where(mask, 0.0, rhs)
 
-    system = SaddleSystem(G=G, divergence=step.divergence, C=step.stabilization, rhs_v=rhs)
-    v, p = solve_saddle(system, tol=1e-9, cache=cache)
+    v, p = solve_saddle(G, rhs, step.divergence, step.stabilization, tol=1e-9, cache=cache)
     w = pspace.lumped
     return v, p - (w @ p) / w.sum()

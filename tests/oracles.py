@@ -4,14 +4,19 @@ The integration helpers deliberately avoid the package's own quadrature
 tables: integrals are computed with a tensorized Gauss-Legendre rule mapped
 onto each triangle via the Duffy transform, exact for polynomial integrands
 up to degree ~13.  ``schur_solve`` solves a saddle system without the
-package's Krylov and factorization-cache code.
+package's Krylov and factorization-cache code.  ``Saddle`` holds the blocks
+of one saddle system for the tests, and ``RecordingCache`` keeps the
+matrices a solve hands its factorization cache.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from phaseflow.linalg import PIN
+from phaseflow.linalg import FactorizationCache
+from phaseflow.momentum import PIN, PinnedDivergence, solve_saddle
 
 
 def duffy_rule(n=8):
@@ -54,10 +59,51 @@ def p1_interpolant(mesh, vals):
     return f
 
 
+@dataclass
+class Saddle:
+    """The blocks ``momentum.solve_saddle`` reads, in its argument order."""
+
+    G: sp.csr_array
+    rhs_v: np.ndarray
+    divergence: PinnedDivergence
+    C: sp.csr_array | None
+
+    @property
+    def n_v(self) -> int:
+        return self.G.shape[0]
+
+    @property
+    def n_p(self) -> int:
+        return self.divergence.B.shape[0]
+
+    def solve(self, tol, cache):
+        return solve_saddle(self.G, self.rhs_v, self.divergence, self.C, tol=tol, cache=cache)
+
+    def monolithic(self):
+        """The pinned monolithic matrix and right-hand side ``solve_saddle``
+        hands its factorization cache."""
+        cache = RecordingCache()
+        self.solve(1e-9, cache)
+        return cache.solved[0]
+
+
+class RecordingCache(FactorizationCache):
+    """A factorization cache that keeps every (matrix, right-hand side) it
+    is asked to solve, such as the monolithic saddle matrix."""
+
+    def __init__(self):
+        super().__init__()
+        self.solved = []
+
+    def solve(self, A, b, tol, order):
+        self.solved.append((A, b))
+        return super().solve(A, b, tol, order)
+
+
 def schur_solve(system, tol):
-    """(v, p) of a ``linalg.SaddleSystem`` through its pressure Schur
-    complement B G^-1 B^T + C, iterated with SciPy's BiCGstab: the
-    independent cross-check of ``linalg.solve_saddle``.  The Schur operator
+    """(v, p) of a ``Saddle`` through its pressure Schur complement
+    B G^-1 B^T + C, iterated with SciPy's BiCGstab: the independent
+    cross-check of ``momentum.solve_saddle``.  The Schur operator
     annihilates constant pressures (B^T 1 = 0, C 1 = 0), so the iteration
     runs orthogonal to them; p is then shifted to p[PIN] = 0, the
     normalization ``solve_saddle`` returns."""

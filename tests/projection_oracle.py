@@ -20,17 +20,19 @@ from phaseflow.cahn_hilliard import DoubleWell, ch_diffusive_solve, fe_convectio
 from phaseflow.coupling import Discretization, SplitTolerances, State
 from phaseflow.errors import StepRejected
 from phaseflow.fem import QUAD_DEG4, ScalarSpace
-from phaseflow.linalg import PinnedDivergence, SaddleSystem, solve_saddle
+from phaseflow.linalg import FactorizationCache
 from phaseflow.mesh import midpoint_refine
 from phaseflow.momentum import (
     MomentumStep,
     PhysParams,
+    PinnedDivergence,
     apply_velocity_dirichlet,
     assemble_Nb,
     assemble_rhs_K,
     assemble_time_terms,
     compute_flux_j,
     density_from_phase,
+    solve_saddle,
 )
 
 
@@ -157,8 +159,7 @@ def projection_momentum_solve(ws: ProjectionWorkspace, step: MomentumStep,
     mask = vs.dirichlet_mask
     G = apply_velocity_dirichlet(G, mask)
     rhs = np.where(mask, 0.0, rhs)
-    system = SaddleSystem(G=G, divergence=ws.divergence, C=None, rhs_v=rhs)
-    v, p = solve_saddle(system, tol=1e-10)
+    v, p = solve_saddle(G, rhs, ws.divergence, None, tol=1e-10, cache=FactorizationCache())
     w = disc.sspace.lumped
     return v, p - (w @ p) / w.sum()
 

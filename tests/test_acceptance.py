@@ -10,6 +10,7 @@ qualitative scenario demos (A10).
 """
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,18 +61,27 @@ def ellipse_cfg(level, convection, elements="th", eps=1e-6, max_inner=50):
     return cfg
 
 
+def run_with_states(rc):
+    """``run(rc)``'s result with ``states``, every accepted time level from
+    the initial one on, as the snapshot hook sees them."""
+    states = []
+    hook = lambda state, step_index: step_index >= 0 and states.append(state)
+    out = run(replace(rc, snapshot_every=1, snapshot_hook=hook))
+    return SimpleNamespace(**vars(out), states=states)
+
+
 @pytest.fixture(scope="module")
 def ellipse_fe_run():
     cfg = ellipse_cfg(6, "fe", eps=1e-11, max_inner=300)
     rc = replace(run_config(cfg), max_steps=50, audit_tol=1e-8)
-    return run(rc, keep_states=True)
+    return run_with_states(rc)
 
 
 @pytest.fixture(scope="module")
 def ellipse_fv_run():
     cfg = ellipse_cfg(6, "fv", eps=1e-8, max_inner=100)
     rc = replace(run_config(cfg), max_steps=50)
-    return run(rc, keep_states=True)
+    return run_with_states(rc)
 
 
 # --------------------------------------------------------------------- A1
@@ -352,7 +362,7 @@ def test_a8_model_variants():
         cfg.physics_rho2 = 0.01
         cfg.physics_model = model
         rc = replace(run_config(cfg), max_steps=10)
-        outs[model] = run(rc, keep_states=True)
+        outs[model] = run_with_states(rc)
     worst = 0.0
     for sa, sd in zip(outs["agg"].states, outs["dss"].states):
         for f in ("phi", "mu", "v", "p"):
@@ -401,7 +411,7 @@ def test_a10_qualitative_demos(tmp_path):
     cfg = preset("rising-droplet")
     cfg.discretization_level = 6
     rc = replace(run_config(cfg), max_steps=12)
-    out = run(rc, keep_states=True)
+    out = run_with_states(rc)
     centroids = []
     for st in out.states:
         w = st.disc.lumped * 0.5 * (1.0 + st.phi)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from phaseflow import app
 from phaseflow.app import (
     CSV_HEADER,
     cli_main,
@@ -283,12 +284,24 @@ def test_cli_eoc_prints_table(tmp_path, capsys):
     assert "ratio" in out
 
 
-@pytest.mark.parametrize("levels", [",", "3"])
-def test_cli_eoc_rejects_bad_levels(capsys, levels):
+@pytest.mark.parametrize("levels", [",", "3", "6,,8", "6,"])
+def test_cli_eoc_rejects_bad_levels(monkeypatch, capsys, levels):
+    monkeypatch.setattr(app, "run_eoc", lambda cfg, levels: pytest.fail(f"a study ran on {levels}"))
     code = cli_main(["run", "--scenario", "ellipse", "--tmax", "0.001", "--eoc", levels])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --eoc expects a comma list of even integer levels >= 2")
+    assert "usage: phaseflow run" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value,message", [("--level", "abc", "not an integer: 'abc'"),
+                                                ("--tmax", "soon", "not a number: 'soon'")],
+                         ids=["level", "tmax"])
+def test_cli_flag_value_of_the_wrong_type_is_a_usage_error_naming_the_flag(capsys, flag,
+                                                                            value, message):
+    assert cli_main(["run", "--scenario", "ellipse", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: {message}\n")
     assert "usage: phaseflow run" in err and "Traceback" not in err
 
 

@@ -244,8 +244,10 @@ def test_run_is_deterministic():
 
 
 def test_run_conserves_mass_on_fixed_mesh():
-    out = run(tiny_run_config(t_end=4e-3), keep_states=True)
-    m0 = out.states[0].disc.lumped @ out.states[0].phi
+    states = []
+    out = run(tiny_run_config(t_end=4e-3, snapshot_every=1,
+                              snapshot_hook=lambda state, step_index: states.append(state)))
+    m0 = states[0].disc.lumped @ states[0].phi
     area = 4.0
     for rec in out.records:
         assert abs(rec.mass_phi - m0) <= 1e-10 * area
@@ -267,6 +269,20 @@ def test_run_with_adaptivity_refines_interface():
     band = np.abs(phi_elem).min(axis=1) < 0.9
     share = (level[band] == 8).mean()
     assert share >= 0.9
+
+
+def test_initial_adaptation_solves_for_mu_on_the_final_mesh_only(monkeypatch):
+    # marking reads only phi and v = 0, so the intermediate meshes need no mu
+    import phaseflow.coupling as coupling
+
+    solved_on = []
+    solve = coupling.consistent_chemical_potential
+    monkeypatch.setattr(coupling, "consistent_chemical_potential",
+                        lambda disc, phi, dw: solved_on.append(disc) or solve(disc, phi, dw))
+    out = run(tiny_run_config(t_end=0.0, adaptivity=AdaptivityConfig(enabled=True, min_level=2,
+                                                                      max_level=8)))
+    assert out.state.disc.mesh.generation.max() > 0  # the datum was adapted
+    assert solved_on == [out.state.disc]
 
 
 def test_run_moves_the_state_when_adaptation_keeps_the_counts(monkeypatch):

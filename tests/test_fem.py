@@ -2,6 +2,7 @@ import math
 import numpy as np
 import pytest
 
+from phaseflow.coupling import Discretization
 from phaseflow.errors import GeometryError
 from phaseflow.fem import (
     QUAD_DEG4,
@@ -20,6 +21,7 @@ from phaseflow.fem import (
     p2_shape_values,
 )
 from phaseflow.mesh import REFINE, Mesh, build_structured_mesh, midpoint_refine, refine_and_coarsen
+from phaseflow.momentum import PhysParams
 
 from oracles import integrate_on_mesh, integrate_on_triangle, p1_interpolant
 
@@ -297,8 +299,9 @@ def test_freeslip_pins_normal_components_only():
 @pytest.mark.parametrize("degree", [1, 2])
 def test_saddle_order_permutes_the_saddle_dofs_node_by_node(degree, bc, refined):
     m = locally_refined_mesh() if refined else build_structured_mesh((0, 1, 0, 2), 4)
-    vs = VelocitySpace(m, degree=degree, bc=bc)
-    order = vs.saddle_order
+    disc = Discretization(m, PhysParams(elements="th" if degree == 2 else "p1p1", bc=bc))
+    vs = disc.vspace
+    order = disc.divergence.order
     n, nv = vs.n_nodes, m.n_vertices
     np.testing.assert_array_equal(np.sort(order), np.arange(2 * n + nv))
     # one contiguous run per node: v_x = i, v_y = n + i, then p = 2 n + i at a vertex
@@ -313,9 +316,10 @@ def test_saddle_order_permutes_the_saddle_dofs_node_by_node(degree, bc, refined)
 
 def test_saddle_order_is_cached_and_deterministic():
     m = locally_refined_mesh()
-    vs = VelocitySpace(m, degree=2)
-    assert vs.saddle_order is vs.saddle_order
-    np.testing.assert_array_equal(vs.saddle_order, VelocitySpace(m, degree=2).saddle_order)
+    disc = Discretization(m, PhysParams())
+    assert disc.divergence.order is disc.divergence.order
+    np.testing.assert_array_equal(disc.divergence.order,
+                                  Discretization(m, PhysParams()).divergence.order)
 
 
 def test_nested_dissection_orders_a_separator_after_both_halves():

@@ -8,19 +8,11 @@ import scipy.sparse as sp
 from phaseflow import app, linalg, momentum
 from phaseflow.coupling import Discretization, initial_state
 from phaseflow.errors import IterativeFailure, SolverError
-from phaseflow.linalg import (
-    PIN,
-    FactorizationCache,
-    PinnedDivergence,
-    SaddleSystem,
-    bicgstab,
-    direct_solve,
-    solve_linear,
-    solve_saddle,
-)
+from phaseflow.linalg import FactorizationCache, bicgstab, direct_solve, solve_linear
 from phaseflow.mesh import build_structured_mesh
+from phaseflow.momentum import PIN, PinnedDivergence
 
-from oracles import schur_solve
+from oracles import RecordingCache, Saddle, schur_solve
 
 
 def laplacian_1d(n):
@@ -146,13 +138,13 @@ def synthetic_saddle(n_v=24, n_p=7, seed=11, with_c=False):
         S -= S.mean(axis=0, keepdims=True)
         C = sp.csr_array(S @ S.T)
     f = rng.standard_normal(n_v)
-    return SaddleSystem(G=G, divergence=PinnedDivergence(B, None), C=C, rhs_v=f)
+    return Saddle(G=G, rhs_v=f, divergence=PinnedDivergence(B, None), C=C)
 
 
 def test_saddle_zero_rhs():
     sys = synthetic_saddle()
     sys.rhs_v = np.zeros_like(sys.rhs_v)
-    v, p = solve_saddle(sys, tol=1e-10)
+    v, p = sys.solve(1e-10, FactorizationCache())
     np.testing.assert_allclose(v, 0.0, atol=1e-12)
     np.testing.assert_allclose(p, 0.0, atol=1e-12)
 
@@ -160,7 +152,7 @@ def test_saddle_zero_rhs():
 @pytest.mark.parametrize("with_c", [False, True])
 def test_saddle_direct_constraints(with_c):
     sys = synthetic_saddle(with_c=with_c)
-    v, p = solve_saddle(sys, tol=1e-9)
+    v, p = sys.solve(1e-9, FactorizationCache())
     div = sys.divergence.B @ v - (sys.C @ p if sys.C is not None else 0.0)
     assert np.abs(div).max() <= 1e-9
     assert p[PIN] == 0.0
@@ -170,7 +162,7 @@ def test_saddle_direct_constraints(with_c):
 
 def test_saddle_direct_vs_schur():
     sys = synthetic_saddle()
-    v1, p1 = solve_saddle(sys, tol=1e-10)
+    v1, p1 = sys.solve(1e-10, FactorizationCache())
     v2, p2 = schur_solve(sys, tol=1e-10)
     assert np.abs(v1 - v2).max() < 1e-8
     assert np.abs(p1 - p2).max() < 1e-8
@@ -179,7 +171,7 @@ def test_saddle_direct_vs_schur():
 @pytest.mark.parametrize("with_c", [False, True])
 def test_saddle_pinned_direct_matches_schur(with_c):
     sys = synthetic_saddle(with_c=with_c, seed=5)
-    v1, p1 = solve_saddle(sys, tol=1e-10)
+    v1, p1 = sys.solve(1e-10, FactorizationCache())
     v2, p2 = schur_solve(sys, tol=1e-10)
     assert np.abs(v1 - v2).max() < 1e-8
     assert np.abs(p1 - p2).max() < 1e-8
@@ -209,7 +201,7 @@ def test_saddle_divergence_with_constants_outside_its_left_kernel_fails_the_chec
     B[1, 5] += 1.0
     sys.divergence = PinnedDivergence(sp.csr_array(B), None)
     with pytest.raises(SolverError, match="divergence residual"):
-        solve_saddle(sys, tol=1e-9)
+        sys.solve(1e-9, FactorizationCache())
 
 
 @pytest.mark.parametrize("bad", [np.array([[1.0, 2.0], [2.0, 4.0]]),
@@ -225,7 +217,7 @@ def test_factorization_refresh_raises_solver_error(bad):
 
 def warm_cache(sys):
     cache = FactorizationCache()
-    solve_saddle(sys, tol=1e-9, cache=cache)
+    sys.solve(1e-9, cache)
     assert cache.lu is not None
     return cache
 
@@ -241,7 +233,7 @@ def test_cached_saddle_solve_bad_matrix_raises(corrupt):
         G[3, 3] = np.nan
     sys.G = sp.csr_array(G)
     with pytest.raises(SolverError):
-        solve_saddle(sys, tol=1e-9, cache=cache)
+        sys.solve(1e-9, cache)
 
 
 def test_cached_saddle_solve_non_finite_solution_raises():
@@ -252,15 +244,15 @@ def test_cached_saddle_solve_non_finite_solution_raises():
     sys.rhs_v = sys.rhs_v.copy()
     sys.rhs_v[0] = np.nan
     with pytest.raises(SolverError, match="non-finite"):
-        solve_saddle(sys, tol=1e-9, cache=cache)
+        sys.solve(1e-9, cache)
 
 
 def test_cached_saddle_solve_matches_direct():
     sys = synthetic_saddle(with_c=True)
     cache = warm_cache(sys)
     sys.G = sys.G + sp.eye_array(sys.n_v, format="csr")  # a nearby matrix
-    v1, p1 = solve_saddle(sys, tol=1e-10, cache=cache)
-    v2, p2 = solve_saddle(sys, tol=1e-10)
+    v1, p1 = sys.solve(1e-10, cache)
+    v2, p2 = sys.solve(1e-10, FactorizationCache())
     assert np.abs(v1 - v2).max() < 1e-10
     assert np.abs(p1 - p2).max() < 1e-10
 
@@ -270,20 +262,20 @@ def test_cached_saddle_solve_matches_direct():
 @pytest.mark.parametrize("with_c", [False, True])
 def test_saddle_solve_in_a_permuted_order_matches_the_natural_order(with_c):
     sys = synthetic_saddle(with_c=with_c)
-    v1, p1 = solve_saddle(sys, tol=1e-10)
+    v1, p1 = sys.solve(1e-10, FactorizationCache())
     order = np.random.default_rng(2).permutation(sys.n_v + sys.n_p)
     sys.divergence = PinnedDivergence(sys.divergence.B, order)
     cache = FactorizationCache()
-    v2, p2 = solve_saddle(sys, tol=1e-10, cache=cache)
+    v2, p2 = sys.solve(1e-10, cache)
     assert cache.lu.order is order
     assert np.abs(v1 - v2).max() < 1e-10 and np.abs(p1 - p2).max() < 1e-10
     # the permuted factors precondition the iteration on a nearby matrix
     warm = cache.lu
     sys.G = sys.G + sp.eye_array(sys.n_v, format="csr")
-    v3, p3 = solve_saddle(sys, tol=1e-10, cache=cache)
+    v3, p3 = sys.solve(1e-10, cache)
     assert cache.lu is warm
     sys.divergence = PinnedDivergence(sys.divergence.B, None)
-    v4, p4 = solve_saddle(sys, tol=1e-10)
+    v4, p4 = sys.solve(1e-10, FactorizationCache())
     assert np.abs(v3 - v4).max() < 1e-10 and np.abs(p3 - p4).max() < 1e-10
 
 
@@ -294,16 +286,16 @@ def test_same_size_solve_in_another_order_refactorizes():
     n = sys.n_v + sys.n_p
     cache = FactorizationCache()
     sys.divergence = PinnedDivergence(sys.divergence.B, np.arange(n))
-    solve_saddle(sys, tol=1e-10, cache=cache)
+    sys.solve(1e-10, cache)
     first = cache.lu
-    solve_saddle(sys, tol=1e-10, cache=cache)
+    sys.solve(1e-10, cache)
     assert cache.lu is first
     sys.divergence = PinnedDivergence(sys.divergence.B, np.arange(n)[::-1].copy())
-    solve_saddle(sys, tol=1e-10, cache=cache)
+    sys.solve(1e-10, cache)
     assert cache.lu is not first and cache.lu.order is sys.divergence.order
     second = cache.lu
     sys.divergence = PinnedDivergence(sys.divergence.B, None)
-    solve_saddle(sys, tol=1e-10, cache=cache)
+    sys.solve(1e-10, cache)
     assert cache.lu is not second and cache.order is None
 
 
@@ -331,28 +323,25 @@ def test_refresh_returns_free_heap_pages_after_freeing_the_replaced_factorizatio
     assert alive_at_trim == [False]
 
 
-def first_saddle(monkeypatch, name):
+def first_saddle(name):
     """The pinned monolithic matrix of the first momentum solve of a preset
     at its default level, and the order its divergence carries."""
-    seen = []
-    solve = momentum.solve_saddle
-    monkeypatch.setattr(momentum, "solve_saddle",
-                        lambda system, **kw: seen.append(system) or solve(system, **kw))
     rc = app.run_config(app.preset(name))
     disc = Discretization(build_structured_mesh(rc.domain, rc.base_level), rc.params)
     state = initial_state(disc, rc.params, rc.phi0)
     step = momentum.MomentumStep(disc.vspace, disc.sspace, rc.params, disc.divergence,
                                  state.phi, state.v, 1e-3, 0.0)
-    momentum.solve_momentum(step, state.phi, state.mu, FactorizationCache())
-    return seen[0].monolithic()[0], disc.divergence.order
+    cache = RecordingCache()
+    momentum.solve_momentum(step, state.phi, state.mu, cache)
+    return cache.solved[0][0], disc.divergence.order
 
 
 @pytest.mark.parametrize("name", ["ellipse", "rayleigh-taylor"])
-def test_saddle_order_fills_less_than_superlu_own_order(monkeypatch, name):
+def test_saddle_order_fills_less_than_superlu_own_order(name):
     # level-8 Taylor-Hood on the ellipse square and P1/P1 on the 1 x 4
     # Rayleigh-Taylor strip; the counts are deterministic (216,613 against
     # 265,224 and 273,314 against 409,510)
-    K, order = first_saddle(monkeypatch, name)
+    K, order = first_saddle(name)
     nested = FactorizationCache().refresh(K, order).nnz
     natural = FactorizationCache().refresh(K, None).nnz
     assert nested < 0.85 * natural

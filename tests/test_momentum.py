@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from phaseflow.fem import ScalarSpace, VelocitySpace, interpolate_nodal
-from phaseflow.linalg import PIN, FactorizationCache, PinnedDivergence, SaddleSystem, solve_saddle
+from phaseflow.linalg import FactorizationCache
 from phaseflow.mesh import build_structured_mesh
 from phaseflow.momentum import (
+    PIN,
     ForceSpec,
     MomentumStep,
     PhysParams,
+    PinnedDivergence,
     apply_velocity_dirichlet,
     assemble_divergence,
     assemble_Na,
@@ -23,7 +25,7 @@ from phaseflow.momentum import (
     viscosity_from_phase,
 )
 
-from oracles import duffy_rule, schur_solve
+from oracles import Saddle, duffy_rule, schur_solve
 
 
 PAPER_DENSITIES = dict(rho1=0.001, rho2=0.019)
@@ -412,8 +414,9 @@ def test_stokes_divergence_and_crosscheck():
     p = PhysParams(force=ForceSpec(kind="weighted", k0=(-5.0, -10.0)))
     f = assemble_rhs_K(vs, ss, np.zeros(ss.n_dofs), phi, p, 0.0)
     f = np.where(mask, 0.0, f)
-    sys = SaddleSystem(G=G, divergence=PinnedDivergence(Bc, vs.saddle_order), C=None, rhs_v=f)
-    v1, p1 = solve_saddle(sys, tol=1e-9)
+    order = dirichlet_divergence(vs, B).order
+    sys = Saddle(G=G, rhs_v=f, divergence=PinnedDivergence(Bc, order), C=None)
+    v1, p1 = sys.solve(1e-9, FactorizationCache())
     assert np.abs(Bc @ v1).max() <= 1e-9
     v2, p2 = schur_solve(sys, tol=1e-9)
     assert np.abs(v1 - v2).max() < 1e-8
@@ -484,9 +487,9 @@ def captured_systems(monkeypatch, level, elements, bc):
     seen = []
     solve = momentum.solve_saddle
 
-    def record(system, **kw):
-        seen.append(system)
-        return solve(system, **kw)
+    def record(*blocks, **kw):
+        seen.append(Saddle(*blocks))
+        return solve(*blocks, **kw)
 
     monkeypatch.setattr(momentum, "solve_saddle", record)
     degree = 2 if elements == "th" else 1
@@ -514,7 +517,7 @@ PAIRS = [("th", "noslip"), ("th", "freeslip"), ("p1p1", "noslip")]
 def test_pinned_direct_solve_matches_schur_level6(monkeypatch, elements, bc):
     systems, solved, ss = captured_systems(monkeypatch, 6, elements, bc)
     for system, (v, p) in zip(systems, solved):
-        v1, p1 = solve_saddle(system, tol=1e-9)
+        v1, p1 = system.solve(1e-9, FactorizationCache())
         v2, p2 = schur_solve(system, tol=1e-9)
         assert p1[PIN] == 0.0 and p2[PIN] == 0.0
         assert np.abs(v1 - v2).max() <= 1e-9 * np.abs(v1).max()
