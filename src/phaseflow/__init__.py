@@ -34,7 +34,6 @@ from .coupling import (
 from .energy import (
     EnergyBreakdown,
     InequalityReport,
-    global_energy_ledger,
     step_inequality_check,
     total_energy,
 )
@@ -45,7 +44,6 @@ from .fem import (
     VelocitySpace,
     assemble_stiffness,
     element_gradient_magnitudes,
-    interpolate_nodal,
     l2_distance,
 )
 from .linalg import bicgstab, direct_solve

@@ -127,7 +127,7 @@ def load_config(path: str) -> Config:
     """Parse and validate a config file; errors carry the offending line.
     With ``scenario.name`` set the file starts from that preset, and every
     key the file gives overrides it."""
-    values = {}
+    values, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -144,8 +144,13 @@ def load_config(path: str) -> Config:
                 values[attr] = _parse_value(raw, type(_CONFIG_FIELDS[attr].default))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            lines[attr] = lineno
     name = values.get("scenario_name")
-    cfg = replace(preset(name) if name else Config(), **values)
+    try:
+        base = preset(name) if name else Config()
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lines['scenario_name']}: {exc}") from exc
+    cfg = replace(base, **values)
     validate_config(cfg)
     return cfg
 

@@ -133,18 +133,19 @@ def face_normal_velocities(v_dofs: np.ndarray, vspace: VelocitySpace, mesh: Mesh
 
 
 def fv_transport_step(phi_bar: np.ndarray, dual: DualGrid, tau: float, order: int,
-                      u_n: np.ndarray, verts: np.ndarray | None = None,
-                      cell_measures: np.ndarray | None = None) -> np.ndarray:
+                      u_n: np.ndarray, verts: np.ndarray,
+                      cell_measures: np.ndarray) -> np.ndarray:
     """One explicit conservative transport step on the dual cells.
 
     ``u_n`` holds the normal velocities at the face midpoints, oriented from
     face_cells[:,0] to face_cells[:,1]; the domain boundary is a no-flux
     boundary.  Mass sum(measure_i phi_i) is conserved to roundoff because each
-    face flux enters both cells with opposite sign.  ``cell_measures``
-    defaults to the geometric dual volumes; the split driver passes the P1
-    vertex measures instead so that the transport stage conserves exactly the
-    mass functional the implicit diffusive stage conserves (the two coincide
-    away from boundaries and grading transitions).
+    face flux enters both cells with opposite sign.  ``verts`` are the cell
+    centers the order-2 reconstruction reads.  The split driver passes the P1
+    vertex measures as ``cell_measures`` rather than the geometric dual
+    volumes, so that the transport stage conserves exactly the mass
+    functional the implicit diffusive stage conserves (the two coincide away
+    from boundaries and grading transitions).
 
     The CFL check compares each face flux against the adjacent cells' volume
     share per face: tau |u_n| |Gamma| <= CFL_LIMIT * measure / degree.
@@ -157,11 +158,10 @@ def fv_transport_step(phi_bar: np.ndarray, dual: DualGrid, tau: float, order: in
         raise ValueError("tau must be positive")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    measures = dual.cell_volumes if cell_measures is None else cell_measures
     i = dual.face_cells[:, 0]
     j = dual.face_cells[:, 1]
-    vol_i = measures[i]
-    vol_j = measures[j]
+    vol_i = cell_measures[i]
+    vol_j = cell_measures[j]
     degree = np.bincount(dual.face_cells.ravel(), minlength=dual.n_cells)
     share = np.minimum(vol_i / degree[i], vol_j / degree[j])
     cfl = tau * np.abs(u_n) * dual.face_measures / share
@@ -173,8 +173,6 @@ def fv_transport_step(phi_bar: np.ndarray, dual: DualGrid, tau: float, order: in
         trace_l = phi_bar[i]
         trace_r = phi_bar[j]
     else:
-        if verts is None:
-            raise ValueError("order-2 reconstruction needs the cell centers")
         trace_l, trace_r = minmod_reconstruct(phi_bar, dual, verts)
 
     flux = engquist_osher_flux(u_n, trace_l, trace_r, dual.face_measures)
@@ -191,11 +189,6 @@ def fv_transport_step(phi_bar: np.ndarray, dual: DualGrid, tau: float, order: in
 @dataclass
 class ChReport:
     newton_iterations: int
-    residual: float
-    mass_before: float
-    mass_after: float
-    phi_min: float
-    phi_max: float
 
 
 def fe_convection_matrix(space: ScalarSpace, v_dofs: np.ndarray,
@@ -217,10 +210,9 @@ def fe_convection_matrix(space: ScalarSpace, v_dofs: np.ndarray,
 
 def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
                        mobility: float, dw: DoubleWell, space: ScalarSpace,
-                       newton_tol: float = 1e-12,
-                       conv_matrix: sp.csr_array | None = None,
-                       phi_guess: np.ndarray | None = None,
-                       lin_cache=None) -> tuple[np.ndarray, np.ndarray, ChReport]:
+                       newton_tol: float, conv_matrix: sp.csr_array | None,
+                       phi_guess: np.ndarray,
+                       lin_cache: FactorizationCache) -> tuple[np.ndarray, np.ndarray, ChReport]:
     """Implicit solve of the diffusive phase-field system
 
         M (phi - phi_source) + tau Cv phi + tau mobility K mu = 0
@@ -229,12 +221,12 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
     by Newton's method on the coupled (phi, mu) unknowns, with up to ten
     damped halvings per step when the residual does not decrease.  M, K and
     the lumped weights are the operators ``space`` owns.  With
-    ``conv_matrix`` (monolithic mode) the convection enters implicitly;
-    without it the transported field is passed as ``phi_source``.  Testing the
+    ``conv_matrix`` (monolithic mode) the convection enters implicitly; with
+    None the transported field is passed as ``phi_source``.  Testing the
     first equation with 1 shows the mean of phi is conserved up to the linear
-    solver residual.  The Newton systems go through ``lin_cache`` (a fresh
-    ``FactorizationCache`` when none is given); a residual that does not
-    reach ``newton_tol``, NaN included, raises SolverError.
+    solver residual.  Newton starts from ``phi_guess``, and its systems go
+    through ``lin_cache``; a residual that does not reach ``newton_tol``, NaN
+    included, raises SolverError.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -242,7 +234,6 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
         raise ValueError("mobility must be nonnegative")
     n = space.n_dofs
     M, K, c = space.mass, space.stiffness, space.lumped
-    cache = FactorizationCache() if lin_cache is None else lin_cache
 
     sig, dlt = dw.sigma, dw.delta
     a_phi = M + tau * conv_matrix if conv_matrix is not None else M
@@ -250,7 +241,7 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
     f_minus_lump = (sig / dlt) * c * dw.f_minus_prime(phi_old)
     rhs1 = M @ phi_source
 
-    phi = phi_old.copy() if phi_guess is None else phi_guess.copy()
+    phi = phi_guess.copy()
     mu = np.zeros(n)
 
     def residual(p, m):
@@ -269,7 +260,7 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
         it += 1
         dpot = sp.csr_array(sp.diags_array((sig / dlt) * c * dw.f_plus_second(phi)))
         J = sp.bmat([[a_phi, kmu], [-(sig * dlt) * K - dpot, M]], format="csr")
-        delta = cache.solve(J, -np.concatenate([r1, r2]), tol=LIN_TOL, order=None)
+        delta = lin_cache.solve(J, -np.concatenate([r1, r2]), tol=LIN_TOL, order=None)
         dphi, dmu = delta[:n], delta[n:]
         step = 1.0
         for _ in range(10):
@@ -285,15 +276,7 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
     if not res <= newton_tol:
         raise SolverError(f"phase-field Newton stalled at residual {res:.3e} "
                           f"after {it} iterations")
-    report = ChReport(
-        newton_iterations=it,
-        residual=float(res),
-        mass_before=float(c @ phi_source) if conv_matrix is None else float(c @ phi_old),
-        mass_after=float(c @ phi),
-        phi_min=float(phi.min()),
-        phi_max=float(phi.max()),
-    )
-    return phi, mu, report
+    return phi, mu, ChReport(newton_iterations=it)
 
 
 def interfacial_energy(space: ScalarSpace, phi: np.ndarray, dw: DoubleWell) -> float:

@@ -206,8 +206,8 @@ class SolverCaches:
 
 
 def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTolerances,
-                   convection: str = "fv", newton_tol: float = 1e-12,
-                   caches: SolverCaches | None = None) -> tuple[State, StepDiagnostics]:
+                   convection: str, newton_tol: float,
+                   caches: SolverCaches) -> tuple[State, StepDiagnostics]:
     """One time step of the split scheme.  Raises StepRejected when the inner
     loop does not contract within the iteration budget or a phase-field or
     momentum solve fails (``run`` halves tau and retries), and propagates
@@ -217,8 +217,6 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
     disc = state.disc
     dw = DoubleWell(sigma=params.sigma, delta=params.delta)
     diags = StepDiagnostics()
-    if caches is None:
-        caches = SolverCaches()
 
     phi_k = state.phi
     v_k = state.v
@@ -296,7 +294,6 @@ class StepRecord:
     phi_min: float
     phi_max: float
     dofs: int
-    interval: int  # fixed-mesh interval id (ledger checks stay within one)
     transfer_mass_drift: float = 0.0
 
 
@@ -355,7 +352,6 @@ def run(cfg: RunConfig) -> RunResult:
     AuditFailure; both carry the steps accepted before."""
     state = _initial_adapted_state(cfg)
     records: list[StepRecord] = []
-    interval = 0
     audit_failures = 0
     step_index = 0
     tiny = 1e-12 * max(cfg.t_end, 1.0)
@@ -400,8 +396,7 @@ def run(cfg: RunConfig) -> RunResult:
         mass = float(state.disc.lumped @ new.phi)
         rec = StepRecord(t=new.t, tau=tau, energy=breakdown, report=report,
                          mass_phi=mass, phi_min=float(new.phi.min()),
-                         phi_max=float(new.phi.max()), dofs=state.disc.total_dofs,
-                         interval=interval)
+                         phi_max=float(new.phi.max()), dofs=state.disc.total_dofs)
 
         if cfg.adaptivity.enabled:
             marks = mark_elements(new, cfg.adaptivity)
@@ -415,7 +410,6 @@ def run(cfg: RunConfig) -> RunResult:
                     rec.transfer_mass_drift = float(
                         moved.disc.lumped @ moved.phi) - mass
                     new = moved
-                    interval += 1
 
         records.append(rec)
         state = new

@@ -71,7 +71,7 @@ def total_energy(sspace: ScalarSpace, vspace: VelocitySpace, phi: np.ndarray,
 def step_inequality_check(sspace: ScalarSpace, vspace: VelocitySpace, params: PhysParams,
                           phi_old: np.ndarray, v_old: np.ndarray,
                           phi_new: np.ndarray, mu_new: np.ndarray, v_new: np.ndarray,
-                          tau: float, t_old: float, tol: float = 1e-8,
+                          tau: float, t_old: float, tol: float,
                           viscous=None) -> tuple[InequalityReport, EnergyBreakdown]:
     """Audit one accepted step against the discrete energy inequality.
 
@@ -130,37 +130,3 @@ def step_inequality_check(sspace: ScalarSpace, vspace: VelocitySpace, params: Ph
                                 numdiss_v=numdiss_v, numdiss_phi=numdiss_phi)
     return report, breakdown
 
-
-# slack of the cumulative ledger per step, relative to the energy scale
-LEDGER_TOL_STEP = 1e-10
-
-
-def global_energy_ledger(energies: list[float], taus: list[float],
-                         breakdowns: list[EnergyBreakdown]) -> tuple[bool, float]:
-    """Cumulative form of the stability estimate over a fixed-mesh interval.
-
-    energies[k] is the total energy after k steps (energies[0] = initial);
-    breakdowns[m] carries the dissipation and work of step m (from state m to
-    m+1).  Checks, for every l < k,
-
-        E_k + sum_{m=l}^{k-1} (numdiss_m + tau_m (D_mob + D_visc)_m)
-            <= E_l + sum_{m=l}^{k-1} tau_m W_ext,m
-
-    within an accumulated tolerance of LEDGER_TOL_STEP per step times the
-    energy scale; returns (ok, worst_violation).
-    """
-    scale = max(abs(e) for e in energies) + 1.0
-    # S_k = E_k + sum_{m<k} (diss_m - work_m); the pairwise inequality for
-    # (l, k) is exactly S_k <= S_l, so S must be nonincreasing up to slack
-    cumulative = 0.0
-    running = [energies[0]]
-    for m, b in enumerate(breakdowns):
-        cumulative += b.numdiss_v + b.numdiss_phi + taus[m] * (b.d_mob + b.d_visc)
-        cumulative -= taus[m] * b.w_ext
-        running.append(energies[m + 1] + cumulative)
-    worst = 0.0
-    best_so_far = running[0]
-    for k in range(1, len(running)):
-        worst = max(worst, running[k] - best_so_far - k * LEDGER_TOL_STEP * scale)
-        best_so_far = min(best_so_far, running[k])
-    return worst <= 0.0, worst

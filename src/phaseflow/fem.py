@@ -1,6 +1,6 @@
 """Finite element spaces on triangulations: continuous P1 scalars, P2 or P1
-vector velocity spaces with Dirichlet handling, nodal interpolation, exact
-quadrature, and the assembly kernels shared by the solvers.
+vector velocity spaces with Dirichlet handling, exact quadrature, and the
+assembly kernels shared by the solvers.
 
 A ``ScalarSpace`` owns its constant operators: the consistent mass matrix,
 the unit-coefficient stiffness matrix and the lumped weights are assembled
@@ -160,7 +160,7 @@ class ScalarSpace:
     @cached_property
     def stiffness(self) -> sp.csr_array:
         """Stiffness matrix with unit coefficient."""
-        return assemble_stiffness(self, 1.0)
+        return assemble_stiffness(self)
 
     @cached_property
     def lumped(self) -> np.ndarray:
@@ -177,7 +177,7 @@ class VelocitySpace:
     normal to the rectangle side (both at corners).
     """
 
-    def __init__(self, mesh: Mesh, degree: int = 2, bc: str = "noslip"):
+    def __init__(self, mesh: Mesh, degree: int, bc: str):
         if degree not in REFERENCE_ELEMENTS:
             raise ValueError("velocity degree must be 1 or 2")
         if bc not in ("noslip", "freeslip"):
@@ -362,20 +362,7 @@ def assemble(row_dofs: np.ndarray, col_dofs: np.ndarray, ke: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# interpolation
-
-
-def interpolate_nodal(f, space) -> np.ndarray:
-    """Nodal interpolation of a vectorized callable (points (k, 2) -> values)
-    onto a scalar or velocity space.  Scalar targets return (n,) arrays,
-    velocity targets (2 * n_nodes,) component-major arrays.
-    """
-    if isinstance(space, ScalarSpace):
-        return np.asarray(f(space.mesh.vertices), dtype=float)
-    vals = np.asarray(f(space.nodes), dtype=float)
-    if vals.shape != (space.n_nodes, 2):
-        raise ValueError("vector interpolant must return (n, 2) values")
-    return np.concatenate([vals[:, 0], vals[:, 1]])
+# evaluation
 
 
 def _eval_p1(mesh: Mesh, dofs: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -395,21 +382,11 @@ def p1_at_p2_nodes(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
 # scalar assembly
 
 
-def assemble_stiffness(space: ScalarSpace, coeff) -> sp.csr_array:
-    """P1 stiffness with a nonnegative scalar or nodal P1 coefficient,
-    integrated exactly (the coefficient enters through its element mean)."""
+def assemble_stiffness(space: ScalarSpace) -> sp.csr_array:
+    """P1 stiffness with unit coefficient, integrated exactly."""
     mesh = space.mesh
     g, areas = p1_gradients(mesh)
-    if np.isscalar(coeff):
-        if coeff < 0:
-            raise ValueError("stiffness coefficient must be nonnegative")
-        cbar = np.full(mesh.n_triangles, float(coeff))
-    else:
-        coeff = np.asarray(coeff, dtype=float)
-        if coeff.min() < 0:
-            raise ValueError("stiffness coefficient must be nonnegative")
-        cbar = coeff[mesh.triangles].mean(axis=1)
-    ke = np.einsum("m,mid,mjd->mij", cbar * areas, g, g)
+    ke = np.einsum("m,mid,mjd->mij", areas, g, g)
     return assemble(mesh.triangles, mesh.triangles, ke, (space.n_dofs, space.n_dofs))
 
 

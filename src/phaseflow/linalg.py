@@ -58,7 +58,7 @@ def _inf_norm(A: sp.spmatrix) -> float:
     return float(abs(A).sum(axis=1).max()) if A.nnz else 0.0
 
 
-def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-10, maxit: int = 1000,
+def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float, maxit: int,
              M=None) -> tuple[np.ndarray, int]:
     """Preconditioned BiCGstab on a sparse matrix A.
 
@@ -157,7 +157,8 @@ class FactorizationCache:
     defect-correction pass, and the result must be finite with
     ||Ax - b||_inf <= 1e-10 (||A||_inf ||x||_inf + ||b||_inf), else
     SolverError.  A factorization that needed more than ``REFRESH_AFTER``
-    iterations is dropped, so the next call refactorizes.
+    iterations is dropped, so the next call refactorizes, and a preconditioned
+    solve gets at most ``MAXIT`` iterations before it falls back.
 
     SuperLU sizes its factor storage from a fill estimate and writes only
     the part the fill needs.  The C heap keeps a replaced factorization's
@@ -171,11 +172,11 @@ class FactorizationCache:
     ordering."""
 
     REFRESH_AFTER = 5
+    MAXIT = 40
 
-    def __init__(self, maxit: int = 40):
+    def __init__(self):
         self.lu = None
         self.order = None
-        self.maxit = maxit
 
     def refresh(self, A: sp.spmatrix, order: np.ndarray | None):
         """Factorize A, in SuperLU's own column order with partial pivoting
@@ -202,7 +203,7 @@ class FactorizationCache:
               order: np.ndarray | None) -> np.ndarray:
         if self.lu is not None and self.order is order and self.lu.shape == A.shape:
             try:
-                x, its = bicgstab(A, b, tol=tol, maxit=self.maxit, M=self.lu.solve)
+                x, its = bicgstab(A, b, tol=tol, maxit=self.MAXIT, M=self.lu.solve)
             except IterativeFailure:
                 pass
             else:
@@ -221,13 +222,16 @@ class FactorizationCache:
         return x
 
 
-def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float = 1e-12,
-                 maxit: int = 200) -> np.ndarray:
+# iteration budget of ``solve_linear`` before its direct fallback
+LINEAR_MAXIT = 200
+
+
+def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
     """Jacobi-preconditioned BiCGstab with a direct fallback, the path of the
     P1 mass matrix: well conditioned, it converges in a few iterations,
     several times faster than a factorization."""
     try:
-        x, _ = bicgstab(A, b, tol=tol, maxit=maxit)
+        x, _ = bicgstab(A, b, tol=tol, maxit=LINEAR_MAXIT)
         return x
     except IterativeFailure:
         return direct_solve(A, b)

@@ -68,7 +68,7 @@ class Mesh:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
         object.__setattr__(self, "generation", gen)
-        edges, tri_edges, edge_tris = _build_connectivity(tris)
+        edges, tri_edges, edge_tris = _build_connectivity(tris, verts.shape[0])
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "tri_edges", tri_edges)
         object.__setattr__(self, "edge_tris", edge_tris)
@@ -141,10 +141,11 @@ def _cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
 
 
-def _build_connectivity(tris: np.ndarray):
-    """Unique edges, the three edges of each triangle, and the one or two
-    triangles of each edge (-1 when absent).  An edge with more than two
-    triangles raises GeometryError."""
+def _build_connectivity(tris: np.ndarray, n_vertices: int):
+    """Unique edges in lexicographic order of their sorted vertex pairs, the
+    three edges of each triangle, and the one or two triangles of each edge
+    (-1 when absent).  An edge with more than two triangles raises
+    GeometryError."""
     m = tris.shape[0]
     # local edge k is opposite local vertex k
     e0 = tris[:, [1, 2]]
@@ -152,7 +153,10 @@ def _build_connectivity(tris: np.ndarray):
     e2 = tris[:, [0, 1]]
     all_edges = np.concatenate([e0, e1, e2], axis=0)
     all_edges = np.sort(all_edges, axis=1)
-    edges, inverse = np.unique(all_edges, axis=0, return_inverse=True)
+    # one int64 key per sorted pair orders like the pair itself
+    keys, inverse = np.unique(all_edges[:, 0] * n_vertices + all_edges[:, 1],
+                              return_inverse=True)
+    edges = np.column_stack([keys // n_vertices, keys % n_vertices])
     tri_edges = inverse.reshape(3, m).T.copy()
     counts = np.bincount(inverse, minlength=edges.shape[0])
     if counts.max() > 2:
@@ -336,11 +340,7 @@ class DualGrid:
     Faces are the perpendicular bisector segments between adjacent vertices;
     ``face_cells[f] = (i, j)`` with unit normal ``face_normals[f]`` pointing
     from cell i to cell j.  Degenerate faces (coincident circumcenters across
-    a shared hypotenuse) are omitted.  ``boundary_normal_integral[i]`` is the
-    integral of the outward domain normal over the part of the boundary owned
-    by cell i, so interior rows are zero and for every cell
-
-        sum_f |Gamma_f| nu_f (outward from i) + boundary_normal_integral[i] = 0.
+    a shared hypotenuse) are omitted.
     """
 
     cell_volumes: np.ndarray
@@ -350,7 +350,6 @@ class DualGrid:
     face_midpoints: np.ndarray
     face_endpoints: np.ndarray
     face_tri: np.ndarray
-    boundary_normal_integral: np.ndarray
 
     @property
     def n_cells(self) -> int:
@@ -428,22 +427,6 @@ def build_dual_grid(mesh: Mesh) -> DualGrid:
         )
         np.add.at(volumes, tri[:, k], area)
 
-    # boundary ownership: each boundary edge donates its half to both endpoint cells
-    bni = np.zeros((n, 2))
-    bedges = mesh.boundary_edges
-    for e in bedges:
-        t = edge_tris[e, 0]
-        va, vb = edges[e]
-        evec = verts[vb] - verts[va]
-        nrm = np.array([evec[1], -evec[0]])
-        third = [v for v in tri[t] if v != va and v != vb][0]
-        if np.dot(nrm, verts[third] - verts[va]) > 0:
-            nrm = -nrm
-        nrm /= np.linalg.norm(nrm)
-        half = 0.5 * np.linalg.norm(evec)
-        bni[va] += half * nrm
-        bni[vb] += half * nrm
-
     ends = np.stack([end0[keep], end1[keep]], axis=1)
     return DualGrid(
         cell_volumes=volumes,
@@ -453,7 +436,6 @@ def build_dual_grid(mesh: Mesh) -> DualGrid:
         face_midpoints=midpoints,
         face_endpoints=ends,
         face_tri=face_tri,
-        boundary_normal_integral=bni,
     )
 
 

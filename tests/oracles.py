@@ -3,10 +3,11 @@
 The integration helpers deliberately avoid the package's own quadrature
 tables: integrals are computed with a tensorized Gauss-Legendre rule mapped
 onto each triangle via the Duffy transform, exact for polynomial integrands
-up to degree ~13.  ``schur_solve`` solves a saddle system without the
-package's Krylov and factorization-cache code.  ``Saddle`` holds the blocks
-of one saddle system for the tests, and ``RecordingCache`` keeps the
-matrices a solve hands its factorization cache.
+up to degree ~13.  ``interpolate_nodal`` samples a callable at the nodes of
+a space.  ``schur_solve`` solves a saddle system without the package's
+Krylov and factorization-cache code.  ``Saddle`` holds the blocks of one
+saddle system for the tests, and ``RecordingCache`` keeps the matrices a
+solve hands its factorization cache.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from phaseflow.fem import ScalarSpace
 from phaseflow.linalg import FactorizationCache
 from phaseflow.momentum import PIN, PinnedDivergence, solve_saddle
 
@@ -45,6 +47,17 @@ def integrate_on_mesh(f, mesh, n=8):
     for t in range(mesh.n_triangles):
         total += integrate_on_triangle(f, mesh.vertices[mesh.triangles[t]], n=n)
     return total
+
+
+def interpolate_nodal(f, space):
+    """Nodal values of a vectorized callable (points (k, 2) -> values) on a
+    scalar space, (n,), or on a velocity space, (2 * n_nodes,) component-major
+    from (n_nodes, 2) values."""
+    if isinstance(space, ScalarSpace):
+        return np.asarray(f(space.mesh.vertices), dtype=float)
+    vals = np.asarray(f(space.nodes), dtype=float)
+    assert vals.shape == (space.n_nodes, 2), "vector interpolant must return (n, 2) values"
+    return np.concatenate([vals[:, 0], vals[:, 1]])
 
 
 def p1_interpolant(mesh, vals):

@@ -186,7 +186,8 @@ def projection_reference_step(state: State, tau: float, params: PhysParams,
         conv = fe_convection_matrix(disc.sspace, v_dofs, disc.vspace)
         phi_new, mu_new, _ = ch_diffusive_solve(
             phi_k, phi_k, tau, params.mobility, dw, disc.sspace,
-            newton_tol=newton_tol, conv_matrix=conv, phi_guess=phi_guess)
+            newton_tol=newton_tol, conv_matrix=conv, phi_guess=phi_guess,
+            lin_cache=FactorizationCache())
         return phi_new, mu_new
 
     phi_i, mu_i = ch_solve(v_k, phi_k)

@@ -67,6 +67,13 @@ def test_load_rejects_deleted_keys(tmp_path, key):
         load_config(str(p))
 
 
+def test_load_names_the_line_of_an_unknown_scenario(tmp_path):
+    p = tmp_path / "c.txt"
+    p.write_text("physics.mobility = 0.5\nscenario.name = elipse\n")
+    with pytest.raises(ValueError, match=re.escape("c.txt:2: unknown scenario 'elipse'")):
+        load_config(str(p))
+
+
 @pytest.mark.parametrize("key,value", [
     ("timestep.safety", "0"), ("solver.max_inner", "0"), ("solver.eps_v", "0"),
     ("solver.eps_phi", "-1e-6"), ("solver.newton_tol", "0"), ("solver.audit_tol", "-1e-9"),

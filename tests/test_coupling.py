@@ -5,6 +5,7 @@ from phaseflow.coupling import (
     AdaptivityConfig,
     Discretization,
     RunConfig,
+    SolverCaches,
     SplitTolerances,
     State,
     TimestepConfig,
@@ -133,7 +134,8 @@ def test_splitting_quiescent_pure_phase_fixed_point():
     mesh = build_structured_mesh((-1, 1, -1, 1), 4)
     disc = Discretization(mesh, params)
     state = initial_state(disc, params, lambda p: np.ones(len(p)))
-    new, diags = splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe")
+    new, diags = splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe",
+                                newton_tol=1e-12, caches=SolverCaches())
     assert diags.inner_iterations == 1
     np.testing.assert_allclose(new.phi, state.phi, atol=1e-10)
     np.testing.assert_allclose(new.v, 0.0, atol=1e-12)
@@ -144,7 +146,8 @@ def test_discretization_builds_dual_grid_and_divergence_on_first_use():
     disc = Discretization(build_structured_mesh((-1, 1, -1, 1), 4), params)
     assert "dual" not in vars(disc) and "B" not in vars(disc)
     state = initial_state(disc, params, circle_phi0((0, 0), 0.5, 0.1))
-    splitting_step(state, 1e-4, params, SplitTolerances(), convection="fe")
+    splitting_step(state, 1e-4, params, SplitTolerances(), convection="fe",
+                   newton_tol=1e-12, caches=SolverCaches())
     assert "B" in vars(disc)
     assert "dual" not in vars(disc)
 
@@ -157,7 +160,8 @@ def test_splitting_agg_dss_agree_when_decoupled(convection):
         params = quiescent_params(rho1=0.01, rho2=0.01, mobility=0.0, model=model)
         disc = Discretization(mesh, params)
         state = initial_state(disc, params, circle_phi0((0, 0), 0.5, 0.1))
-        new, _ = splitting_step(state, 1e-4, params, SplitTolerances(), convection=convection)
+        new, _ = splitting_step(state, 1e-4, params, SplitTolerances(), convection=convection,
+                                newton_tol=1e-12, caches=SolverCaches())
         outs[model] = new
     for f in ("phi", "mu", "v", "p"):
         np.testing.assert_allclose(getattr(outs["agg"], f), getattr(outs["dss"], f),
@@ -180,7 +184,8 @@ def test_splitting_fe_converged_step_passes_energy_audit():
     tau = compute_timestep(state, TimestepConfig())
     e_prev = total_energy(disc.sspace, disc.vspace, state.phi, state.v, params).e_total
     for _ in range(3):
-        new, _ = splitting_step(state, tau, params, tols, convection="fe")
+        new, _ = splitting_step(state, tau, params, tols, convection="fe",
+                                newton_tol=1e-12, caches=SolverCaches())
         report, bd = step_inequality_check(disc.sspace, disc.vspace, params,
                                            state.phi, state.v, new.phi, new.mu, new.v,
                                            tau, state.t, tol=1e-8)
@@ -201,8 +206,10 @@ def test_splitting_negative_control_detects_corruption():
     tols = SplitTolerances(eps_v=1e-11, eps_phi=1e-11, max_inner=200)
     tau = 5e-4
     for _ in range(6):
-        state, _ = splitting_step(state, tau, params, tols, convection="fe")
-    new, _ = splitting_step(state, tau, params, tols, convection="fe")
+        state, _ = splitting_step(state, tau, params, tols, convection="fe",
+                                  newton_tol=1e-12, caches=SolverCaches())
+    new, _ = splitting_step(state, tau, params, tols, convection="fe",
+                            newton_tol=1e-12, caches=SolverCaches())
     good, _ = step_inequality_check(disc.sspace, disc.vspace, params,
                                     state.phi, state.v, new.phi, new.mu, new.v,
                                     tau, state.t, tol=1e-8)
@@ -333,7 +340,8 @@ def test_splitting_rejects_step_on_failed_saddle_factorization(monkeypatch, corr
     monkeypatch.setattr(momentum, "apply_velocity_dirichlet",
                         lambda A, mask: factor * apply(A, mask))
     with pytest.raises(StepRejected, match="momentum solve failed"):
-        splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe")
+        splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe",
+                       newton_tol=1e-12, caches=SolverCaches())
 
 
 def test_splitting_rejects_step_on_stalled_phase_solve():
@@ -343,7 +351,7 @@ def test_splitting_rejects_step_on_stalled_phase_solve():
     state = initial_state(disc, params, circle_phi0((0, 0), 0.5, 0.1))
     with pytest.raises(StepRejected, match="phase-field solve failed: .*Newton stalled"):
         splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe",
-                       newton_tol=1e-30)
+                       newton_tol=1e-30, caches=SolverCaches())
 
 
 def test_run_abort_keeps_the_accepted_steps(monkeypatch):
@@ -371,10 +379,11 @@ def test_audit_reuses_the_step_viscous_matrix():
     mesh = build_structured_mesh((-1, 1, -1, 1), 6)
     disc = Discretization(mesh, params)
     state = initial_state(disc, params, circle_phi0((0.1, 0), 0.5, 0.1))
-    new, diags = splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe")
+    new, diags = splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe",
+                                newton_tol=1e-12, caches=SolverCaches())
     assert diags.viscous is not None
     args = (disc.sspace, disc.vspace, params, state.phi, state.v,
-            new.phi, new.mu, new.v, 1e-3, 0.0)
+            new.phi, new.mu, new.v, 1e-3, 0.0, 1e-8)
     reused, bd_reused = step_inequality_check(*args, viscous=diags.viscous)
     fresh, bd_fresh = step_inequality_check(*args)
     assert bd_fresh.d_visc > 0.0

@@ -13,7 +13,6 @@ from phaseflow.fem import (
     assemble_stiffness,
     assembly_threads,
     element_gradient_magnitudes,
-    interpolate_nodal,
     l2_distance,
     lumped_p1_weights,
     nested_dissection,
@@ -23,7 +22,7 @@ from phaseflow.fem import (
 from phaseflow.mesh import REFINE, Mesh, build_structured_mesh, midpoint_refine, refine_and_coarsen
 from phaseflow.momentum import PhysParams
 
-from oracles import integrate_on_mesh, integrate_on_triangle, p1_interpolant
+from oracles import integrate_on_mesh, integrate_on_triangle, interpolate_nodal, p1_interpolant
 
 
 def reference_triangle_mesh():
@@ -84,7 +83,7 @@ def test_interpolation_error_decays_quadratically():
 
 def test_p2_interpolation_reproduces_p2():
     m = build_structured_mesh((0, 1, 0, 1), 2)
-    vs = VelocitySpace(m, degree=2)
+    vs = VelocitySpace(m, degree=2, bc="noslip")
     f = lambda p: np.column_stack([p[:, 0] ** 2 + p[:, 1], p[:, 0] * p[:, 1]])
     dofs = interpolate_nodal(f, vs)
     # check midside evaluation reproduces the quadratic exactly
@@ -99,14 +98,14 @@ def test_p2_interpolation_reproduces_p2():
 
 def test_lumped_mass_reference_triangle_p1():
     m = reference_triangle_mesh()
-    vs = VelocitySpace(m, degree=1)
+    vs = VelocitySpace(m, degree=1, bc="noslip")
     d = vs.lumping @ np.ones(3)
     np.testing.assert_allclose(d, 0.5 / 3.0, atol=1e-15)
 
 
 def test_lumped_mass_scales_linearly():
     m = build_structured_mesh((0, 1, 0, 1), 2)
-    vs = VelocitySpace(m, degree=2)
+    vs = VelocitySpace(m, degree=2, bc="noslip")
     d1 = vs.lumping @ np.ones(m.n_vertices)
     rho = 0.017
     d2 = vs.lumping @ np.full(m.n_vertices, rho)
@@ -116,7 +115,7 @@ def test_lumped_mass_scales_linearly():
 @pytest.mark.parametrize("degree", [1, 2])
 def test_lumped_mass_row_sums_equal_weight_integral(degree):
     m = build_structured_mesh((0, 1, 0, 1), 4)
-    vs = VelocitySpace(m, degree=degree)
+    vs = VelocitySpace(m, degree=degree, bc="noslip")
     w = 1.0 + 0.5 * m.vertices[:, 0] - 0.25 * m.vertices[:, 1]
     d = vs.lumping @ w
     exact = integrate_on_mesh(lambda p: 1.0 + 0.5 * p[:, 0] - 0.25 * p[:, 1], m)
@@ -139,7 +138,7 @@ def test_lumping_matches_per_element_integrals(degree, refined):
     # integrals of w * hat_i over the velocity node mesh, element by element,
     # with w evaluated pointwise on the primal mesh
     m = locally_refined_mesh() if refined else build_structured_mesh((0, 1, 0, 1), 4)
-    vs = VelocitySpace(m, degree=degree)
+    vs = VelocitySpace(m, degree=degree, bc="noslip")
     rng = np.random.default_rng(11)
     w = 0.5 + rng.uniform(0, 1, m.n_vertices)
     w_at = p1_interpolant(m, w)
@@ -164,7 +163,7 @@ def test_p1_lumping_is_bitwise_the_p1_mass(refined):
     # the P1/P1 path reads the same bytes whether it goes through the
     # reference-element table or the scalar space
     m = locally_refined_mesh() if refined else build_structured_mesh((0, 1, 0, 1), 4)
-    L = VelocitySpace(m, degree=1).lumping
+    L = VelocitySpace(m, degree=1, bc="noslip").lumping
     M = ScalarSpace(m).mass
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(L, name), getattr(M, name))
@@ -172,39 +171,23 @@ def test_p1_lumping_is_bitwise_the_p1_mass(refined):
 
 # ---------------------------------------------------------------- stiffness
 
-def test_stiffness_zero_coefficient():
-    m = build_structured_mesh((0, 1, 0, 1), 2)
-    K = assemble_stiffness(ScalarSpace(m), 0.0)
-    assert abs(K).sum() == 0.0
-
-
 def test_stiffness_kernel_constants():
     m = build_structured_mesh((0, 1, 0, 1), 4)
-    K = assemble_stiffness(ScalarSpace(m), 1.0)
+    K = assemble_stiffness(ScalarSpace(m))
     c = np.full(m.n_vertices, 3.7)
     assert np.abs(K @ c).max() < 1e-13
 
 
 def test_stiffness_energy_of_linear():
     m = build_structured_mesh((0, 1, 0, 1), 4)
-    K = assemble_stiffness(ScalarSpace(m), 1.0)
+    K = assemble_stiffness(ScalarSpace(m))
     v = m.vertices[:, 0]
     assert v @ (K @ v) == pytest.approx(1.0, rel=1e-13)
 
 
-def test_stiffness_rejects_negative_coefficient():
-    m = build_structured_mesh((0, 1, 0, 1), 2)
-    with pytest.raises(ValueError):
-        assemble_stiffness(ScalarSpace(m), -1.0)
-    bad = -np.ones(m.n_vertices)
-    with pytest.raises(ValueError):
-        assemble_stiffness(ScalarSpace(m), bad)
-
-
 def test_stiffness_spsd_and_symmetric():
     m = build_structured_mesh((0, 1, 0, 1), 4)
-    coeff = 1.0 + m.vertices[:, 0]
-    K = assemble_stiffness(ScalarSpace(m), coeff)
+    K = assemble_stiffness(ScalarSpace(m))
     asym = abs(K - K.T)
     assert asym.max() if asym.nnz else 0.0 == 0.0
     rng = np.random.default_rng(0)
@@ -261,7 +244,7 @@ def test_gradient_magnitudes_linear_field():
 
 def test_gradient_magnitudes_p2_quadratic():
     m = build_structured_mesh((0, 1, 0, 1), 2)
-    vs = VelocitySpace(m, degree=2)
+    vs = VelocitySpace(m, degree=2, bc="noslip")
     f = lambda p: np.column_stack([p[:, 0] ** 2, np.zeros(len(p))])
     dofs = interpolate_nodal(f, vs)
     grads = vs.component_gradients_at_barycenter(dofs)
@@ -340,7 +323,7 @@ def test_nested_dissection_orders_a_separator_after_both_halves():
 def test_p1_at_p2_nodes_exact():
     m = build_structured_mesh((0, 1, 0, 1), 2)
     vals = 3.0 * m.vertices[:, 0] - m.vertices[:, 1]
-    vs = VelocitySpace(m, degree=2)
+    vs = VelocitySpace(m, degree=2, bc="noslip")
     ext = p1_at_p2_nodes(m, vals)
     np.testing.assert_allclose(ext, 3.0 * vs.nodes[:, 0] - vs.nodes[:, 1], atol=1e-14)
 
@@ -365,7 +348,7 @@ def test_scalar_space_owns_its_operators():
     assert space.mass is space.mass and space.stiffness is space.stiffness
     assert space.lumped is space.lumped
     for owned, fresh in ((space.mass, assemble_p1_mass(ScalarSpace(m))),
-                         (space.stiffness, assemble_stiffness(ScalarSpace(m), 1.0))):
+                         (space.stiffness, assemble_stiffness(ScalarSpace(m)))):
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(owned, name), getattr(fresh, name))
     assert np.array_equal(space.lumped, lumped_p1_weights(m))

@@ -1,6 +1,7 @@
 """Every imported name is used in the module that imports it, the
-package imports at module level only, and its functions stay within a
-budget of defaulted parameters.
+package imports at module level only, every module-level function and
+class of the package is used in the package, and its functions hold
+exactly the budgeted number of defaulted parameters.
 
 An ``ast`` scan of the package and the test suite: a name bound by an
 import must occur as a name elsewhere in its module.  Exempt are
@@ -53,9 +54,30 @@ def test_no_function_level_imports(path):
     assert function_level_imports(path) == []
 
 
+def unused_definitions() -> list[str]:
+    """Module-level functions and classes of the package that no other
+    top-level statement of the package names, as a name or an attribute;
+    the ``__init__`` re-exports do not count as a use."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in PACKAGE if path.name != "__init__.py"}
+    defined, named = [], []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path, node))
+            named.append((node, {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                          | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}))
+    return [f"{path.name}:{node.lineno}: {node.name}" for path, node in defined
+            if not any(node.name in names for other, names in named if other is not node)]
+
+
+def test_every_definition_is_used_in_the_package():
+    assert unused_definitions() == []
+
+
 # Defaulted parameters of the package's functions, each an option a caller
-# may set.  A change that adds one raises this budget in its own diff.
-DEFAULTED_PARAMETER_BUDGET = 23
+# may set.  A change that adds or removes one sets this count in its own diff.
+DEFAULTED_PARAMETER_BUDGET = 6
 
 
 def defaulted_parameters(path: pathlib.Path) -> list[str]:
@@ -71,4 +93,4 @@ def defaulted_parameters(path: pathlib.Path) -> list[str]:
 
 def test_defaulted_parameters_within_budget():
     found = [entry for path in PACKAGE for entry in defaulted_parameters(path)]
-    assert len(found) <= DEFAULTED_PARAMETER_BUDGET, found
+    assert len(found) == DEFAULTED_PARAMETER_BUDGET, found

@@ -51,7 +51,7 @@ def test_direct_singular_raises():
 
 def test_bicgstab_zero_rhs_zero_iterations():
     A = laplacian_1d(10)
-    x, it = bicgstab(A, np.zeros(10), tol=1e-12)
+    x, it = bicgstab(A, np.zeros(10), tol=1e-12, maxit=1000)
     assert it == 0
     np.testing.assert_allclose(x, 0.0)
 
@@ -59,7 +59,7 @@ def test_bicgstab_zero_rhs_zero_iterations():
 def test_bicgstab_identity_one_iteration():
     A = sp.eye_array(7, format="csr")
     b = np.linspace(1, 2, 7)
-    x, it = bicgstab(A, b, tol=1e-12)
+    x, it = bicgstab(A, b, tol=1e-12, maxit=1000)
     assert it == 1
     np.testing.assert_allclose(x, b, atol=1e-12)
 
@@ -81,18 +81,20 @@ def test_bicgstab_maxit_raises():
 
 def test_bicgstab_rejects_bad_tol():
     with pytest.raises(ValueError):
-        bicgstab(laplacian_1d(4), np.ones(4), tol=0.0)
+        bicgstab(laplacian_1d(4), np.ones(4), tol=0.0, maxit=1000)
 
 
-def test_solve_linear_falls_back():
+def test_solve_linear_falls_back(monkeypatch):
     # tiny maxit forces the fallback path; result still accurate
+    monkeypatch.setattr(linalg, "LINEAR_MAXIT", 1)
+    monkeypatch.setattr(FactorizationCache, "MAXIT", 1)
     A = laplacian_1d(50)
     b = np.ones(50)
-    x = solve_linear(A, b, tol=1e-14, maxit=1)
+    x = solve_linear(A, b, tol=1e-14)
     assert np.abs(A @ x - b).max() < 1e-10
     # a cache whose preconditioned iteration cannot finish in one step
     # refactorizes, with the same accuracy
-    cache = FactorizationCache(maxit=1)
+    cache = FactorizationCache()
     stale = cache.refresh(2.0 * A + sp.eye_array(50, format="csr"), None)
     x = cache.solve(A, b, tol=1e-14, order=None)
     assert cache.lu is not stale

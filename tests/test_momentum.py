@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phaseflow.fem import ScalarSpace, VelocitySpace, interpolate_nodal
+from phaseflow.fem import ScalarSpace, VelocitySpace
 from phaseflow.linalg import FactorizationCache
 from phaseflow.mesh import build_structured_mesh
 from phaseflow.momentum import (
@@ -25,7 +25,7 @@ from phaseflow.momentum import (
     viscosity_from_phase,
 )
 
-from oracles import Saddle, duffy_rule, schur_solve
+from oracles import Saddle, duffy_rule, interpolate_nodal, schur_solve
 
 
 PAPER_DENSITIES = dict(rho1=0.001, rho2=0.019)
@@ -336,7 +336,7 @@ def test_stabilization_reference_triangle_entry():
 
     mesh = Mesh(verts, tris, np.zeros(1, dtype=int), base_level=2, domain=(0, 1, 0, 1))
     ss = ScalarSpace(mesh)
-    vs = VelocitySpace(mesh, degree=1)
+    vs = VelocitySpace(mesh, degree=1, bc="noslip")
     C = assemble_stabilization(vs, ss, np.ones(3)).toarray()
     # psi = x is the hat at vertex (1,0): int (x - 1/3)^2 = |K|/18 = 1/36
     xs, ys, ws = duffy_rule(6)
