@@ -46,7 +46,7 @@ from .fem import (
     element_gradient_magnitudes,
     l2_distance,
 )
-from .linalg import bicgstab, direct_solve
+from .linalg import bicgstab
 from .mesh import (
     COARSEN,
     KEEP,

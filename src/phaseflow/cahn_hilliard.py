@@ -98,7 +98,7 @@ def minmod_reconstruct(phi_bar: np.ndarray, dual: DualGrid, verts: np.ndarray):
     d = verts[j] - verts[i]
     dphi = phi_bar[j] - phi_bar[i]
 
-    n = dual.n_cells
+    n = len(phi_bar)
     # accumulate 2x2 normal equations per cell (both orientations of each face)
     a11 = np.zeros(n)
     a12 = np.zeros(n)
@@ -162,7 +162,7 @@ def fv_transport_step(phi_bar: np.ndarray, dual: DualGrid, tau: float, order: in
     j = dual.face_cells[:, 1]
     vol_i = cell_measures[i]
     vol_j = cell_measures[j]
-    degree = np.bincount(dual.face_cells.ravel(), minlength=dual.n_cells)
+    degree = np.bincount(dual.face_cells.ravel(), minlength=len(phi_bar))
     share = np.minimum(vol_i / degree[i], vol_j / degree[j])
     cfl = tau * np.abs(u_n) * dual.face_measures / share
     worst = cfl.max() if cfl.size else 0.0
@@ -260,7 +260,7 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
         it += 1
         dpot = sp.csr_array(sp.diags_array((sig / dlt) * c * dw.f_plus_second(phi)))
         J = sp.bmat([[a_phi, kmu], [-(sig * dlt) * K - dpot, M]], format="csr")
-        delta = lin_cache.solve(J, -np.concatenate([r1, r2]), tol=LIN_TOL, order=None)
+        delta = lin_cache.solve(J, -np.concatenate([r1, r2]), tol=LIN_TOL)
         dphi, dmu = delta[:n], delta[n:]
         step = 1.0
         for _ in range(10):

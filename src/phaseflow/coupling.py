@@ -89,8 +89,11 @@ class AdaptivityConfig:
 
 class Discretization:
     """Per-mesh bundle of the two spaces and ``lumped`` (``sspace.lumped``).
-    Every per-mesh operator, the dual grid and divergence blocks here and
-    the spaces' own matrices, is built on first use."""
+    Every per-mesh operator, the dual grid, divergence blocks and
+    factorization caches here and the spaces' own matrices, is built on
+    first use.  The caches belong to this mesh alone, so a factorization
+    never preconditions another mesh's system, and it is freed with the
+    mesh."""
 
     def __init__(self, mesh: Mesh, params: PhysParams):
         self.mesh = mesh
@@ -110,6 +113,16 @@ class Discretization:
     def divergence(self):
         """The saddle solve's divergence blocks."""
         return dirichlet_divergence(self.vspace, self.B)
+
+    @cached_property
+    def saddle_cache(self):
+        """The momentum saddle's factorization, in the divergence's order."""
+        return FactorizationCache(self.divergence.order)
+
+    @cached_property
+    def phase_cache(self):
+        """The phase-field Newton systems' factorization."""
+        return FactorizationCache(None)
 
     @property
     def total_dofs(self) -> int:
@@ -197,18 +210,10 @@ class StepDiagnostics:
     viscous: object = None
 
 
-@dataclass
-class SolverCaches:
-    """Factorization caches carried across steps; refreshed lazily."""
-
-    saddle: FactorizationCache = field(default_factory=FactorizationCache)
-    phase: FactorizationCache = field(default_factory=FactorizationCache)
-
-
 def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTolerances,
-                   convection: str, newton_tol: float,
-                   caches: SolverCaches) -> tuple[State, StepDiagnostics]:
-    """One time step of the split scheme.  Raises StepRejected when the inner
+                   convection: str, newton_tol: float) -> tuple[State, StepDiagnostics]:
+    """One time step of the split scheme, its solves factorized in the
+    caches of the state's mesh.  Raises StepRejected when the inner
     loop does not contract within the iteration budget or a phase-field or
     momentum solve fails (``run`` halves tau and retries), and propagates
     CFL violations of the transport stage."""
@@ -239,7 +244,7 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
             phi_new, mu_new, rep = ch_diffusive_solve(
                 phi_half, phi_k, tau, params.mobility, dw, disc.sspace,
                 newton_tol=newton_tol, conv_matrix=conv, phi_guess=phi_guess,
-                lin_cache=caches.phase)
+                lin_cache=disc.phase_cache)
         except SolverError as exc:
             raise StepRejected(f"phase-field solve failed: {exc}") from exc
         diags.newton_iterations += rep.newton_iterations
@@ -250,7 +255,7 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
     for it in range(1, tols.max_inner + 1):
         diags.inner_iterations = it
         try:
-            v_i, p_i = solve_momentum(step, phi_i, mu_i, caches.saddle)
+            v_i, p_i = solve_momentum(step, phi_i, mu_i, disc.saddle_cache)
         except SolverError as exc:
             raise StepRejected(f"momentum solve failed: {exc}") from exc
         phi_next, mu_next = ch_solve(v_i, phi_i)
@@ -355,7 +360,6 @@ def run(cfg: RunConfig) -> RunResult:
     audit_failures = 0
     step_index = 0
     tiny = 1e-12 * max(cfg.t_end, 1.0)
-    caches = SolverCaches()
 
     if cfg.snapshot_hook is not None:
         cfg.snapshot_hook(state, 0)
@@ -368,8 +372,7 @@ def run(cfg: RunConfig) -> RunResult:
             try:
                 new, diags = splitting_step(state, tau, cfg.params, cfg.tols,
                                             convection=cfg.convection,
-                                            newton_tol=cfg.newton_tol,
-                                            caches=caches)
+                                            newton_tol=cfg.newton_tol)
                 break
             except StepRejected as exc:
                 # raised in here: an exception kept past its handler would hold

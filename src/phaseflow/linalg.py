@@ -1,14 +1,17 @@
 """Sparse linear solvers for the time stepper.
 
-Every LU-backed solve, ``direct_solve`` included, goes through
-``FactorizationCache.solve`` and meets its one contract.  A caller may hand
-it a fill-reducing order of its own (the momentum saddle does, one per
-mesh); SuperLU is then told to keep it: no column reordering, and a
-diagonal pivot kept unless it is ten times smaller than the largest entry
+Every LU-backed solve goes through ``FactorizationCache.solve`` and meets
+its one contract.  A cache serves one kind of matrix on one mesh, so its
+factors only ever precondition the system they were computed for; the
+mesh's ``coupling.Discretization`` owns its caches and frees them with the
+mesh.  A cache built with a fill-reducing order of its own (the momentum
+saddle's, one per mesh) tells SuperLU to keep it: no column reordering, and
+a diagonal pivot kept unless it is ten times smaller than the largest entry
 of its column.  Full partial pivoting would swap rows away from the order.
-Every other matrix, the phase-field Newton systems included, is factorized
-in SuperLU's own column order.  Only the well-conditioned P1 mass matrix
-goes through Jacobi-preconditioned BiCGstab (``solve_linear``).
+A cache built with ``order`` None, the phase-field Newton systems', uses
+SuperLU's own column order.  Only the well-conditioned P1 mass matrix goes
+through Jacobi-preconditioned BiCGstab (``solve_linear``): it converges in
+a few iterations, cheaper than any factorization.
 """
 
 from __future__ import annotations
@@ -29,19 +32,6 @@ else:  # glibc's int malloc_trim(size_t pad) hands the heap's free pages back
     _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
 
 
-def direct_solve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Sparse LU solve through a fresh ``FactorizationCache``.
-
-    Guarantees a finite x with ||Ax - b||_inf <= 1e-10 (||A||_inf ||x||_inf +
-    ||b||_inf) or raises SolverError; singular factorizations report the pivot.
-    """
-    A = sp.csc_matrix(A)
-    b = np.asarray(b, dtype=float)
-    if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
-        raise ValueError("direct_solve needs a square system")
-    return FactorizationCache().solve(A, b, tol=1e-13, order=None)
-
-
 def _check_direct(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> None:
     """The contract of a direct solve: a finite x with a relative residual
     of at most 1e-10, else SolverError."""
@@ -59,27 +49,17 @@ def _inf_norm(A: sp.spmatrix) -> float:
 
 
 def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float, maxit: int,
-             M=None) -> tuple[np.ndarray, int]:
-    """Preconditioned BiCGstab on a sparse matrix A.
+             M) -> tuple[np.ndarray, int]:
+    """BiCGstab on a sparse matrix A, preconditioned by the callable ``M``.
 
-    ``M``, when given, is a callable applying the preconditioner (overriding
-    the diagonal scaling of A).  Returns (x, iterations).  Converged
-    when ||r|| <= tol * ||b|| (or ||r|| below an absolute floor for b = 0).
-    Breakdown or exceeding maxit raises IterativeFailure so callers can fall
-    back to a factorization.
+    Returns (x, iterations).  Converged when ||r|| <= tol * ||b|| (or ||r||
+    below an absolute floor for b = 0).  Breakdown or exceeding maxit raises
+    IterativeFailure so callers can fall back to a factorization.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    diag = A.diagonal()
-    if M is not None:
-        apply_m = M
-    elif np.all(np.abs(diag) > 0):
-        inv_diag = 1.0 / diag
-        apply_m = lambda v: inv_diag * v
-    else:
-        apply_m = lambda v: v
 
     bnorm = np.linalg.norm(b)
     target = tol * bnorm if bnorm > 0 else 0.0
@@ -97,7 +77,7 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float, maxit: int,
             raise IterativeFailure(f"BiCGstab breakdown (rho ~ 0) at iteration {it}")
         beta = (rho / rho_old) * (alpha / omega)
         p = r + beta * (p - omega * v)
-        p_hat = apply_m(p)
+        p_hat = M(p)
         v = A @ p_hat
         denom = float(r_hat @ v)
         if abs(denom) < 1e-300:
@@ -107,7 +87,7 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float, maxit: int,
         if np.linalg.norm(s) <= target:
             x = x + alpha * p_hat
             return x, it
-        s_hat = apply_m(s)
+        s_hat = M(s)
         t = A @ s_hat
         tt = float(t @ t)
         if tt < 1e-300:
@@ -139,10 +119,6 @@ class PermutedLU:
     def nnz(self) -> int:
         return self.lu.nnz
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.lu.shape
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         x = np.empty_like(b)
         x[self.order] = self.lu.solve(b[self.order])
@@ -150,35 +126,34 @@ class PermutedLU:
 
 
 class FactorizationCache:
-    """The LU-backed solve: one LU factorization preconditions BiCGstab
-    solves with nearby matrices (successive inner iterations and time steps).
-    ``solve`` accepts that result only when its true residual ||Ax - b||_2 is
-    at most 10 tol ||b||_2.  Otherwise A is refactorized and solved with one
-    defect-correction pass, and the result must be finite with
-    ||Ax - b||_inf <= 1e-10 (||A||_inf ||x||_inf + ||b||_inf), else
-    SolverError.  A factorization that needed more than ``REFRESH_AFTER``
-    iterations is dropped, so the next call refactorizes, and a preconditioned
-    solve gets at most ``MAXIT`` iterations before it falls back.
+    """The LU-backed solve of one kind of matrix on one mesh: one LU
+    factorization preconditions BiCGstab solves with nearby matrices
+    (successive inner iterations and time steps).  ``solve`` accepts that
+    result only when its true residual ||Ax - b||_2 is at most 10 tol ||b||_2.
+    Otherwise A is refactorized and solved with one defect-correction pass,
+    and the result must be finite with ||Ax - b||_inf <= 1e-10 (||A||_inf
+    ||x||_inf + ||b||_inf), else SolverError.  A factorization that needed
+    more than ``REFRESH_AFTER`` iterations is dropped, so the next call
+    refactorizes, and a preconditioned solve gets at most ``MAXIT``
+    iterations before it falls back.
+
+    ``order`` is fixed when the cache is built: a permutation of the dofs
+    to factorize in, or None for SuperLU's own ordering.
 
     SuperLU sizes its factor storage from a fill estimate and writes only
     the part the fill needs.  The C heap keeps a replaced factorization's
     storage resident, and where the next one lands in it would decide the
     process's peak memory, so ``refresh`` returns the free heap pages to the
-    system before it factorizes.
-
-    A factorization belongs to the ``order`` it was computed in: a solve
-    with another order object, such as the order of another mesh with the
-    same dof count, refactorizes.  ``order`` None means SuperLU's own
-    ordering."""
+    system before it factorizes."""
 
     REFRESH_AFTER = 5
     MAXIT = 40
 
-    def __init__(self):
+    def __init__(self, order: np.ndarray | None):
+        self.order = order
         self.lu = None
-        self.order = None
 
-    def refresh(self, A: sp.spmatrix, order: np.ndarray | None):
+    def refresh(self, A: sp.spmatrix):
         """Factorize A, in SuperLU's own column order with partial pivoting
         when ``order`` is None, else as A[order][:, order] in exactly that
         order with threshold pivoting; a singular or NaN matrix raises
@@ -186,7 +161,7 @@ class FactorizationCache:
         self.lu = None  # free the old factors before the new ones are built
         if _malloc_trim is not None:
             _malloc_trim(0)
-        self.order = order
+        order = self.order
         try:
             if order is None:
                 self.lu = spla.splu(sp.csc_matrix(A))
@@ -199,9 +174,8 @@ class FactorizationCache:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
         return self.lu
 
-    def solve(self, A: sp.spmatrix, b: np.ndarray, tol: float,
-              order: np.ndarray | None) -> np.ndarray:
-        if self.lu is not None and self.order is order and self.lu.shape == A.shape:
+    def solve(self, A: sp.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
+        if self.lu is not None:
             try:
                 x, its = bicgstab(A, b, tol=tol, maxit=self.MAXIT, M=self.lu.solve)
             except IterativeFailure:
@@ -212,7 +186,7 @@ class FactorizationCache:
                 # the recursive residual can drift from the true one; NaN fails too
                 if np.linalg.norm(A @ x - b) <= 10.0 * tol * np.linalg.norm(b):
                     return x
-        lu = self.refresh(A, order)
+        lu = self.refresh(A)
         x = lu.solve(b)
         # one defect-correction pass guards against a marginal pivot
         r = b - A @ x
@@ -230,9 +204,9 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
     """Jacobi-preconditioned BiCGstab with a direct fallback, the path of the
     P1 mass matrix: well conditioned, it converges in a few iterations,
     several times faster than a factorization."""
+    inv_diag = 1.0 / A.diagonal()
     try:
-        x, _ = bicgstab(A, b, tol=tol, maxit=LINEAR_MAXIT)
+        x, _ = bicgstab(A, b, tol=tol, maxit=LINEAR_MAXIT, M=lambda v: inv_diag * v)
         return x
     except IterativeFailure:
-        return direct_solve(A, b)
-
+        return FactorizationCache(None).solve(A, b, tol)

@@ -90,12 +90,6 @@ class Mesh:
         """Edge ids lying on the domain boundary (exactly one incident element)."""
         return np.nonzero(self.edge_tris[:, 1] < 0)[0]
 
-    @property
-    def boundary_vertex_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_vertices, dtype=bool)
-        mask[self.edges[self.boundary_edges].ravel()] = True
-        return mask
-
     def areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
         return 0.5 * np.abs(_cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
@@ -340,24 +334,16 @@ class DualGrid:
     Faces are the perpendicular bisector segments between adjacent vertices;
     ``face_cells[f] = (i, j)`` with unit normal ``face_normals[f]`` pointing
     from cell i to cell j.  Degenerate faces (coincident circumcenters across
-    a shared hypotenuse) are omitted.
+    a shared hypotenuse) are omitted.  The cells are the mesh's vertices;
+    the transport weighs them with the P1 vertex measures, so their
+    geometric volumes are not stored.
     """
 
-    cell_volumes: np.ndarray
     face_cells: np.ndarray
     face_normals: np.ndarray
     face_measures: np.ndarray
     face_midpoints: np.ndarray
-    face_endpoints: np.ndarray
     face_tri: np.ndarray
-
-    @property
-    def n_cells(self) -> int:
-        return self.cell_volumes.shape[0]
-
-    @property
-    def n_faces(self) -> int:
-        return self.face_measures.shape[0]
 
 
 def circumcenters(mesh: Mesh) -> np.ndarray:
@@ -414,27 +400,11 @@ def build_dual_grid(mesh: Mesh) -> DualGrid:
     swap = outside & (t1 >= 0)
     face_tri[swap] = t1[swap]
 
-    # cell volumes: per (triangle, vertex) kite [x_i, mid(i,a), cc, mid(i,b)]
-    n = mesh.n_vertices
-    volumes = np.zeros(n)
-    tri = mesh.triangles
-    for k in range(3):
-        xi = p[:, k]
-        ma = 0.5 * (xi + p[:, (k + 1) % 3])
-        mb = 0.5 * (xi + p[:, (k + 2) % 3])
-        area = 0.5 * np.abs(
-            _cross(ma - xi, cc - xi) + _cross(cc - xi, mb - xi)
-        )
-        np.add.at(volumes, tri[:, k], area)
-
-    ends = np.stack([end0[keep], end1[keep]], axis=1)
     return DualGrid(
-        cell_volumes=volumes,
         face_cells=np.column_stack([i_idx, j_idx]),
         face_normals=normals,
         face_measures=measures[keep],
         face_midpoints=midpoints,
-        face_endpoints=ends,
         face_tri=face_tri,
     )
 

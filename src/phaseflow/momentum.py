@@ -367,9 +367,10 @@ def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, divergence: PinnedDivergence
     keeps the matrix as sparse as its blocks, where a constraint row for the
     mean would couple every pressure dof.
 
-    The matrix goes through ``cache.solve`` in the divergence's order; the
-    cache carries its factorization over to the next, nearby matrix in the
-    same order.  A failed solve, or a divergence residual above ``tol`` on
+    The matrix goes through ``cache.solve``, which factorizes it in the
+    cache's order (the mesh's saddle cache is built with the divergence's)
+    and carries its factorization over to the next, nearby matrix.  A failed
+    solve, or a divergence residual above ``tol`` on
     any pressure row, the pinned one included, raises SolverError.
     """
     n_v, n_p = G.shape[0], divergence.B.shape[0]
@@ -383,8 +384,7 @@ def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, divergence: PinnedDivergence
     Cblk = sp.csr_array((vals, (rows, cols)), shape=(n_p, n_p))
     K = sp.bmat([[sp.csr_array(G), divergence.pinned_T], [divergence.pinned, Cblk]],
                 format="csr")
-    sol = cache.solve(K, np.concatenate([rhs_v, np.zeros(n_p)]), tol=1e-13,
-                      order=divergence.order)
+    sol = cache.solve(K, np.concatenate([rhs_v, np.zeros(n_p)]), tol=1e-13)
     v, p = sol[:n_v], sol[n_v:]
     div_res = np.abs(divergence.B @ v - (C @ p if C is not None else 0.0)).max()
     if not div_res <= tol:

@@ -4,8 +4,10 @@ The integration helpers deliberately avoid the package's own quadrature
 tables: integrals are computed with a tensorized Gauss-Legendre rule mapped
 onto each triangle via the Duffy transform, exact for polynomial integrands
 up to degree ~13.  ``interpolate_nodal`` samples a callable at the nodes of
-a space.  ``schur_solve`` solves a saddle system without the package's
-Krylov and factorization-cache code.  ``Saddle`` holds the blocks of one
+a space.  ``dual_cell_volumes``, ``dual_face_endpoints`` and
+``boundary_vertex_mask`` give the geometry of a mesh and its Voronoi dual
+that the package does not store.  ``schur_solve`` solves a saddle system
+without the package's Krylov and factorization-cache code.  ``Saddle`` holds the blocks of one
 saddle system for the tests, and ``RecordingCache`` keeps the matrices a
 solve hands its factorization cache.
 """
@@ -18,6 +20,7 @@ import scipy.sparse.linalg as spla
 
 from phaseflow.fem import ScalarSpace
 from phaseflow.linalg import FactorizationCache
+from phaseflow.mesh import circumcenters
 from phaseflow.momentum import PIN, PinnedDivergence, solve_saddle
 
 
@@ -60,6 +63,47 @@ def interpolate_nodal(f, space):
     return np.concatenate([vals[:, 0], vals[:, 1]])
 
 
+def _cross(u, w):
+    return u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+
+
+def dual_cell_volumes(mesh):
+    """Geometric volumes of the Voronoi dual cells, one per vertex: the sum
+    of the kites [x_i, mid(i, a), cc, mid(i, b)] over the triangles at x_i."""
+    p = mesh.vertices[mesh.triangles]
+    cc = circumcenters(mesh)
+    volumes = np.zeros(mesh.n_vertices)
+    for k in range(3):
+        xi = p[:, k]
+        ma = 0.5 * (xi + p[:, (k + 1) % 3])
+        mb = 0.5 * (xi + p[:, (k + 2) % 3])
+        area = 0.5 * np.abs(_cross(ma - xi, cc - xi) + _cross(cc - xi, mb - xi))
+        np.add.at(volumes, mesh.triangles[:, k], area)
+    return volumes
+
+
+def dual_face_endpoints(mesh, dual):
+    """(faces, 2, 2) end points of the faces of ``dual``, in its face order:
+    the circumcenters of the two triangles at an interior edge, or the
+    circumcenter and the edge midpoint at a boundary edge."""
+    cc = circumcenters(mesh)
+    tris = mesh.edge_tris
+    interior = tris[:, 1] >= 0
+    end0 = cc[tris[:, 0]]
+    end1 = np.where(interior[:, None], cc[np.where(interior, tris[:, 1], 0)],
+                    mesh.edge_midpoints())
+    # the dual keeps the edges whose face does not degenerate to a point
+    face_of_edge = {tuple(e): k for k, e in enumerate(mesh.edges)}
+    edge = np.array([face_of_edge[tuple(c)] for c in dual.face_cells])
+    return np.stack([end0[edge], end1[edge]], axis=1)
+
+
+def boundary_vertex_mask(mesh):
+    mask = np.zeros(mesh.n_vertices, dtype=bool)
+    mask[mesh.edges[mesh.boundary_edges].ravel()] = True
+    return mask
+
+
 def p1_interpolant(mesh, vals):
     """Pointwise evaluator of the P1 interpolant (slow, test use only)."""
     from phaseflow.mesh import barycentric_coordinates, locate_points
@@ -95,7 +139,7 @@ class Saddle:
     def monolithic(self):
         """The pinned monolithic matrix and right-hand side ``solve_saddle``
         hands its factorization cache."""
-        cache = RecordingCache()
+        cache = RecordingCache(self.divergence.order)
         self.solve(1e-9, cache)
         return cache.solved[0]
 
@@ -104,13 +148,13 @@ class RecordingCache(FactorizationCache):
     """A factorization cache that keeps every (matrix, right-hand side) it
     is asked to solve, such as the monolithic saddle matrix."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, order):
+        super().__init__(order)
         self.solved = []
 
-    def solve(self, A, b, tol, order):
+    def solve(self, A, b, tol):
         self.solved.append((A, b))
-        return super().solve(A, b, tol, order)
+        return super().solve(A, b, tol)
 
 
 def schur_solve(system, tol):

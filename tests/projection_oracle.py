@@ -25,7 +25,6 @@ from phaseflow.mesh import midpoint_refine
 from phaseflow.momentum import (
     MomentumStep,
     PhysParams,
-    PinnedDivergence,
     apply_velocity_dirichlet,
     assemble_Nb,
     assemble_rhs_K,
@@ -66,12 +65,7 @@ class ProjectionWorkspace:
             cross = disc.sspace.mass.toarray()
         # projected hats, one column per velocity node
         self.projected_hats = self.mass_lu.solve(cross)
-        # the projection terms fill the velocity block densely, so the mesh's
-        # sparse factorization order has nothing to save; the oracle keeps
-        # SuperLU's own order with partial pivoting, the rounding its fixed
-        # point converges under (in the nested order the increments of the
-        # fifth A3 step stall near 2e-10, above eps_v = 1e-10)
-        self.divergence = PinnedDivergence(disc.divergence.B, None)
+        self.divergence = disc.divergence
 
     def l2_project(self, rhs_moments: np.ndarray) -> np.ndarray:
         """P1 field x with mass_matrix @ x = rhs_moments, i.e. the orthogonal
@@ -159,7 +153,12 @@ def projection_momentum_solve(ws: ProjectionWorkspace, step: MomentumStep,
     mask = vs.dirichlet_mask
     G = apply_velocity_dirichlet(G, mask)
     rhs = np.where(mask, 0.0, rhs)
-    v, p = solve_saddle(G, rhs, ws.divergence, None, tol=1e-10, cache=FactorizationCache())
+    # the projection terms fill the velocity block densely, so the mesh's
+    # sparse factorization order has nothing to save; the oracle keeps
+    # SuperLU's own order with partial pivoting, the rounding its fixed
+    # point converges under (in the nested order the increments of the
+    # fifth A3 step stall near 2e-10, above eps_v = 1e-10)
+    v, p = solve_saddle(G, rhs, ws.divergence, None, tol=1e-10, cache=FactorizationCache(None))
     w = disc.sspace.lumped
     return v, p - (w @ p) / w.sum()
 
@@ -187,7 +186,7 @@ def projection_reference_step(state: State, tau: float, params: PhysParams,
         phi_new, mu_new, _ = ch_diffusive_solve(
             phi_k, phi_k, tau, params.mobility, dw, disc.sspace,
             newton_tol=newton_tol, conv_matrix=conv, phi_guess=phi_guess,
-            lin_cache=FactorizationCache())
+            lin_cache=FactorizationCache(None))
         return phi_new, mu_new
 
     phi_i, mu_i = ch_solve(v_k, phi_k)

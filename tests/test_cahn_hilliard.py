@@ -19,7 +19,8 @@ from phaseflow.fem import ScalarSpace, VelocitySpace, lumped_p1_weights
 from phaseflow.linalg import FactorizationCache
 from phaseflow.mesh import build_dual_grid, build_structured_mesh
 
-from oracles import integrate_on_mesh, interpolate_nodal
+from oracles import (boundary_vertex_mask, dual_cell_volumes, dual_face_endpoints,
+                     integrate_on_mesh, interpolate_nodal)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -120,7 +121,7 @@ def test_reconstruct_linear_interior_exact():
     lin = lambda p: 0.3 * p[:, 0] - 1.2 * p[:, 1]
     phi = lin(mesh.vertices)
     tl, tr = minmod_reconstruct(phi, dual, mesh.vertices)
-    bmask = mesh.boundary_vertex_mask
+    bmask = boundary_vertex_mask(mesh)
     interior_face = ~(bmask[dual.face_cells[:, 0]] | bmask[dual.face_cells[:, 1]])
     exact = lin(dual.face_midpoints)
     np.testing.assert_allclose(tl[interior_face], exact[interior_face], atol=1e-12)
@@ -156,8 +157,8 @@ def stream_function_fluxes(mesh, dual, rng):
              + coef[3] * np.sin(3.0 * p[:, 0] + 2.0 * p[:, 1]))
         return bubble * g
 
-    e1 = dual.face_endpoints[:, 0]
-    e2 = dual.face_endpoints[:, 1]
+    ends = dual_face_endpoints(mesh, dual)
+    e1, e2 = ends[:, 0], ends[:, 1]
     t = e2 - e1
     nu = dual.face_normals
     orient = np.where(nu[:, 0] * t[:, 1] - nu[:, 1] * t[:, 0] > 0, 1.0, -1.0)
@@ -166,76 +167,82 @@ def stream_function_fluxes(mesh, dual, rng):
 
 def test_transport_zero_velocity_identity():
     mesh, dual = setup_dual()
+    vols = dual_cell_volumes(mesh)
     rng = np.random.default_rng(0)
     phi = rng.standard_normal(mesh.n_vertices)
-    out = fv_transport_step(phi, dual, 0.01, 1, np.zeros(dual.n_faces), mesh.vertices,
-                            dual.cell_volumes)
+    u_n = np.zeros(len(dual.face_measures))
+    out = fv_transport_step(phi, dual, 0.01, 1, u_n, mesh.vertices, vols)
     np.testing.assert_array_equal(out, phi)
 
 
 def test_transport_constant_state_constant_velocity_interior():
     mesh, dual = setup_dual()
+    vols = dual_cell_volumes(mesh)
     vs = VelocitySpace(mesh, degree=2, bc="freeslip")
     v = interpolate_nodal(lambda p: np.column_stack([np.full(len(p), 2.0), np.full(len(p), -1.0)]), vs)
     u_n = face_normal_velocities(v, vs, mesh, dual)
     phi = np.full(mesh.n_vertices, 0.4)
     tau = 1e-3
-    out = fv_transport_step(phi, dual, tau, 1, u_n, mesh.vertices, dual.cell_volumes)
-    interior = ~mesh.boundary_vertex_mask
+    out = fv_transport_step(phi, dual, tau, 1, u_n, mesh.vertices, vols)
+    interior = ~boundary_vertex_mask(mesh)
     np.testing.assert_allclose(out[interior], 0.4, atol=1e-13)
 
 
 def test_transport_conserves_mass():
     mesh, dual = setup_dual(level=6)
+    vols = dual_cell_volumes(mesh)
     rng = np.random.default_rng(5)
     phi = rng.uniform(-1, 1, mesh.n_vertices)
     u_n = stream_function_fluxes(mesh, dual, rng)
-    tau = 0.4 * (dual.cell_volumes.min() / (np.abs(u_n) * dual.face_measures).max())
+    tau = 0.4 * (vols.min() / (np.abs(u_n) * dual.face_measures).max())
     for order in (1, 2):
         out = fv_transport_step(phi, dual, tau, order, u_n, verts=mesh.vertices,
-                                cell_measures=dual.cell_volumes)
-        m0 = dual.cell_volumes @ phi
-        m1 = dual.cell_volumes @ out
-        assert abs(m1 - m0) <= 1e-13 * np.abs(phi).max() * dual.cell_volumes.sum()
+                                cell_measures=vols)
+        m0 = vols @ phi
+        m1 = vols @ out
+        assert abs(m1 - m0) <= 1e-13 * np.abs(phi).max() * vols.sum()
 
 
-def cfl_timestep(dual, u_n, limit=0.85):
-    degree = np.bincount(dual.face_cells.ravel(), minlength=dual.n_cells)
-    share = np.minimum(dual.cell_volumes[dual.face_cells[:, 0]] / degree[dual.face_cells[:, 0]],
-                       dual.cell_volumes[dual.face_cells[:, 1]] / degree[dual.face_cells[:, 1]])
+def cfl_timestep(dual, vols, u_n, limit=0.85):
+    degree = np.bincount(dual.face_cells.ravel(), minlength=len(vols))
+    share = np.minimum(vols[dual.face_cells[:, 0]] / degree[dual.face_cells[:, 0]],
+                       vols[dual.face_cells[:, 1]] / degree[dual.face_cells[:, 1]])
     return limit * (share / np.maximum(np.abs(u_n) * dual.face_measures, 1e-300)).min()
 
 
 def test_transport_order1_maximum_principle():
     mesh, dual = setup_dual(level=6)
+    vols = dual_cell_volumes(mesh)
     rng = np.random.default_rng(42)
     for _ in range(20):
         phi = rng.uniform(-2, 2, mesh.n_vertices)
         u_n = stream_function_fluxes(mesh, dual, rng)
-        tau = cfl_timestep(dual, u_n)
-        out = fv_transport_step(phi, dual, tau, 1, u_n, mesh.vertices, dual.cell_volumes)
+        tau = cfl_timestep(dual, vols, u_n)
+        out = fv_transport_step(phi, dual, tau, 1, u_n, mesh.vertices, vols)
         assert out.min() >= phi.min() - 1e-12
         assert out.max() <= phi.max() + 1e-12
 
 
 def test_transport_cfl_violation_raises():
     mesh, dual = setup_dual()
+    vols = dual_cell_volumes(mesh)
     phi = np.zeros(mesh.n_vertices)
-    u_n = np.ones(dual.n_faces)
+    u_n = np.ones(len(dual.face_measures))
     with pytest.raises(CflError):
-        fv_transport_step(phi, dual, 1e3, 1, u_n, mesh.vertices, dual.cell_volumes)
+        fv_transport_step(phi, dual, 1e3, 1, u_n, mesh.vertices, vols)
 
 
 def test_transport_second_order_beats_first_on_rotation():
     mesh = build_structured_mesh((-1, 1, -1, 1), 8)
     dual = build_dual_grid(mesh)
+    vols = dual_cell_volumes(mesh)
     vs = VelocitySpace(mesh, degree=2, bc="freeslip")
     v = interpolate_nodal(lambda p: np.column_stack([-p[:, 1], p[:, 0]]), vs)
     u_n = face_normal_velocities(v, vs, mesh, dual)
     bump = lambda p: np.exp(-20.0 * ((p[:, 0] - 0.3) ** 2 + p[:, 1] ** 2))
     phi0 = bump(mesh.vertices)
     T = 2.0 * np.pi
-    tau = cfl_timestep(dual, u_n, limit=0.8)
+    tau = cfl_timestep(dual, vols, u_n, limit=0.8)
     steps = int(np.ceil(T / tau))
     tau = T / steps
     errs = {}
@@ -243,7 +250,7 @@ def test_transport_second_order_beats_first_on_rotation():
         phi = phi0.copy()
         for _ in range(steps):
             phi = fv_transport_step(phi, dual, tau, order, u_n, verts=mesh.vertices,
-                                    cell_measures=dual.cell_volumes)
+                                    cell_measures=vols)
         w = lumped_p1_weights(mesh)
         errs[order] = np.sqrt(w @ (phi - phi0) ** 2)
     assert errs[2] < errs[1]
@@ -255,7 +262,7 @@ def defaults(phi_old):
     """The Newton settings of a standalone diffusive solve: the run's
     default tolerance, no convection, a guess of phi_old, a fresh cache."""
     return dict(newton_tol=1e-12, conv_matrix=None, phi_guess=phi_old,
-                lin_cache=FactorizationCache())
+                lin_cache=FactorizationCache(None))
 
 
 def test_diffusive_pure_phase_stationary():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from phaseflow import linalg
 from phaseflow.coupling import (
     AdaptivityConfig,
     Discretization,
     RunConfig,
-    SolverCaches,
     SplitTolerances,
     State,
     TimestepConfig,
@@ -135,7 +135,7 @@ def test_splitting_quiescent_pure_phase_fixed_point():
     disc = Discretization(mesh, params)
     state = initial_state(disc, params, lambda p: np.ones(len(p)))
     new, diags = splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe",
-                                newton_tol=1e-12, caches=SolverCaches())
+                                newton_tol=1e-12)
     assert diags.inner_iterations == 1
     np.testing.assert_allclose(new.phi, state.phi, atol=1e-10)
     np.testing.assert_allclose(new.v, 0.0, atol=1e-12)
@@ -147,9 +147,50 @@ def test_discretization_builds_dual_grid_and_divergence_on_first_use():
     assert "dual" not in vars(disc) and "B" not in vars(disc)
     state = initial_state(disc, params, circle_phi0((0, 0), 0.5, 0.1))
     splitting_step(state, 1e-4, params, SplitTolerances(), convection="fe",
-                   newton_tol=1e-12, caches=SolverCaches())
+                   newton_tol=1e-12)
     assert "B" in vars(disc)
     assert "dual" not in vars(disc)
+
+
+def test_each_discretization_factorizes_its_own_systems(monkeypatch):
+    # two meshes of one size, like an adaptation that keeps the counts: the
+    # second mesh's first step must factorize, never iterate on the first
+    # mesh's factors
+    params = quiescent_params()
+    mesh = build_structured_mesh((-1, 1, -1, 1), 4)
+    first, second = Discretization(mesh, params), Discretization(mesh, params)
+    assert first.total_dofs == second.total_dofs
+    assert first.mesh.n_vertices == second.mesh.n_vertices
+    assert first.saddle_cache is not second.saddle_cache
+    assert first.phase_cache is not second.phase_cache
+    phi0 = circle_phi0((0, 0), 0.5, 0.1)
+    splitting_step(initial_state(first, params, phi0), 1e-4, params, SplitTolerances(),
+                   convection="fe", newton_tol=1e-12)
+    old_factors = (first.saddle_cache.lu, first.phase_cache.lu)
+    assert None not in old_factors
+
+    events = []
+    refresh, bicgstab = linalg.FactorizationCache.refresh, linalg.bicgstab
+
+    def recording_refresh(cache, A):
+        events.append(("refresh", cache))
+        return refresh(cache, A)
+
+    def recording_bicgstab(A, b, tol, maxit, M):
+        events.append(("bicgstab", getattr(M, "__self__", None)))
+        return bicgstab(A, b, tol, maxit, M)
+
+    monkeypatch.setattr(linalg.FactorizationCache, "refresh", recording_refresh)
+    monkeypatch.setattr(linalg, "bicgstab", recording_bicgstab)
+    splitting_step(initial_state(second, params, phi0), 1e-4, params, SplitTolerances(),
+                   convection="fe", newton_tol=1e-12)
+    refreshed = [cache for kind, cache in events if kind == "refresh"]
+    assert any(c is second.saddle_cache for c in refreshed)
+    assert any(c is second.phase_cache for c in refreshed)
+    assert not any(c is first.saddle_cache or c is first.phase_cache for c in refreshed)
+    preconditioners = [lu for kind, lu in events if kind == "bicgstab" and lu is not None]
+    assert preconditioners
+    assert not any(lu is old for lu in preconditioners for old in old_factors)
 
 
 @pytest.mark.parametrize("convection", ["fv", "fe"])
@@ -161,7 +202,7 @@ def test_splitting_agg_dss_agree_when_decoupled(convection):
         disc = Discretization(mesh, params)
         state = initial_state(disc, params, circle_phi0((0, 0), 0.5, 0.1))
         new, _ = splitting_step(state, 1e-4, params, SplitTolerances(), convection=convection,
-                                newton_tol=1e-12, caches=SolverCaches())
+                                newton_tol=1e-12)
         outs[model] = new
     for f in ("phi", "mu", "v", "p"):
         np.testing.assert_allclose(getattr(outs["agg"], f), getattr(outs["dss"], f),
@@ -185,7 +226,7 @@ def test_splitting_fe_converged_step_passes_energy_audit():
     e_prev = total_energy(disc.sspace, disc.vspace, state.phi, state.v, params).e_total
     for _ in range(3):
         new, _ = splitting_step(state, tau, params, tols, convection="fe",
-                                newton_tol=1e-12, caches=SolverCaches())
+                                newton_tol=1e-12)
         report, bd = step_inequality_check(disc.sspace, disc.vspace, params,
                                            state.phi, state.v, new.phi, new.mu, new.v,
                                            tau, state.t, tol=1e-8)
@@ -207,9 +248,9 @@ def test_splitting_negative_control_detects_corruption():
     tau = 5e-4
     for _ in range(6):
         state, _ = splitting_step(state, tau, params, tols, convection="fe",
-                                  newton_tol=1e-12, caches=SolverCaches())
+                                  newton_tol=1e-12)
     new, _ = splitting_step(state, tau, params, tols, convection="fe",
-                            newton_tol=1e-12, caches=SolverCaches())
+                            newton_tol=1e-12)
     good, _ = step_inequality_check(disc.sspace, disc.vspace, params,
                                     state.phi, state.v, new.phi, new.mu, new.v,
                                     tau, state.t, tol=1e-8)
@@ -341,7 +382,7 @@ def test_splitting_rejects_step_on_failed_saddle_factorization(monkeypatch, corr
                         lambda A, mask: factor * apply(A, mask))
     with pytest.raises(StepRejected, match="momentum solve failed"):
         splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe",
-                       newton_tol=1e-12, caches=SolverCaches())
+                       newton_tol=1e-12)
 
 
 def test_splitting_rejects_step_on_stalled_phase_solve():
@@ -351,7 +392,7 @@ def test_splitting_rejects_step_on_stalled_phase_solve():
     state = initial_state(disc, params, circle_phi0((0, 0), 0.5, 0.1))
     with pytest.raises(StepRejected, match="phase-field solve failed: .*Newton stalled"):
         splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe",
-                       newton_tol=1e-30, caches=SolverCaches())
+                       newton_tol=1e-30)
 
 
 def test_run_abort_keeps_the_accepted_steps(monkeypatch):
@@ -380,7 +421,7 @@ def test_audit_reuses_the_step_viscous_matrix():
     disc = Discretization(mesh, params)
     state = initial_state(disc, params, circle_phi0((0.1, 0), 0.5, 0.1))
     new, diags = splitting_step(state, 1e-3, params, SplitTolerances(), convection="fe",
-                                newton_tol=1e-12, caches=SolverCaches())
+                                newton_tol=1e-12)
     assert diags.viscous is not None
     args = (disc.sspace, disc.vspace, params, state.phi, state.v,
             new.phi, new.mu, new.v, 1e-3, 0.0, 1e-8)

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from phaseflow import app, linalg, momentum
 from phaseflow.coupling import Discretization, initial_state
 from phaseflow.errors import IterativeFailure, SolverError
-from phaseflow.linalg import FactorizationCache, bicgstab, direct_solve, solve_linear
+from phaseflow.linalg import FactorizationCache, bicgstab, solve_linear
 from phaseflow.mesh import build_structured_mesh
 from phaseflow.momentum import PIN, PinnedDivergence
 
@@ -21,15 +21,25 @@ def laplacian_1d(n):
     return sp.csr_array(sp.diags_array([off, main, off], offsets=[-1, 0, 1]))
 
 
+def direct(A, b):
+    """A solve through a fresh cache: one factorization in SuperLU's order."""
+    return FactorizationCache(None).solve(A, b, tol=1e-13)
+
+
+def jacobi(A):
+    inv_diag = 1.0 / A.diagonal()
+    return lambda v: inv_diag * v
+
+
 def test_direct_identity():
     A = sp.eye_array(5, format="csr")
     b = np.arange(5.0)
-    np.testing.assert_allclose(direct_solve(A, b), b)
+    np.testing.assert_allclose(direct(A, b), b)
 
 
 def test_direct_diagonal():
     A = sp.csr_array(np.array([[2.0, 0.0], [0.0, 4.0]]))
-    np.testing.assert_allclose(direct_solve(A, np.array([2.0, 4.0])), [1.0, 1.0])
+    np.testing.assert_allclose(direct(A, np.array([2.0, 4.0])), [1.0, 1.0])
 
 
 def test_direct_random_spd_residual():
@@ -37,7 +47,7 @@ def test_direct_random_spd_residual():
     M = rng.standard_normal((50, 50))
     A = sp.csr_array(M @ M.T + 50 * np.eye(50))
     b = rng.standard_normal(50)
-    x = direct_solve(A, b)
+    x = direct(A, b)
     resid = np.abs(A @ x - b).max()
     bound = 1e-10 * (abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
     assert resid <= bound
@@ -46,12 +56,18 @@ def test_direct_random_spd_residual():
 def test_direct_singular_raises():
     A = sp.csr_array(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(SolverError):
-        direct_solve(A, np.array([1.0, 1.0]))
+        direct(A, np.array([1.0, 1.0]))
+
+
+def test_direct_nan_raises():
+    A = sp.csr_array(np.array([[1.0, np.nan], [0.0, 2.0]]))
+    with pytest.raises(SolverError):
+        direct(A, np.array([1.0, 1.0]))
 
 
 def test_bicgstab_zero_rhs_zero_iterations():
     A = laplacian_1d(10)
-    x, it = bicgstab(A, np.zeros(10), tol=1e-12, maxit=1000)
+    x, it = bicgstab(A, np.zeros(10), tol=1e-12, maxit=1000, M=jacobi(A))
     assert it == 0
     np.testing.assert_allclose(x, 0.0)
 
@@ -59,7 +75,7 @@ def test_bicgstab_zero_rhs_zero_iterations():
 def test_bicgstab_identity_one_iteration():
     A = sp.eye_array(7, format="csr")
     b = np.linspace(1, 2, 7)
-    x, it = bicgstab(A, b, tol=1e-12, maxit=1000)
+    x, it = bicgstab(A, b, tol=1e-12, maxit=1000, M=lambda v: v)
     assert it == 1
     np.testing.assert_allclose(x, b, atol=1e-12)
 
@@ -67,8 +83,8 @@ def test_bicgstab_identity_one_iteration():
 def test_bicgstab_matches_direct_on_laplacian():
     A = laplacian_1d(100)
     b = np.ones(100)
-    x, _ = bicgstab(A, b, tol=1e-12, maxit=500)
-    xd = direct_solve(A, b)
+    x, _ = bicgstab(A, b, tol=1e-12, maxit=500, M=jacobi(A))
+    xd = direct(A, b)
     assert np.abs(A @ x - b).max() <= 1e-12 * np.linalg.norm(b) * 10
     np.testing.assert_allclose(x, xd, atol=1e-7)
 
@@ -76,12 +92,13 @@ def test_bicgstab_matches_direct_on_laplacian():
 def test_bicgstab_maxit_raises():
     A = laplacian_1d(200)
     with pytest.raises(IterativeFailure):
-        bicgstab(A, np.ones(200), tol=1e-14, maxit=2)
+        bicgstab(A, np.ones(200), tol=1e-14, maxit=2, M=jacobi(A))
 
 
 def test_bicgstab_rejects_bad_tol():
+    A = laplacian_1d(4)
     with pytest.raises(ValueError):
-        bicgstab(laplacian_1d(4), np.ones(4), tol=0.0, maxit=1000)
+        bicgstab(A, np.ones(4), tol=0.0, maxit=1000, M=jacobi(A))
 
 
 def test_solve_linear_falls_back(monkeypatch):
@@ -94,22 +111,22 @@ def test_solve_linear_falls_back(monkeypatch):
     assert np.abs(A @ x - b).max() < 1e-10
     # a cache whose preconditioned iteration cannot finish in one step
     # refactorizes, with the same accuracy
-    cache = FactorizationCache()
-    stale = cache.refresh(2.0 * A + sp.eye_array(50, format="csr"), None)
-    x = cache.solve(A, b, tol=1e-14, order=None)
+    cache = FactorizationCache(None)
+    stale = cache.refresh(2.0 * A + sp.eye_array(50, format="csr"))
+    x = cache.solve(A, b, tol=1e-14)
     assert cache.lu is not stale
     assert np.abs(A @ x - b).max() < 1e-10
 
 
 def test_warm_cache_non_finite_rhs_raises():
     A = laplacian_1d(20)
-    cache = FactorizationCache()
-    cache.solve(A, np.ones(20), tol=1e-12, order=None)
+    cache = FactorizationCache(None)
+    cache.solve(A, np.ones(20), tol=1e-12)
     assert cache.lu is not None
     b = np.ones(20)
     b[3] = np.nan
     with pytest.raises(SolverError, match="non-finite"):
-        cache.solve(A, b, tol=1e-12, order=None)
+        cache.solve(A, b, tol=1e-12)
 
 
 def test_cached_result_missing_the_residual_bound_refactorizes(monkeypatch):
@@ -117,12 +134,12 @@ def test_cached_result_missing_the_residual_bound_refactorizes(monkeypatch):
 
     A = laplacian_1d(30)
     b = np.linspace(1.0, 2.0, 30)
-    cache = FactorizationCache()
-    cache.solve(A, b, tol=1e-12, order=None)
+    cache = FactorizationCache(None)
+    cache.solve(A, b, tol=1e-12)
     warm = cache.lu
     # an iteration that reports convergence with a wrong answer
     monkeypatch.setattr(linalg, "bicgstab", lambda *args, **kw: (np.zeros(30), 1))
-    x = cache.solve(A, b, tol=1e-12, order=None)
+    x = cache.solve(A, b, tol=1e-12)
     assert cache.lu is not warm
     assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
 
@@ -146,7 +163,7 @@ def synthetic_saddle(n_v=24, n_p=7, seed=11, with_c=False):
 def test_saddle_zero_rhs():
     sys = synthetic_saddle()
     sys.rhs_v = np.zeros_like(sys.rhs_v)
-    v, p = sys.solve(1e-10, FactorizationCache())
+    v, p = sys.solve(1e-10, FactorizationCache(None))
     np.testing.assert_allclose(v, 0.0, atol=1e-12)
     np.testing.assert_allclose(p, 0.0, atol=1e-12)
 
@@ -154,7 +171,7 @@ def test_saddle_zero_rhs():
 @pytest.mark.parametrize("with_c", [False, True])
 def test_saddle_direct_constraints(with_c):
     sys = synthetic_saddle(with_c=with_c)
-    v, p = sys.solve(1e-9, FactorizationCache())
+    v, p = sys.solve(1e-9, FactorizationCache(None))
     div = sys.divergence.B @ v - (sys.C @ p if sys.C is not None else 0.0)
     assert np.abs(div).max() <= 1e-9
     assert p[PIN] == 0.0
@@ -164,7 +181,7 @@ def test_saddle_direct_constraints(with_c):
 
 def test_saddle_direct_vs_schur():
     sys = synthetic_saddle()
-    v1, p1 = sys.solve(1e-10, FactorizationCache())
+    v1, p1 = sys.solve(1e-10, FactorizationCache(None))
     v2, p2 = schur_solve(sys, tol=1e-10)
     assert np.abs(v1 - v2).max() < 1e-8
     assert np.abs(p1 - p2).max() < 1e-8
@@ -173,7 +190,7 @@ def test_saddle_direct_vs_schur():
 @pytest.mark.parametrize("with_c", [False, True])
 def test_saddle_pinned_direct_matches_schur(with_c):
     sys = synthetic_saddle(with_c=with_c, seed=5)
-    v1, p1 = sys.solve(1e-10, FactorizationCache())
+    v1, p1 = sys.solve(1e-10, FactorizationCache(None))
     v2, p2 = schur_solve(sys, tol=1e-10)
     assert np.abs(v1 - v2).max() < 1e-8
     assert np.abs(p1 - p2).max() < 1e-8
@@ -203,22 +220,22 @@ def test_saddle_divergence_with_constants_outside_its_left_kernel_fails_the_chec
     B[1, 5] += 1.0
     sys.divergence = PinnedDivergence(sp.csr_array(B), None)
     with pytest.raises(SolverError, match="divergence residual"):
-        sys.solve(1e-9, FactorizationCache())
+        sys.solve(1e-9, FactorizationCache(None))
 
 
 @pytest.mark.parametrize("bad", [np.array([[1.0, 2.0], [2.0, 4.0]]),
                                  np.array([[1.0, np.nan], [0.0, 2.0]])],
                          ids=["singular", "nan"])
 def test_factorization_refresh_raises_solver_error(bad):
-    cache = FactorizationCache()
-    cache.refresh(sp.csr_array(np.eye(2)), None)
+    cache = FactorizationCache(None)
+    cache.refresh(sp.csr_array(np.eye(2)))
     with pytest.raises(SolverError, match="factorization failed"):
-        cache.refresh(sp.csr_array(bad), None)
+        cache.refresh(sp.csr_array(bad))
     assert cache.lu is None
 
 
 def warm_cache(sys):
-    cache = FactorizationCache()
+    cache = FactorizationCache(None)
     sys.solve(1e-9, cache)
     assert cache.lu is not None
     return cache
@@ -254,7 +271,7 @@ def test_cached_saddle_solve_matches_direct():
     cache = warm_cache(sys)
     sys.G = sys.G + sp.eye_array(sys.n_v, format="csr")  # a nearby matrix
     v1, p1 = sys.solve(1e-10, cache)
-    v2, p2 = sys.solve(1e-10, FactorizationCache())
+    v2, p2 = sys.solve(1e-10, FactorizationCache(None))
     assert np.abs(v1 - v2).max() < 1e-10
     assert np.abs(p1 - p2).max() < 1e-10
 
@@ -264,10 +281,9 @@ def test_cached_saddle_solve_matches_direct():
 @pytest.mark.parametrize("with_c", [False, True])
 def test_saddle_solve_in_a_permuted_order_matches_the_natural_order(with_c):
     sys = synthetic_saddle(with_c=with_c)
-    v1, p1 = sys.solve(1e-10, FactorizationCache())
+    v1, p1 = sys.solve(1e-10, FactorizationCache(None))
     order = np.random.default_rng(2).permutation(sys.n_v + sys.n_p)
-    sys.divergence = PinnedDivergence(sys.divergence.B, order)
-    cache = FactorizationCache()
+    cache = FactorizationCache(order)
     v2, p2 = sys.solve(1e-10, cache)
     assert cache.lu.order is order
     assert np.abs(v1 - v2).max() < 1e-10 and np.abs(p1 - p2).max() < 1e-10
@@ -276,39 +292,17 @@ def test_saddle_solve_in_a_permuted_order_matches_the_natural_order(with_c):
     sys.G = sys.G + sp.eye_array(sys.n_v, format="csr")
     v3, p3 = sys.solve(1e-10, cache)
     assert cache.lu is warm
-    sys.divergence = PinnedDivergence(sys.divergence.B, None)
-    v4, p4 = sys.solve(1e-10, FactorizationCache())
+    v4, p4 = sys.solve(1e-10, FactorizationCache(None))
     assert np.abs(v3 - v4).max() < 1e-10 and np.abs(p3 - p4).max() < 1e-10
-
-
-def test_same_size_solve_in_another_order_refactorizes():
-    # the order stands for the mesh: after an adaptation that keeps the dof
-    # count, the old mesh's factors must not precondition the new system
-    sys = synthetic_saddle(with_c=True)
-    n = sys.n_v + sys.n_p
-    cache = FactorizationCache()
-    sys.divergence = PinnedDivergence(sys.divergence.B, np.arange(n))
-    sys.solve(1e-10, cache)
-    first = cache.lu
-    sys.solve(1e-10, cache)
-    assert cache.lu is first
-    sys.divergence = PinnedDivergence(sys.divergence.B, np.arange(n)[::-1].copy())
-    sys.solve(1e-10, cache)
-    assert cache.lu is not first and cache.lu.order is sys.divergence.order
-    second = cache.lu
-    sys.divergence = PinnedDivergence(sys.divergence.B, None)
-    sys.solve(1e-10, cache)
-    assert cache.lu is not second and cache.order is None
 
 
 def test_replaced_factorization_is_freed_without_a_collection():
     K, _ = synthetic_saddle().monolithic()
-    order = np.arange(K.shape[0])[::-1].copy()
-    cache = FactorizationCache()
+    cache = FactorizationCache(np.arange(K.shape[0])[::-1].copy())
     gc.disable()
     try:
-        replaced = weakref.ref(cache.refresh(K, order))
-        cache.refresh(K, order)
+        replaced = weakref.ref(cache.refresh(K))
+        cache.refresh(K)
         assert replaced() is None
     finally:
         gc.enable()
@@ -316,12 +310,11 @@ def test_replaced_factorization_is_freed_without_a_collection():
 
 def test_refresh_returns_free_heap_pages_after_freeing_the_replaced_factorization(monkeypatch):
     K, _ = synthetic_saddle().monolithic()
-    order = np.arange(K.shape[0])[::-1].copy()
-    cache = FactorizationCache()
-    replaced = weakref.ref(cache.refresh(K, order))
+    cache = FactorizationCache(np.arange(K.shape[0])[::-1].copy())
+    replaced = weakref.ref(cache.refresh(K))
     alive_at_trim = []
     monkeypatch.setattr(linalg, "_malloc_trim", lambda pad: alive_at_trim.append(replaced() is not None))
-    cache.refresh(K, order)
+    cache.refresh(K)
     assert alive_at_trim == [False]
 
 
@@ -333,7 +326,7 @@ def first_saddle(name):
     state = initial_state(disc, rc.params, rc.phi0)
     step = momentum.MomentumStep(disc.vspace, disc.sspace, rc.params, disc.divergence,
                                  state.phi, state.v, 1e-3, 0.0)
-    cache = RecordingCache()
+    cache = RecordingCache(disc.divergence.order)
     momentum.solve_momentum(step, state.phi, state.mu, cache)
     return cache.solved[0][0], disc.divergence.order
 
@@ -344,6 +337,6 @@ def test_saddle_order_fills_less_than_superlu_own_order(name):
     # Rayleigh-Taylor strip; the counts are deterministic (216,613 against
     # 265,224 and 273,314 against 409,510)
     K, order = first_saddle(name)
-    nested = FactorizationCache().refresh(K, order).nnz
-    natural = FactorizationCache().refresh(K, None).nnz
+    nested = FactorizationCache(order).refresh(K).nnz
+    natural = FactorizationCache(None).refresh(K).nnz
     assert nested < 0.85 * natural

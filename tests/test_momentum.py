@@ -40,7 +40,7 @@ def momentum_solve(vs, ss, params, phi_old, phi_new, mu_new, v_old, tau, t):
     """One momentum solve from a fresh step and factorization cache."""
     divergence = dirichlet_divergence(vs, assemble_divergence(vs, ss))
     step = MomentumStep(vs, ss, params, divergence, phi_old, v_old, tau, t)
-    return solve_momentum(step, phi_new, mu_new, FactorizationCache())
+    return solve_momentum(step, phi_new, mu_new, FactorizationCache(divergence.order))
 
 
 # ------------------------------------------------------------- material laws
@@ -416,7 +416,7 @@ def test_stokes_divergence_and_crosscheck():
     f = np.where(mask, 0.0, f)
     order = dirichlet_divergence(vs, B).order
     sys = Saddle(G=G, rhs_v=f, divergence=PinnedDivergence(Bc, order), C=None)
-    v1, p1 = sys.solve(1e-9, FactorizationCache())
+    v1, p1 = sys.solve(1e-9, FactorizationCache(order))
     assert np.abs(Bc @ v1).max() <= 1e-9
     v2, p2 = schur_solve(sys, tol=1e-9)
     assert np.abs(v1 - v2).max() < 1e-8
@@ -517,7 +517,7 @@ PAIRS = [("th", "noslip"), ("th", "freeslip"), ("p1p1", "noslip")]
 def test_pinned_direct_solve_matches_schur_level6(monkeypatch, elements, bc):
     systems, solved, ss = captured_systems(monkeypatch, 6, elements, bc)
     for system, (v, p) in zip(systems, solved):
-        v1, p1 = system.solve(1e-9, FactorizationCache())
+        v1, p1 = system.solve(1e-9, FactorizationCache(system.divergence.order))
         v2, p2 = schur_solve(system, tol=1e-9)
         assert p1[PIN] == 0.0 and p2[PIN] == 0.0
         assert np.abs(v1 - v2).max() <= 1e-9 * np.abs(v1).max()

@@ -52,6 +52,12 @@ def test_traced_run_covers_every_layer(perfbench, tmp_path, name):
     for key in ("momentum.assemble_Nb_s", "momentum.apply_velocity_dirichlet_s",
                 "momentum.solve_momentum.self_s"):
         assert layers[key] > 0, key
+    # the factorizations and LU-preconditioned iterations run inside the
+    # solves that own them; a cache moved out of solve_saddle or
+    # ch_diffusive_solve would shift its work to the tracer's "other" bucket
+    for key in ("linalg.saddle_refreshes", "linalg.phase_refreshes",
+                "linalg.saddle_bicgstab_iters"):
+        assert layers[key] >= 1, key
     assert layers["mesh.points_located"] == 0
     convection = inputs["discretization_convection"]
     assert (layers["cahn_hilliard.fe_convection_matrix_s"] > 0) == (convection == "fe")

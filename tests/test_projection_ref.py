@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phaseflow.coupling import (Discretization, SolverCaches, SplitTolerances, initial_state,
+from phaseflow.coupling import (Discretization, SplitTolerances, initial_state,
                                 splitting_step)
 from phaseflow.energy import step_inequality_check, total_energy
 from phaseflow.mesh import build_structured_mesh
@@ -83,7 +83,6 @@ def test_reference_matches_production_stepper():
     tau = 5e-4
     tols = SplitTolerances(eps_v=1e-10, eps_phi=1e-10, max_inner=400)
     ref = projection_reference_step(state, tau, params, tols=tols, newton_tol=1e-13)
-    prod, _ = splitting_step(state, tau, params, tols, convection="fe", newton_tol=1e-13,
-                             caches=SolverCaches())
+    prod, _ = splitting_step(state, tau, params, tols, convection="fe", newton_tol=1e-13)
     for f in ("phi", "mu", "v", "p"):
         assert np.abs(getattr(ref, f) - getattr(prod, f)).max() < 1e-8, f
