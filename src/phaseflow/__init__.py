@@ -55,7 +55,6 @@ from .mesh import (
     Mesh,
     build_dual_grid,
     build_structured_mesh,
-    midpoint_refine,
     refine_and_coarsen,
 )
 from .momentum import (

@@ -25,8 +25,7 @@ from .coupling import (
     run,
 )
 from .errors import AuditFailure, RunAborted, SolverError
-from .fem import l2_distance, p1_at_p2_nodes
-from .mesh import midpoint_refine
+from .fem import P2_CHILDREN, l2_distance, p1_at_p2_nodes
 from .momentum import ForceSpec, PhysParams
 
 
@@ -401,15 +400,14 @@ def write_vtk(state: State, path: str, quadratic: bool = False) -> None:
     """Legacy-VTK ASCII snapshot: triangles, nodal phi/mu/p, velocity vectors.
 
     By default the quadratic velocity is sampled at the primal vertices; with
-    ``quadratic`` a midpoint refinement of the mesh is built and written
-    instead so every velocity node appears (P1 fields are prolonged exactly)."""
+    ``quadratic`` every velocity node is written, and each element as its four
+    children on the P2 nodes (P1 fields are prolonged exactly)."""
     disc = state.disc
     mesh = disc.mesh
     n = disc.vspace.n_nodes
     if quadratic and disc.vspace.degree == 2:
-        out_mesh = midpoint_refine(mesh)
-        points = out_mesh.vertices
-        tris = out_mesh.triangles
+        points = disc.vspace.nodes
+        tris = np.concatenate([disc.vspace.tri_nodes[:, child] for child in P2_CHILDREN])
         phi, mu, p = (p1_at_p2_nodes(mesh, f) for f in (state.phi, state.mu, state.p))
         vel = np.column_stack([state.v[:n], state.v[n:]])
     else:
@@ -483,7 +481,8 @@ options:
                          failure (exit code 2; solver failures exit 3)
   --eoc L1,L2,...        convergence study against a reference two levels
                          above the largest entry; prints an error table
-  --vtk-quadratic        write snapshots on the midpoint-refined mesh
+  --vtk-quadratic        write every velocity node of a Taylor-Hood run, each
+                         element as four triangles on its P2 nodes
 """
 
 

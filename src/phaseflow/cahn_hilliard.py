@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from .errors import CflError, SolverError
 from .fem import QUAD_DEG4, ScalarSpace, VelocitySpace, assemble
 from .linalg import FactorizationCache, solve_linear
-from .mesh import DualGrid, Mesh, barycentric_coordinates
+from .mesh import DualGrid
 
 # largest transport CFL number an explicit step accepts
 CFL_LIMIT = 0.9
@@ -124,11 +124,10 @@ def minmod_reconstruct(phi_bar: np.ndarray, dual: DualGrid, verts: np.ndarray):
     return trace_l, trace_r
 
 
-def face_normal_velocities(v_dofs: np.ndarray, vspace: VelocitySpace, mesh: Mesh,
+def face_normal_velocities(v_dofs: np.ndarray, vspace: VelocitySpace,
                            dual: DualGrid) -> np.ndarray:
     """One-point quadrature of <nu, v> at the dual-face midpoints."""
-    lam = barycentric_coordinates(mesh, dual.face_midpoints, dual.face_tri)
-    vec = vspace.eval_at_bary(v_dofs, dual.face_tri, lam)
+    vec = vspace.eval_at_bary(v_dofs, dual.face_tri, dual.face_bary)
     return (vec * dual.face_normals).sum(axis=1)
 
 
@@ -198,7 +197,7 @@ def fe_convection_matrix(space: ScalarSpace, v_dofs: np.ndarray,
     mesh = space.mesh
     w = vspace.shape_table[2]
     v_qp = vspace.velocity_at_qp(v_dofs)
-    gp1 = vspace.grads_p1
+    gp1 = mesh.barycentric_gradients
     # (m, q, j) = v . grad(psi_j), the P1 gradient being constant per element
     conv = np.einsum("mq,mj->mqj", v_qp[..., 0], gp1[:, :, 0]) \
         + np.einsum("mq,mj->mqj", v_qp[..., 1], gp1[:, :, 1])

@@ -232,7 +232,7 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
 
     def ch_solve(v_dofs: np.ndarray, phi_guess: np.ndarray):
         if convection == "fv":
-            u_n = face_normal_velocities(v_dofs, disc.vspace, disc.mesh, disc.dual)
+            u_n = face_normal_velocities(v_dofs, disc.vspace, disc.dual)
             phi_half = fv_transport_step(phi_k, disc.dual, tau, order=2, u_n=u_n,
                                          verts=disc.mesh.vertices,
                                          cell_measures=disc.lumped)

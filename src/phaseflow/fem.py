@@ -2,11 +2,14 @@
 vector velocity spaces with Dirichlet handling, exact quadrature, and the
 assembly kernels shared by the solvers.
 
-A ``ScalarSpace`` owns its constant operators: the consistent mass matrix,
-the unit-coefficient stiffness matrix and the lumped weights are assembled
-once per space, on first use, so the Cahn-Hilliard solve and the energy
-audit read the same matrices.  Every sparse finite element matrix is built
-by ``assemble``, the one scatter of element matrices into CSR.
+Every operator here is built from the element areas and barycentric
+gradients the ``Mesh`` computes once and owns.  A ``ScalarSpace`` owns its
+constant operators: the consistent mass matrix, the unit-coefficient
+stiffness matrix and the lumped weights are assembled once per space, on
+first use, so the Cahn-Hilliard solve and the energy audit read the same
+matrices.  ``ScalarSpace.element_gradients`` is the one elementwise
+gradient of a P1 field.  Every sparse finite element matrix is built by
+``assemble``, the one scatter of element matrices into CSR.
 
 A ``VelocitySpace`` owns the fixed per-mesh data of the momentum operators;
 P1 and P2 differ only in their node table and ``REFERENCE_ELEMENTS`` entry.
@@ -54,13 +57,17 @@ def assembly_threads() -> int:
     return cores if n < 1 else min(n, cores)
 
 
-def element_chunks(kernel, n_elements: int, min_chunk: int = 20000) -> list:
+# element_chunks splits a mesh across threads from twice this many elements
+MIN_CHUNK = 20000
+
+
+def element_chunks(kernel, n_elements: int) -> list:
     """Evaluate ``kernel(slice)`` over the element range, split across the
     configured assembly threads for large meshes.  Chunks are returned in
     element order and each element's local arithmetic is unchanged, so the
     result is bitwise independent of the thread count."""
     threads = assembly_threads()
-    if threads <= 1 or n_elements < 2 * min_chunk:
+    if threads <= 1 or n_elements < 2 * MIN_CHUNK:
         return [kernel(slice(0, n_elements))]
     bounds = np.linspace(0, n_elements, threads + 1).astype(int)
     spans = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
@@ -124,6 +131,9 @@ def p2_shape_barygrad(lam: np.ndarray) -> np.ndarray:
 # lumping element matrices (see the module docstring)
 P1_MASS = (1.0 + np.eye(3)) / 12.0
 P2_LUMPING = np.vstack([(1.0 + 5.0 * np.eye(3)) / 96.0, (5.0 - 3.0 * np.eye(3)) / 48.0])
+# the four children of an element's midpoint refinement, as columns of its P2
+# node table: the corners at vertices 0, 1, 2, then the center
+P2_CHILDREN = ((0, 5, 4), (5, 1, 3), (4, 3, 2), (3, 4, 5))
 
 
 class ReferenceElement(NamedTuple):
@@ -167,6 +177,10 @@ class ScalarSpace:
         """Lumped mass weights (integrals of the hat functions)."""
         return lumped_p1_weights(self.mesh)
 
+    def element_gradients(self, f: np.ndarray) -> np.ndarray:
+        """The constant gradient of the P1 field ``f`` on each element, (m, 2)."""
+        return np.einsum("mk,mkd->md", f[self.mesh.triangles], self.mesh.barycentric_gradients)
+
 
 class VelocitySpace:
     """Vector-valued continuous elements of degree 1 or 2 with component-major
@@ -196,8 +210,6 @@ class VelocitySpace:
         self.n_dofs = 2 * self.n_nodes
         self._boundary_node_mask = self._compute_boundary_nodes()
         self.dirichlet_mask = self._compute_dirichlet()
-        # geometry caches
-        self.grads_p1, self.areas = p1_gradients(mesh)
 
     def _compute_boundary_nodes(self) -> np.ndarray:
         mask = np.zeros(self.n_nodes, dtype=bool)
@@ -231,7 +243,7 @@ class VelocitySpace:
         """(n_nodes, n_vertices) matrix taking a P1 weight on the primal mesh
         to the weighted lumped mass per scalar velocity node: |K| times the
         reference lumping matrix per element (for P1, the P1 mass itself)."""
-        ke = self.areas[:, None, None] * self.reference.lumping[None, :, :]
+        ke = self.mesh.areas[:, None, None] * self.reference.lumping[None, :, :]
         return assemble(self.tri_nodes, self.mesh.triangles, ke,
                         (self.n_nodes, self.mesh.n_vertices))
 
@@ -252,8 +264,9 @@ class VelocitySpace:
         lam = QUAD_DEG4.points
         vals = self.reference.values(lam)
         # physical grad: sum_k dN/dlam_k * grad(lam_k)
-        grads = np.einsum("qnk,mkd->mqnd", self.reference.barygrad(lam), self.grads_p1)
-        w = (2.0 * self.areas)[:, None] * QUAD_DEG4.weights[None, :]
+        grads = np.einsum("qnk,mkd->mqnd", self.reference.barygrad(lam),
+                          self.mesh.barycentric_gradients)
+        w = (2.0 * self.mesh.areas)[:, None] * QUAD_DEG4.weights[None, :]
         return vals, grads, w
 
     def p1_at_qp(self, nodal: np.ndarray) -> np.ndarray:
@@ -280,7 +293,7 @@ class VelocitySpace:
         """(m, 2, 2) array: [element, component, d/dx d/dy], P2 evaluated at
         the barycenter, exact for P1."""
         bg = self.reference.barygrad(np.full((1, 3), 1.0 / 3.0))[0]  # (nloc, 3)
-        gphys = np.einsum("nk,mkd->mnd", bg, self.grads_p1)  # (m, nloc, 2)
+        gphys = np.einsum("nk,mkd->mnd", bg, self.mesh.barycentric_gradients)  # (m, nloc, 2)
         nodes = self.tri_nodes
         gx = np.einsum("mn,mnd->md", dofs[nodes], gphys)
         gy = np.einsum("mn,mnd->md", dofs[self.n_nodes + nodes], gphys)
@@ -334,22 +347,6 @@ def nested_dissection(points: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
-def p1_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Constant gradients of the barycentric coordinates per element,
-    (m, 3, 2), together with element areas."""
-    p = mesh.vertices[mesh.triangles]
-    a, b, c = p[:, 0], p[:, 1], p[:, 2]
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    areas = 0.5 * np.abs(det)
-    g = np.empty((mesh.n_triangles, 3, 2))
-    # grad lambda_k = rot90(opposite edge) / det
-    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        e = p[:, j] - p[:, i]
-        g[:, k, 0] = -e[:, 1] / det
-        g[:, k, 1] = e[:, 0] / det
-    return g, areas
-
-
 def assemble(row_dofs: np.ndarray, col_dofs: np.ndarray, ke: np.ndarray,
              shape: tuple[int, int]) -> sp.csr_array:
     """Scatter element matrices ``ke`` (m, a, b) into a CSR matrix: entry
@@ -385,22 +382,22 @@ def p1_at_p2_nodes(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
 def assemble_stiffness(space: ScalarSpace) -> sp.csr_array:
     """P1 stiffness with unit coefficient, integrated exactly."""
     mesh = space.mesh
-    g, areas = p1_gradients(mesh)
-    ke = np.einsum("m,mid,mjd->mij", areas, g, g)
+    g = mesh.barycentric_gradients
+    ke = np.einsum("m,mid,mjd->mij", mesh.areas, g, g)
     return assemble(mesh.triangles, mesh.triangles, ke, (space.n_dofs, space.n_dofs))
 
 
 def assemble_p1_mass(space: ScalarSpace) -> sp.csr_array:
     """Consistent P1 mass matrix (|K|/6 diagonal, |K|/12 off-diagonal)."""
     mesh = space.mesh
-    ke = mesh.areas()[:, None, None] * P1_MASS[None, :, :]
+    ke = mesh.areas[:, None, None] * P1_MASS[None, :, :]
     return assemble(mesh.triangles, mesh.triangles, ke, (space.n_dofs, space.n_dofs))
 
 
 def lumped_p1_weights(mesh: Mesh) -> np.ndarray:
     """Integrals of the P1 hat functions (row sums of the mass matrix)."""
     w = np.zeros(mesh.n_vertices)
-    np.add.at(w, mesh.triangles.ravel(), np.repeat(mesh.areas() / 3.0, 3))
+    np.add.at(w, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
     return w
 
 
@@ -410,8 +407,7 @@ def lumped_p1_weights(mesh: Mesh) -> np.ndarray:
 
 def element_gradient_magnitudes(space: ScalarSpace, dofs: np.ndarray) -> np.ndarray:
     """|grad f| per element of a P1 field, exact."""
-    g, _ = p1_gradients(space.mesh)
-    vec = np.einsum("mk,mkd->md", dofs[space.mesh.triangles], g)
+    vec = space.element_gradients(dofs)
     return np.sqrt((vec**2).sum(axis=1))
 
 

@@ -21,11 +21,18 @@ are written as adjacent pairs and unsplit elements keep their relative
 order, so coarsening finds the two children of one bisection as neighbours
 in the element list.  ``refine_and_coarsen`` also records the old elements
 each new one lies in; ``locate_in_source`` evaluates that.
+
+A ``Mesh`` owns its element geometry: ``areas`` and
+``barycentric_gradients`` are computed once, on first use, and every finite
+element operator reads them there.  The ``DualGrid`` keeps each face
+midpoint's element and barycentric coordinates, so the transport evaluates
+the velocity there without locating the point again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,9 +97,25 @@ class Mesh:
         """Edge ids lying on the domain boundary (exactly one incident element)."""
         return np.nonzero(self.edge_tris[:, 1] < 0)[0]
 
+    @cached_property
     def areas(self) -> np.ndarray:
+        """Element areas, (m,)."""
         p = self.vertices[self.triangles]
         return 0.5 * np.abs(_cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
+
+    @cached_property
+    def barycentric_gradients(self) -> np.ndarray:
+        """Constant gradients of the barycentric coordinates per element,
+        (m, 3, 2): grad lambda_k is the opposite edge turned by 90 degrees,
+        over twice the signed area."""
+        p = self.vertices[self.triangles]
+        det = _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        g = np.empty((self.n_triangles, 3, 2))
+        for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+            e = p[:, j] - p[:, i]
+            g[:, k, 0] = -e[:, 1] / det
+            g[:, k, 1] = e[:, 0] / det
+        return g
 
     def min_edge_length(self) -> float:
         ev = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
@@ -100,35 +123,6 @@ class Mesh:
 
     def edge_midpoints(self) -> np.ndarray:
         return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
-
-    def validate(self) -> None:
-        """Assert the structural invariants (conformity, orientation, non-obtuseness)."""
-        p = self.vertices[self.triangles]
-        twice_area = _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        if not np.all(twice_area > 0):
-            raise GeometryError("triangle with non-positive orientation or zero area")
-        # non-obtuse: all three angles at most 90 degrees
-        for k in range(3):
-            u = p[:, (k + 1) % 3] - p[:, k]
-            w = p[:, (k + 2) % 3] - p[:, k]
-            if np.any((u * w).sum(axis=1) < -_DEG_TOL):
-                raise GeometryError("obtuse triangle detected")
-        # conformity: no vertex of one triangle lies strictly inside an edge
-        # of another; with shared-edge bookkeeping this reduces to checking
-        # that boundary edges form the rectangle boundary and interior edges
-        # come in matched pairs, which _build_connectivity guarantees by
-        # construction.  Hanging nodes would show up as duplicated edges with
-        # a single incident triangle on an interior segment:
-        mids = self.edge_midpoints()[self.boundary_edges]
-        x0, x1, y0, y1 = self.domain
-        on_bnd = (
-            (np.abs(mids[:, 0] - x0) < _DEG_TOL)
-            | (np.abs(mids[:, 0] - x1) < _DEG_TOL)
-            | (np.abs(mids[:, 1] - y0) < _DEG_TOL)
-            | (np.abs(mids[:, 1] - y1) < _DEG_TOL)
-        )
-        if not np.all(on_bnd):
-            raise GeometryError("hanging node: single-sided edge away from the boundary")
 
 
 def _cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -302,31 +296,6 @@ def _bisect(tris: np.ndarray, gens: np.ndarray, source: np.ndarray, split: np.nd
             np.concatenate([source[~split], np.repeat(source[split], 2, axis=0)]))
 
 
-def midpoint_refine(mesh: Mesh) -> Mesh:
-    """Red refinement: every triangle is split into four using the edge
-    midpoints.  The vertex list of the result is [old vertices; edge midpoints
-    in edge order], which is exactly the quadratic (P2) node layout of the
-    input mesh."""
-    nv = mesh.n_vertices
-    new_verts = np.concatenate([mesh.vertices, mesh.edge_midpoints()], axis=0)
-    t = mesh.triangles
-    # local edge k (opposite vertex k) midpoint node ids
-    m0 = nv + mesh.tri_edges[:, 0]
-    m1 = nv + mesh.tri_edges[:, 1]
-    m2 = nv + mesh.tri_edges[:, 2]
-    a, b, c = t[:, 0], t[:, 1], t[:, 2]
-    # children keep the right-isosceles family: corner children have their
-    # right angle at the adjacent leg midpoint, the center child at the
-    # hypotenuse midpoint (m2, midpoint of edge (a, b))
-    child_a = np.column_stack([a, m2, m1])
-    child_b = np.column_stack([m2, b, m0])
-    child_c = np.column_stack([m1, m0, c])
-    child_m = np.column_stack([m0, m1, m2])
-    new_tris = np.concatenate([child_a, child_b, child_c, child_m], axis=0)
-    new_gens = np.zeros(new_tris.shape[0], dtype=np.int64)
-    return Mesh(new_verts, new_tris, new_gens, base_level=mesh.base_level + 2, domain=mesh.domain)
-
-
 @dataclass(frozen=True)
 class DualGrid:
     """Voronoi dual of a non-obtuse triangulation, clipped to the domain.
@@ -336,7 +305,9 @@ class DualGrid:
     from cell i to cell j.  Degenerate faces (coincident circumcenters across
     a shared hypotenuse) are omitted.  The cells are the mesh's vertices;
     the transport weighs them with the P1 vertex measures, so their
-    geometric volumes are not stored.
+    geometric volumes are not stored.  Each face midpoint lies in the
+    element ``face_tri``, at the barycentric coordinates ``face_bary``, where
+    the transport evaluates the velocity.
     """
 
     face_cells: np.ndarray
@@ -344,6 +315,7 @@ class DualGrid:
     face_measures: np.ndarray
     face_midpoints: np.ndarray
     face_tri: np.ndarray
+    face_bary: np.ndarray
 
 
 def circumcenters(mesh: Mesh) -> np.ndarray:
@@ -399,6 +371,7 @@ def build_dual_grid(mesh: Mesh) -> DualGrid:
     outside = lam.min(axis=1) < -1e-10
     swap = outside & (t1 >= 0)
     face_tri[swap] = t1[swap]
+    lam[swap] = barycentric_coordinates(mesh, midpoints[swap], face_tri[swap])
 
     return DualGrid(
         face_cells=np.column_stack([i_idx, j_idx]),
@@ -406,6 +379,7 @@ def build_dual_grid(mesh: Mesh) -> DualGrid:
         face_measures=measures[keep],
         face_midpoints=midpoints,
         face_tri=face_tri,
+        face_bary=lam,
     )
 
 

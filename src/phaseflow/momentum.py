@@ -30,7 +30,6 @@ from .fem import (
     assemble,
     element_chunks,
     nested_dissection,
-    p1_gradients,
 )
 from .linalg import FactorizationCache
 
@@ -118,9 +117,7 @@ def viscosity_from_phase(phi: np.ndarray, params: PhysParams) -> np.ndarray:
 
 def compute_flux_j(mu_new: np.ndarray, mobility: float, space: ScalarSpace) -> np.ndarray:
     """Elementwise-constant diffusive mass flux -M grad(mu), shape (m, 2)."""
-    g, _ = p1_gradients(space.mesh)
-    grad_mu = np.einsum("mk,mkd->md", mu_new[space.mesh.triangles], g)
-    return -mobility * grad_mu
+    return -mobility * space.element_gradients(mu_new)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +202,7 @@ def assemble_divergence(vspace: VelocitySpace, pspace: ScalarSpace) -> sp.csr_ar
     """B[l, (a, j)] = int shape_j^a d_a psi_l, the gradient-form coupling
     between velocity and the P1 pressure (rows sum to zero per column)."""
     vals, _, w = vspace.shape_table
-    gp1 = vspace.grads_p1
+    gp1 = pspace.mesh.barycentric_gradients
     tri = pspace.mesh.triangles
     nodes = vspace.tri_nodes
     ke = np.concatenate([np.einsum("mq,ml,qj->mlj", w, gp1[:, :, a], vals) for a in range(2)])
@@ -214,18 +211,16 @@ def assemble_divergence(vspace: VelocitySpace, pspace: ScalarSpace) -> sp.csr_ar
                     (pspace.n_dofs, vspace.n_dofs))
 
 
-def assemble_stabilization(vspace: VelocitySpace, pspace: ScalarSpace,
-                           eta_old: np.ndarray) -> sp.csr_array:
+def assemble_stabilization(pspace: ScalarSpace, eta_old: np.ndarray) -> sp.csr_array:
     """Pressure-projection stabilization for the equal-order pair:
     C_ij = int (1/eta) (psi_i - Pi0 psi_i)(psi_j - Pi0 psi_j) with Pi0 the
     elementwise mean; kernel = elementwise-constant pressures."""
     mesh = pspace.mesh
-    areas = mesh.areas()
     eta_bar = np.asarray(eta_old, dtype=float)[mesh.triangles].mean(axis=1)
     # int (psi_i - 1/3)(psi_j - 1/3) = |K| [ (1 + delta_ij)/12 - 1/9 ]
     local = np.full((3, 3), 1.0 / 12.0 - 1.0 / 9.0)
     np.fill_diagonal(local, 1.0 / 6.0 - 1.0 / 9.0)
-    ke = (areas / eta_bar)[:, None, None] * local[None, :, :]
+    ke = (mesh.areas / eta_bar)[:, None, None] * local[None, :, :]
     return assemble(mesh.triangles, mesh.triangles, ke, (pspace.n_dofs, pspace.n_dofs))
 
 
@@ -239,7 +234,7 @@ def assemble_rhs_K(vspace: VelocitySpace, pspace: ScalarSpace, mu_new: np.ndarra
     out = np.zeros(vspace.n_dofs)
 
     mu_qp = vspace.p1_at_qp(mu_new)
-    gphi = np.einsum("mk,mkd->md", phi_new[pspace.mesh.triangles], vspace.grads_p1)
+    gphi = pspace.element_gradients(phi_new)
     force = params.force.vector_at(t)
     if params.force.kind == "none":
         fx_qp = fy_qp = None
@@ -415,7 +410,7 @@ class MomentumStep:
         eta_old = viscosity_from_phase(phi_old, params)
         self.viscous = assemble_viscous(vspace, eta_old)
         self.convective = assemble_Na(vspace, self.rho_old, v_old)
-        self.stabilization = assemble_stabilization(vspace, pspace, eta_old) \
+        self.stabilization = assemble_stabilization(pspace, eta_old) \
             if params.elements == "p1p1" else None
 
 

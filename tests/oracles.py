@@ -6,7 +6,10 @@ onto each triangle via the Duffy transform, exact for polynomial integrands
 up to degree ~13.  ``interpolate_nodal`` samples a callable at the nodes of
 a space.  ``dual_cell_volumes``, ``dual_face_endpoints`` and
 ``boundary_vertex_mask`` give the geometry of a mesh and its Voronoi dual
-that the package does not store.  ``schur_solve`` solves a saddle system
+that the package does not store; ``element_geometry`` recomputes, element
+by element, the areas and barycentric gradients a mesh does store.
+``midpoint_refine`` builds the red refinement of a mesh, and ``validate``
+asserts a mesh's structural invariants.  ``schur_solve`` solves a saddle system
 without the package's Krylov and factorization-cache code.  ``Saddle`` holds the blocks of one
 saddle system for the tests, and ``RecordingCache`` keeps the matrices a
 solve hands its factorization cache.
@@ -18,9 +21,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from phaseflow.errors import GeometryError
 from phaseflow.fem import ScalarSpace
 from phaseflow.linalg import FactorizationCache
-from phaseflow.mesh import circumcenters
+from phaseflow.mesh import Mesh, circumcenters
 from phaseflow.momentum import PIN, PinnedDivergence, solve_saddle
 
 
@@ -96,6 +100,60 @@ def dual_face_endpoints(mesh, dual):
     face_of_edge = {tuple(e): k for k, e in enumerate(mesh.edges)}
     edge = np.array([face_of_edge[tuple(c)] for c in dual.face_cells])
     return np.stack([end0[edge], end1[edge]], axis=1)
+
+
+def element_geometry(mesh):
+    """Areas (m,) and barycentric gradients (m, 3, 2), one element at a time:
+    grad lambda_k = (-dy, dx) / det for the edge (dx, dy) opposite vertex k,
+    det twice the signed area."""
+    areas = np.empty(mesh.n_triangles)
+    grads = np.empty((mesh.n_triangles, 3, 2))
+    for t, (a, b, c) in enumerate(mesh.vertices[mesh.triangles]):
+        det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        areas[t] = 0.5 * abs(det)
+        for k, (dx, dy) in enumerate((c - b, a - c, b - a)):
+            grads[t, k] = (-dy / det, dx / det)
+    return areas, grads
+
+
+def midpoint_refine(mesh):
+    """Red refinement: every triangle is split into four using the edge
+    midpoints.  The vertex list of the result is [old vertices; edge midpoints
+    in edge order], the quadratic (P2) node layout of the input mesh; the
+    triangles are every element's corner children at its vertices a, b, c,
+    then its center children."""
+    nv = mesh.n_vertices
+    verts = np.concatenate([mesh.vertices, mesh.edge_midpoints()], axis=0)
+    a, b, c = mesh.triangles.T
+    # midpoint of local edge k, opposite vertex k
+    m0, m1, m2 = (nv + mesh.tri_edges).T
+    # children keep the right-isosceles family: corner children have their
+    # right angle at the adjacent leg midpoint, the center child at the
+    # hypotenuse midpoint m2, the midpoint of edge (a, b)
+    tris = np.concatenate([np.column_stack(child) for child in
+                           ((a, m2, m1), (m2, b, m0), (m1, m0, c), (m0, m1, m2))])
+    return Mesh(verts, tris, np.zeros(len(tris), dtype=np.int64),
+                base_level=mesh.base_level + 2, domain=mesh.domain)
+
+
+def validate(mesh, tol=1e-12):
+    """Raise GeometryError unless every triangle is positively oriented and
+    non-obtuse, and every single-sided edge lies on the domain boundary (a
+    hanging node would leave one inside)."""
+    p = mesh.vertices[mesh.triangles]
+    if not np.all(_cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) > 0):
+        raise GeometryError("triangle with non-positive orientation or zero area")
+    for k in range(3):
+        u = p[:, (k + 1) % 3] - p[:, k]
+        w = p[:, (k + 2) % 3] - p[:, k]
+        if np.any((u * w).sum(axis=1) < -tol):
+            raise GeometryError("obtuse triangle detected")
+    mids = mesh.edge_midpoints()[mesh.boundary_edges]
+    x0, x1, y0, y1 = mesh.domain
+    on_bnd = ((np.abs(mids[:, 0] - x0) < tol) | (np.abs(mids[:, 0] - x1) < tol)
+              | (np.abs(mids[:, 1] - y0) < tol) | (np.abs(mids[:, 1] - y1) < tol))
+    if not np.all(on_bnd):
+        raise GeometryError("hanging node: single-sided edge away from the boundary")
 
 
 def boundary_vertex_mask(mesh):

@@ -21,7 +21,6 @@ from phaseflow.coupling import Discretization, SplitTolerances, State
 from phaseflow.errors import StepRejected
 from phaseflow.fem import QUAD_DEG4, ScalarSpace
 from phaseflow.linalg import FactorizationCache
-from phaseflow.mesh import midpoint_refine
 from phaseflow.momentum import (
     MomentumStep,
     PhysParams,
@@ -33,6 +32,8 @@ from phaseflow.momentum import (
     density_from_phase,
     solve_saddle,
 )
+
+from oracles import midpoint_refine
 
 
 class ProjectionWorkspace:
@@ -78,7 +79,7 @@ def l2_project(disc: Discretization, f) -> np.ndarray:
     """Orthogonal L2 projection of a pointwise-evaluable function onto P1."""
     mesh = disc.mesh
     lam = QUAD_DEG4.points
-    w = (2.0 * mesh.areas())[:, None] * QUAD_DEG4.weights[None, :]
+    w = (2.0 * mesh.areas)[:, None] * QUAD_DEG4.weights[None, :]
     pts = np.einsum("qk,mkd->mqd", lam, mesh.vertices[mesh.triangles])
     fv = f(pts.reshape(-1, 2)).reshape(pts.shape[0], pts.shape[1])
     moments = np.zeros(mesh.n_vertices)
@@ -107,7 +108,7 @@ def _projection_coupling(ws: ProjectionWorkspace, params: PhysParams,
     # T[l, j] = int psi_l <w_j, grad phi_new>, assembled exactly
     vals, _, w = vs.shape_table
     lam = QUAD_DEG4.points
-    gphi = np.einsum("mk,mkd->md", phi_new[mesh.triangles], vs.grads_p1)
+    gphi = np.einsum("mk,mkd->md", phi_new[mesh.triangles], mesh.barycentric_gradients)
     T = np.zeros((mesh.n_vertices, vs.n_dofs))
     nodes = vs.tri_nodes
     tri = mesh.triangles
@@ -118,8 +119,7 @@ def _projection_coupling(ws: ProjectionWorkspace, params: PhysParams,
 
     # d[l] = int <j, grad psi_l> (j constant per element)
     d = np.zeros(mesh.n_vertices)
-    areas = mesh.areas()
-    ke = np.einsum("m,md,mkd->mk", areas, j_elem, vs.grads_p1)
+    ke = np.einsum("m,md,mkd->mk", mesh.areas, j_elem, mesh.barycentric_gradients)
     np.add.at(d, tri.ravel(), ke.ravel())
 
     # Q[i, l] = slope * V_i * projected_hat[l, node(i)]

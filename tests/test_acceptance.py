@@ -297,7 +297,7 @@ def test_a5_flux_properties():
                                                      np.full(len(p), -1.5)]), vs)
     from phaseflow.cahn_hilliard import face_normal_velocities
 
-    u_c = face_normal_velocities(v, vs, mesh, dual)
+    u_c = face_normal_velocities(v, vs, dual)
     const = np.full(mesh.n_vertices, 0.3)
     out_c = fv_transport_step(const, dual, 1e-3, 1, u_c, verts=mesh.vertices,
                               cell_measures=volumes)

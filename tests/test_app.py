@@ -17,9 +17,12 @@ from phaseflow.app import (
     write_energy_csv,
     write_vtk,
 )
-from phaseflow.coupling import Discretization, initial_state, run
-from phaseflow.mesh import build_structured_mesh
+from phaseflow.coupling import Discretization, State, initial_state, run
+from phaseflow.fem import p1_at_p2_nodes
+from phaseflow.mesh import REFINE, build_structured_mesh, refine_and_coarsen
 from phaseflow.momentum import PhysParams
+
+from oracles import midpoint_refine
 
 
 # ------------------------------------------------------------------- config
@@ -228,6 +231,27 @@ def test_vtk_quadratic_mesh(tmp_path):
     pts, cells = parse_vtk(str(path))
     assert len(pts) == state.disc.vspace.n_nodes
     assert len(cells) == 4 * state.disc.mesh.n_triangles
+
+
+@pytest.mark.parametrize("bisected", [False, True], ids=["structured", "bisected"])
+def test_vtk_quadratic_matches_a_midpoint_refined_mesh_bytewise(tmp_path, bisected):
+    # the quadratic snapshot is the linear snapshot of the red refinement
+    # whose vertices are the P2 nodes, with the P1 fields prolonged
+    mesh = build_structured_mesh((0, 1, 0, 2), 4)
+    if bisected:
+        marks = np.zeros(mesh.n_triangles, dtype=int)
+        marks[::5] = REFINE
+        mesh, _ = refine_and_coarsen(mesh, marks)
+    disc = Discretization(mesh, PhysParams())
+    rng = np.random.default_rng(3)
+    phi, mu, p = rng.standard_normal((3, mesh.n_vertices))
+    v = rng.standard_normal(disc.vspace.n_dofs)
+    write_vtk(State(0.25, phi, mu, v, p, disc), str(tmp_path / "q.vtk"), quadratic=True)
+
+    fine = Discretization(midpoint_refine(mesh), PhysParams(elements="p1p1"))
+    phi_f, mu_f, p_f = (p1_at_p2_nodes(mesh, f) for f in (phi, mu, p))
+    write_vtk(State(0.25, phi_f, mu_f, v, p_f, fine), str(tmp_path / "ref.vtk"))
+    assert (tmp_path / "q.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
 
 
 # -------------------------------------------------------------------- csv

@@ -180,7 +180,7 @@ def test_transport_constant_state_constant_velocity_interior():
     vols = dual_cell_volumes(mesh)
     vs = VelocitySpace(mesh, degree=2, bc="freeslip")
     v = interpolate_nodal(lambda p: np.column_stack([np.full(len(p), 2.0), np.full(len(p), -1.0)]), vs)
-    u_n = face_normal_velocities(v, vs, mesh, dual)
+    u_n = face_normal_velocities(v, vs, dual)
     phi = np.full(mesh.n_vertices, 0.4)
     tau = 1e-3
     out = fv_transport_step(phi, dual, tau, 1, u_n, mesh.vertices, vols)
@@ -238,7 +238,7 @@ def test_transport_second_order_beats_first_on_rotation():
     vols = dual_cell_volumes(mesh)
     vs = VelocitySpace(mesh, degree=2, bc="freeslip")
     v = interpolate_nodal(lambda p: np.column_stack([-p[:, 1], p[:, 0]]), vs)
-    u_n = face_normal_velocities(v, vs, mesh, dual)
+    u_n = face_normal_velocities(v, vs, dual)
     bump = lambda p: np.exp(-20.0 * ((p[:, 0] - 0.3) ** 2 + p[:, 1] ** 2))
     phi0 = bump(mesh.vertices)
     T = 2.0 * np.pi

@@ -19,10 +19,11 @@ from phaseflow.fem import (
     p1_at_p2_nodes,
     p2_shape_values,
 )
-from phaseflow.mesh import REFINE, Mesh, build_structured_mesh, midpoint_refine, refine_and_coarsen
+from phaseflow.mesh import REFINE, Mesh, build_structured_mesh, refine_and_coarsen
 from phaseflow.momentum import PhysParams
 
-from oracles import integrate_on_mesh, integrate_on_triangle, interpolate_nodal, p1_interpolant
+from oracles import (integrate_on_mesh, integrate_on_triangle, interpolate_nodal, midpoint_refine,
+                     p1_interpolant)
 
 
 def reference_triangle_mesh():

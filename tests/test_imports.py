@@ -1,7 +1,8 @@
 """Every imported name is used in the module that imports it, the
 package imports at module level only, every module-level function and
-class of the package is used in the package, and its functions hold
-exactly the budgeted number of defaulted parameters.
+class of the package and every method and property of its classes is used
+in the package, and its functions hold exactly the budgeted number of
+defaulted parameters.
 
 An ``ast`` scan of the package and the test suite: a name bound by an
 import must occur as a name elsewhere in its module.  Exempt are
@@ -54,21 +55,39 @@ def test_no_function_level_imports(path):
     assert function_level_imports(path) == []
 
 
+def names_in(node: ast.AST) -> set[str]:
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
 def unused_definitions() -> list[str]:
     """Module-level functions and classes of the package that no other
-    top-level statement of the package names, as a name or an attribute;
-    the ``__init__`` re-exports do not count as a use."""
+    top-level statement of the package names, as a name or an attribute,
+    and methods and properties of its classes that no other statement of the
+    package names, a sibling member included; the ``__init__`` re-exports do
+    not count as a use, and dunder methods are exempt."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in PACKAGE if path.name != "__init__.py"}
-    defined, named = [], []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    statements = [(node, names_in(node)) for tree in trees.values() for node in tree.body]
+    unused = []
     for path, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((path, node))
-            named.append((node, {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-                          | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}))
-    return [f"{path.name}:{node.lineno}: {node.name}" for path, node in defined
-            if not any(node.name in names for other, names in named if other is not node)]
+            if not isinstance(node, (*functions, ast.ClassDef)):
+                continue
+            outside = [names for other, names in statements if other is not node]
+            if not any(node.name in names for names in outside):
+                unused.append(f"{path.name}:{node.lineno}: {node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            members = [(member, names_in(member)) for member in node.body]
+            for member in node.body:
+                if not isinstance(member, functions) or member.name[:2] == member.name[-2:] == "__":
+                    continue
+                siblings = [names for other, names in members if other is not member]
+                if not any(member.name in names for names in outside + siblings):
+                    unused.append(f"{path.name}:{member.lineno}: {node.name}.{member.name}")
+    return unused
 
 
 def test_every_definition_is_used_in_the_package():
@@ -77,7 +96,7 @@ def test_every_definition_is_used_in_the_package():
 
 # Defaulted parameters of the package's functions, each an option a caller
 # may set.  A change that adds or removes one sets this count in its own diff.
-DEFAULTED_PARAMETER_BUDGET = 5
+DEFAULTED_PARAMETER_BUDGET = 4
 
 
 def defaulted_parameters(path: pathlib.Path) -> list[str]:

@@ -15,11 +15,11 @@ from phaseflow.mesh import (
     build_structured_mesh,
     locate_in_source,
     locate_points,
-    midpoint_refine,
     refine_and_coarsen,
 )
 
-from oracles import boundary_vertex_mask, dual_cell_volumes
+from oracles import (boundary_vertex_mask, dual_cell_volumes, element_geometry, midpoint_refine,
+                     validate)
 
 
 def crisscross_square():
@@ -42,7 +42,7 @@ def test_structured_level2_unit_square():
     assert m.n_triangles == 8
     assert m.n_vertices == 9
     assert m.min_edge_length() == pytest.approx(0.5)
-    m.validate()
+    validate(m)
 
 
 @pytest.mark.parametrize("level,h", [(10, 0.0625), (12, 0.03125)])
@@ -61,8 +61,8 @@ def test_structured_rejects_bad_level():
 def test_structured_rectangle():
     m = build_structured_mesh((0.0, 1.0, 0.0, 2.0), 2)
     assert m.n_triangles == 16
-    assert m.areas().sum() == pytest.approx(2.0, abs=1e-14)
-    m.validate()
+    assert m.areas.sum() == pytest.approx(2.0, abs=1e-14)
+    validate(m)
 
 
 def test_no_marks_identity():
@@ -85,7 +85,7 @@ def test_refine_single_interior_triangle_stays_conforming():
             marks[t] = REFINE
             break
     out, _ = refine_and_coarsen(m, marks)
-    out.validate()
+    validate(out)
     assert out.n_triangles > m.n_triangles
 
 
@@ -94,10 +94,10 @@ def test_refine_all_doubles_and_two_sweeps_halve_h():
     h0 = m.min_edge_length()
     m1, _ = refine_and_coarsen(m, np.full(m.n_triangles, REFINE))
     assert m1.n_triangles == 2 * m.n_triangles
-    m1.validate()
+    validate(m1)
     m2, _ = refine_and_coarsen(m1, np.full(m1.n_triangles, REFINE))
     assert m2.n_triangles == 4 * m.n_triangles
-    m2.validate()
+    validate(m2)
     assert m2.min_edge_length() == pytest.approx(h0 / 2, rel=1e-14)
 
 
@@ -108,7 +108,7 @@ def test_refine_then_coarsen_round_trip():
     assert m2.n_triangles == m.n_triangles
     assert m2.n_vertices == m.n_vertices
     assert sorted(map(tuple, m2.vertices.tolist())) == sorted(map(tuple, m.vertices.tolist()))
-    m2.validate()
+    validate(m2)
     # restriction keeps surviving nodal values
     f1 = m1.vertices[:, 0] + 2.0 * m1.vertices[:, 1]
     f2 = transfer_p1(m1, m2, source2, f1)
@@ -131,7 +131,7 @@ def test_coarsen_that_violates_conformity_is_dropped():
     marks = np.full(m1.n_triangles, KEEP)
     marks[: m1.n_triangles // 4] = COARSEN
     out, _ = refine_and_coarsen(m1, marks)
-    out.validate()
+    validate(out)
     assert out.n_triangles >= m.n_triangles
 
 
@@ -141,7 +141,7 @@ def test_mesh_stays_non_obtuse_under_random_marks():
     for _ in range(6):
         marks = rng.choice([REFINE, KEEP, COARSEN], size=m.n_triangles, p=[0.2, 0.5, 0.3])
         m, _ = refine_and_coarsen(m, marks)
-        m.validate()
+        validate(m)
 
 
 def scaled(points):
@@ -293,7 +293,7 @@ def test_dual_antisymmetry_data():
 
 def test_dual_crisscross_hand_values():
     m = crisscross_square()
-    m.validate()
+    validate(m)
     d = build_dual_grid(m)
     vols = dual_cell_volumes(m)
     np.testing.assert_allclose(vols[:4], 0.125, atol=1e-14)
@@ -318,7 +318,7 @@ def test_midpoint_refine_counts():
     r = midpoint_refine(m)
     assert r.n_triangles == 8
     assert r.n_vertices == m.n_vertices + m.n_edges
-    r.validate()
+    validate(r)
 
 
 def test_midpoint_refine_matches_structured_vertex_set():
@@ -335,7 +335,55 @@ def test_midpoint_refine_contains_p2_nodes_and_keeps_area():
     r = midpoint_refine(m)
     p2_nodes = np.concatenate([m.vertices, m.edge_midpoints()], axis=0)
     np.testing.assert_allclose(r.vertices, p2_nodes, atol=1e-14)
-    assert r.areas().sum() == pytest.approx(m.areas().sum(), abs=1e-12)
+    assert r.areas.sum() == pytest.approx(m.areas.sum(), abs=1e-12)
+
+
+def geometry_meshes():
+    """A structured square, the Rayleigh-Taylor rectangle and a bisected mesh."""
+    rng = np.random.default_rng(5)
+    m = build_structured_mesh((0, 1, 0, 1), 4)
+    for _ in range(4):
+        marks = rng.choice([REFINE, KEEP, COARSEN], size=m.n_triangles, p=[0.3, 0.4, 0.3])
+        m, _ = refine_and_coarsen(m, marks)
+    return [build_structured_mesh((0, 1, 0, 1), 6), build_structured_mesh((0, 1, 0, 4), 8), m]
+
+
+@pytest.mark.parametrize("mesh", geometry_meshes(), ids=["square", "rt", "bisected"])
+def test_mesh_geometry_matches_elementwise_oracle_bitwise(mesh):
+    areas, grads = element_geometry(mesh)
+    assert mesh.areas.tobytes() == areas.tobytes()
+    assert mesh.barycentric_gradients.tobytes() == grads.tobytes()
+    # computed once: a second read returns the same array
+    assert mesh.areas is mesh.areas
+    assert mesh.barycentric_gradients is mesh.barycentric_gradients
+
+
+def two_right_triangles():
+    """The edge (0, 1) is the hypotenuse of the first triangle and a leg of
+    the second, and it is the first triangle's local edge 0, so the dual face
+    midpoint lies in the second of the edge's triangles."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, -0.5], [0.0, 1.0]])
+    tris = np.array([[2, 1, 0], [0, 1, 3]])
+    return Mesh(verts, tris, np.zeros(2, dtype=int), base_level=2, domain=(0, 1, -0.5, 1))
+
+
+@pytest.mark.parametrize("mesh", geometry_meshes() + [two_right_triangles()],
+                         ids=["square", "rt", "bisected", "swapped"])
+def test_dual_face_coordinates_match_a_fresh_computation_bitwise(mesh):
+    d = build_dual_grid(mesh)
+    fresh = barycentric_coordinates(mesh, d.face_midpoints, d.face_tri)
+    assert d.face_bary.tobytes() == fresh.tobytes()
+    assert (fresh.min(axis=1) >= -1e-10).all()
+
+
+def test_dual_face_midpoint_moves_to_the_second_triangle():
+    m = two_right_triangles()
+    d = build_dual_grid(m)
+    edge = m.edges.tolist().index([0, 1])
+    assert m.edge_tris[edge].tolist() == [0, 1]
+    face = d.face_cells.tolist().index([0, 1])
+    assert d.face_tri[face] == 1
+    np.testing.assert_allclose(d.face_midpoints[face], [0.5, 0.25], atol=1e-15)
 
 
 def test_non_manifold_mesh_raises_geometry_error():

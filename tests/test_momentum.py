@@ -315,7 +315,7 @@ def test_time_terms_identity_of_rewriting():
 
 def test_stabilization_kernel_elementwise_constant():
     mesh, ss, vs = setup(level=4, degree=1)
-    C = assemble_stabilization(vs, ss, np.ones(ss.n_dofs))
+    C = assemble_stabilization(ss, np.ones(ss.n_dofs))
     p = np.full(ss.n_dofs, 1.234)
     assert np.abs(C @ p).max() < 1e-15
 
@@ -323,7 +323,7 @@ def test_stabilization_kernel_elementwise_constant():
 def test_stabilization_symmetric_nonneg_diag():
     mesh, ss, vs = setup(level=4, degree=1)
     eta = 0.5 + 0.2 * mesh.vertices[:, 1]
-    C = assemble_stabilization(vs, ss, eta)
+    C = assemble_stabilization(ss, eta)
     diff = abs(C - C.T)
     assert (diff.max() if diff.nnz else 0.0) == 0.0
     assert (C.diagonal() >= 0).all()
@@ -336,8 +336,7 @@ def test_stabilization_reference_triangle_entry():
 
     mesh = Mesh(verts, tris, np.zeros(1, dtype=int), base_level=2, domain=(0, 1, 0, 1))
     ss = ScalarSpace(mesh)
-    vs = VelocitySpace(mesh, degree=1, bc="noslip")
-    C = assemble_stabilization(vs, ss, np.ones(3)).toarray()
+    C = assemble_stabilization(ss, np.ones(3)).toarray()
     # psi = x is the hat at vertex (1,0): int (x - 1/3)^2 = |K|/18 = 1/36
     xs, ys, ws = duffy_rule(6)
     hand = float(np.dot(ws, (xs - 1.0 / 3.0) ** 2))
@@ -433,15 +432,9 @@ def test_assembly_chunking_is_bitwise_stable(monkeypatch):
     A1 = assemble_viscous(vs, eta).toarray()
     N1 = assemble_Na(vs, rho, v).toarray()
     import phaseflow.fem as fem
-    import phaseflow.momentum as momentum
 
     monkeypatch.setattr(fem, "assembly_threads", lambda: 4)
-    orig = fem.element_chunks
-
-    def forced(kernel, n_elements, min_chunk=20000):
-        return orig(kernel, n_elements, min_chunk=1)
-
-    monkeypatch.setattr(momentum, "element_chunks", forced)
+    monkeypatch.setattr(fem, "MIN_CHUNK", 1)
     A2 = assemble_viscous(vs, eta).toarray()
     N2 = assemble_Na(vs, rho, v).toarray()
     assert np.array_equal(A1, A2)
@@ -536,7 +529,7 @@ def test_divergence_annihilates_constant_pressures(bc):
     B = dirichlet_divergence(vs, assemble_divergence(vs, ss)).B
     colsum = np.abs(B.T @ np.ones(ss.n_dofs)).max()
     assert colsum <= 1e-13 * abs(B).sum(axis=1).max()
-    C = assemble_stabilization(vs, ss, 0.5 + mesh.vertices[:, 0])
+    C = assemble_stabilization(ss, 0.5 + mesh.vertices[:, 0])
     assert np.abs(C @ np.ones(ss.n_dofs)).max() <= 1e-13 * abs(C).sum(axis=1).max()
 
 
