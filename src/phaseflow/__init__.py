@@ -10,7 +10,6 @@ the discrete energy inequality.
 
 from .cahn_hilliard import (
     ChReport,
-    DoubleWell,
     ch_diffusive_solve,
     engquist_osher_flux,
     fe_convection_matrix,
@@ -35,7 +34,6 @@ from .energy import (
     EnergyBreakdown,
     InequalityReport,
     step_inequality_check,
-    total_energy,
 )
 from .errors import CflError, GeometryError, IterativeFailure, SolverError, StepRejected
 from .fem import (

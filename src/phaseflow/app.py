@@ -9,6 +9,7 @@ block when a config is dumped.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -24,8 +25,9 @@ from .coupling import (
     TimestepConfig,
     run,
 )
-from .errors import AuditFailure, RunAborted, SolverError
+from .errors import AuditFailure, GeometryError, RunAborted, SolverError
 from .fem import P2_CHILDREN, l2_distance, p1_at_p2_nodes
+from .mesh import grid_shape
 from .momentum import ForceSpec, PhysParams
 
 
@@ -115,10 +117,13 @@ def _parse_value(raw: str, pytype):
         raise ValueError(f"not a boolean: {raw!r}")
     if pytype in (int, float):
         try:
-            return pytype(raw)
+            value = pytype(raw)
         except ValueError:
             kind = "an integer" if pytype is int else "a number"
             raise ValueError(f"not {kind}: {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {raw!r}")
+        return value
     return raw
 
 
@@ -177,6 +182,7 @@ def validate_config(cfg: Config) -> None:
     require(cfg.solver_audit in ("strict", "log"), "solver.audit", "must be strict or log")
     require(cfg.domain_x1 > cfg.domain_x0 and cfg.domain_y1 > cfg.domain_y0,
             "domain", "must be a nondegenerate rectangle")
+    _require_tiling(cfg, cfg.discretization_level)
     require(cfg.scenario_interface in ("circle", "ellipse", "annulus", "layer"),
             "scenario.interface", "unknown interface kind")
     require(cfg.timestep_safety > 0, "timestep.safety", "must be > 0")
@@ -206,6 +212,16 @@ def validate_config(cfg: Config) -> None:
     ForceSpec(kind=cfg.physics_force_kind,
               k0=(cfg.physics_force_x, cfg.physics_force_y),
               rotations_per_unit=cfg.physics_force_rotations)
+
+
+def _require_tiling(cfg: Config, level: int) -> None:
+    """Raise ValueError naming the domain keys unless the uniform grid of
+    ``level`` tiles the configured rectangle."""
+    try:
+        grid_shape((cfg.domain_x0, cfg.domain_x1, cfg.domain_y0, cfg.domain_y1), level)
+    except GeometryError as exc:
+        raise ValueError(f"domain: {exc} at level {level} (the height is domain.y1 - "
+                         f"domain.y0, h = (domain.x1 - domain.x0) * 2**(-level/2))") from None
 
 
 def dump_config(cfg: Config) -> str:
@@ -618,14 +634,18 @@ def run_eoc(cfg: Config, levels: list[int]) -> list[tuple[int, float, float]]:
     return rows
 
 
+def _usage_error(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    print(_SYNOPSIS, file=sys.stderr)
+    return 1
+
+
 def cli_main(argv: list[str]) -> int:
     try:
         args = _parse_cli(argv)
         cfg = _config_from_cli(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(_SYNOPSIS, file=sys.stderr)
-        return 1
+        return _usage_error(exc)
 
     if "eoc" in args["flags"]:
         try:
@@ -633,10 +653,13 @@ def cli_main(argv: list[str]) -> int:
         except ValueError:
             levels = []
         if not levels or any(level < 2 or level % 2 for level in levels):
-            print("error: --eoc expects a comma list of even integer levels >= 2",
-                  file=sys.stderr)
-            print(_SYNOPSIS, file=sys.stderr)
-            return 1
+            return _usage_error("--eoc expects a comma list of even integer levels >= 2")
+        try:
+            # the reference run too, two levels above the largest
+            for level in levels + [max(levels) + 2]:
+                _require_tiling(cfg, level)
+        except ValueError as exc:
+            return _usage_error(exc)
         try:
             rows = run_eoc(cfg, levels)
         except (RunAborted, SolverError) as exc:

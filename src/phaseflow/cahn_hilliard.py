@@ -7,6 +7,9 @@ transported quantity).  The diffusive part is an implicit two-field solve for
 (phi, mu) with the convex part of the double-well treated implicitly and the
 concave part explicitly, the combination that makes the interfacial-energy
 telescoping a one-sided inequality.  The potential terms are mass-lumped.
+The well and the derivatives of its two parts are module functions; sigma,
+delta and the mobility come from ``PhysParams`` alone.  The interfacial
+energy itself is evaluated only by the audit, ``energy.step_inequality_check``.
 
 A coupled variant including the finite-element convection term is provided
 for the monolithic mode, whose converged splitting limit satisfies the fully
@@ -25,6 +28,7 @@ from .errors import CflError, SolverError
 from .fem import QUAD_DEG4, ScalarSpace, VelocitySpace, assemble
 from .linalg import FactorizationCache, solve_linear
 from .mesh import DualGrid
+from .momentum import PhysParams
 
 # largest transport CFL number an explicit step accepts
 CFL_LIMIT = 0.9
@@ -33,39 +37,30 @@ NEWTON_MAXIT = 30
 LIN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DoubleWell:
-    """Quartic well F(phi) = (phi^2 - 1)^2 / 4 with the convex/concave split
-    F+ = (phi^4 + 1)/4, F- = -phi^2/2, scaled by surface tension ``sigma``
-    and interface width ``delta``: the interfacial energy density is
-    sigma * (delta/2 |grad phi|^2 + F(phi)/delta)."""
+def well(phi):
+    """Quartic double well F(phi) = (phi^2 - 1)^2 / 4, split into the convex
+    F+ = (phi^4 + 1)/4, whose slope the phase solve takes implicitly, and the
+    concave F- = -phi^2/2, taken explicitly.  With sigma and delta of
+    ``PhysParams`` the interfacial energy density is
+    sigma * (delta/2 |grad phi|^2 + F(phi)/delta).  The functions below are
+    F', F+', F-' and F+''."""
+    return 0.25 * (phi**2 - 1.0) ** 2
 
-    sigma: float = 1.0
-    delta: float = 1.0
 
-    def __post_init__(self):
-        if self.sigma <= 0 or self.delta <= 0:
-            raise ValueError("sigma and delta must be positive")
+def well_prime(phi):
+    return phi**3 - phi
 
-    @staticmethod
-    def f(phi):
-        return 0.25 * (phi**2 - 1.0) ** 2
 
-    @staticmethod
-    def f_prime(phi):
-        return phi**3 - phi
+def well_plus_prime(phi):
+    return phi**3
 
-    @staticmethod
-    def f_plus_prime(phi):
-        return phi**3
 
-    @staticmethod
-    def f_minus_prime(phi):
-        return -phi
+def well_minus_prime(phi):
+    return -phi
 
-    @staticmethod
-    def f_plus_second(phi):
-        return 3.0 * phi**2
+
+def well_plus_second(phi):
+    return 3.0 * phi**2
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +203,7 @@ def fe_convection_matrix(space: ScalarSpace, v_dofs: np.ndarray,
 
 
 def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
-                       mobility: float, dw: DoubleWell, space: ScalarSpace,
+                       params: PhysParams, space: ScalarSpace,
                        newton_tol: float, conv_matrix: sp.csr_array | None,
                        phi_guess: np.ndarray,
                        lin_cache: FactorizationCache) -> tuple[np.ndarray, np.ndarray, ChReport]:
@@ -218,8 +213,9 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
         M mu = sigma delta K phi + (sigma/delta) lump(F+'(phi) + F-'(phi_old))
 
     by Newton's method on the coupled (phi, mu) unknowns, with up to ten
-    damped halvings per step when the residual does not decrease.  M, K and
-    the lumped weights are the operators ``space`` owns.  With
+    damped halvings per step when the residual does not decrease.  sigma,
+    delta and the mobility are those of ``params``; M, K and the lumped
+    weights are the operators ``space`` owns.  With
     ``conv_matrix`` (monolithic mode) the convection enters implicitly; with
     None the transported field is passed as ``phi_source``.  Testing the
     first equation with 1 shows the mean of phi is conserved up to the linear
@@ -229,15 +225,13 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if mobility < 0:
-        raise ValueError("mobility must be nonnegative")
     n = space.n_dofs
     M, K, c = space.mass, space.stiffness, space.lumped
 
-    sig, dlt = dw.sigma, dw.delta
+    sig, dlt, mobility = params.sigma, params.delta, params.mobility
     a_phi = M + tau * conv_matrix if conv_matrix is not None else M
     kmu = (tau * mobility) * K
-    f_minus_lump = (sig / dlt) * c * dw.f_minus_prime(phi_old)
+    f_minus_lump = (sig / dlt) * c * well_minus_prime(phi_old)
     rhs1 = M @ phi_source
 
     phi = phi_guess.copy()
@@ -245,7 +239,7 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
 
     def residual(p, m):
         r1 = a_phi @ p + kmu @ m - rhs1
-        r2 = M @ m - sig * dlt * (K @ p) - (sig / dlt) * c * dw.f_plus_prime(p) - f_minus_lump
+        r2 = M @ m - sig * dlt * (K @ p) - (sig / dlt) * c * well_plus_prime(p) - f_minus_lump
         return r1, r2
 
     r1, r2 = residual(phi, mu)
@@ -257,7 +251,7 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
     it = 0
     while not res <= newton_tol and it < NEWTON_MAXIT:
         it += 1
-        dpot = sp.csr_array(sp.diags_array((sig / dlt) * c * dw.f_plus_second(phi)))
+        dpot = sp.csr_array(sp.diags_array((sig / dlt) * c * well_plus_second(phi)))
         J = sp.bmat([[a_phi, kmu], [-(sig * dlt) * K - dpot, M]], format="csr")
         delta = lin_cache.solve(J, -np.concatenate([r1, r2]), tol=LIN_TOL)
         dphi, dmu = delta[:n], delta[n:]
@@ -276,10 +270,3 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
         raise SolverError(f"phase-field Newton stalled at residual {res:.3e} "
                           f"after {it} iterations")
     return phi, mu, ChReport(newton_iterations=it)
-
-
-def interfacial_energy(space: ScalarSpace, phi: np.ndarray, dw: DoubleWell) -> float:
-    """sigma (delta/2 |grad phi|^2 + 1/delta * lumped F(phi)) over the domain."""
-    grad = 0.5 * dw.delta * float(phi @ (space.stiffness @ phi))
-    well = float(space.lumped @ dw.f(phi)) / dw.delta
-    return dw.sigma * (grad + well)

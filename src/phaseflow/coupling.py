@@ -18,11 +18,11 @@ from functools import cached_property
 import numpy as np
 
 from .cahn_hilliard import (
-    DoubleWell,
     ch_diffusive_solve,
     face_normal_velocities,
     fe_convection_matrix,
     fv_transport_step,
+    well_prime,
 )
 from .energy import EnergyBreakdown, InequalityReport, step_inequality_check
 from .errors import AuditFailure, RunAborted, SolverError, StepRejected
@@ -143,19 +143,18 @@ class State:
 
 
 def consistent_chemical_potential(disc: Discretization, phi: np.ndarray,
-                                  dw: DoubleWell) -> np.ndarray:
+                                  params: PhysParams) -> np.ndarray:
     """mu solving the curvature equation for a given phase field (used for
     initial data, whose time stepping has not produced a mu yet)."""
     ss = disc.sspace
-    rhs = dw.sigma * dw.delta * (ss.stiffness @ phi) \
-        + (dw.sigma / dw.delta) * ss.lumped * dw.f_prime(phi)
+    sig, dlt = params.sigma, params.delta
+    rhs = sig * dlt * (ss.stiffness @ phi) + (sig / dlt) * ss.lumped * well_prime(phi)
     return solve_linear(ss.mass, rhs, tol=1e-13)
 
 
 def initial_state(disc: Discretization, params: PhysParams, phi0) -> State:
-    dw = DoubleWell(sigma=params.sigma, delta=params.delta)
     phi = np.asarray(phi0(disc.mesh.vertices), dtype=float)
-    mu = consistent_chemical_potential(disc, phi, dw)
+    mu = consistent_chemical_potential(disc, phi, params)
     return State(t=0.0, phi=phi, mu=mu, v=np.zeros(disc.vspace.n_dofs),
                  p=np.zeros(disc.sspace.n_dofs), disc=disc)
 
@@ -220,7 +219,6 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
     if convection not in ("fv", "fe"):
         raise ValueError(f"unknown convection mode {convection!r}")
     disc = state.disc
-    dw = DoubleWell(sigma=params.sigma, delta=params.delta)
     diags = StepDiagnostics()
 
     phi_k = state.phi
@@ -242,7 +240,7 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
             conv = fe_convection_matrix(disc.sspace, v_dofs, disc.vspace)
         try:
             phi_new, mu_new, rep = ch_diffusive_solve(
-                phi_half, phi_k, tau, params.mobility, dw, disc.sspace,
+                phi_half, phi_k, tau, params, disc.sspace,
                 newton_tol=newton_tol, conv_matrix=conv, phi_guess=phi_guess,
                 lin_cache=disc.phase_cache)
         except SolverError as exc:

@@ -160,14 +160,12 @@ def _build_connectivity(tris: np.ndarray, n_vertices: int):
     return edges, tri_edges, edge_tris
 
 
-def build_structured_mesh(domain: tuple[float, float, float, float], level: int) -> Mesh:
-    """Uniform right-isosceles triangulation of an axis-aligned rectangle.
+def grid_shape(domain: tuple[float, float, float, float], level: int) -> tuple[int, int]:
+    """Square cells (across, up) of the uniform grid at ``level``.
 
-    ``level`` must be a nonnegative even integer >= 2; the shortest edge is
-    h = width * 2**(-level/2).  The rectangle height must be an integer
-    multiple of h.  Every square cell is split along the diagonal from its
-    lower-left to its upper-right corner, so uniform refinements of different
-    levels are nested triangulations.
+    ``level`` must be an even integer >= 2; the cell side is
+    h = width * 2**(-level/2), and the rectangle height must be a whole
+    positive multiple of h, else GeometryError.
     """
     if level < 2 or level % 2 != 0:
         raise ValueError(f"level must be an even integer >= 2, got {level}")
@@ -179,8 +177,19 @@ def build_structured_mesh(domain: tuple[float, float, float, float], level: int)
     nx = round(width / h)
     ny_f = height / h
     ny = round(ny_f)
-    if abs(ny_f - ny) > 1e-9:
+    if ny < 1 or abs(ny_f - ny) > 1e-9:
         raise GeometryError(f"rectangle height {height} is not a multiple of h={h}")
+    return nx, ny
+
+
+def build_structured_mesh(domain: tuple[float, float, float, float], level: int) -> Mesh:
+    """Uniform right-isosceles triangulation of an axis-aligned rectangle
+    into the ``grid_shape`` cells of ``level``.  Every square cell is split
+    along the diagonal from its lower-left to its upper-right corner, so
+    uniform refinements of different levels are nested triangulations.
+    """
+    nx, ny = grid_shape(domain, level)
+    x0, x1, y0, y1 = (float(v) for v in domain)
 
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)

@@ -402,7 +402,6 @@ class MomentumStep:
         self.pspace = pspace
         self.params = params
         self.divergence = divergence
-        self.phi_old = phi_old
         self.v_old = v_old
         self.tau = tau
         self.t = t

@@ -9,10 +9,13 @@ a space.  ``dual_cell_volumes``, ``dual_face_endpoints`` and
 that the package does not store; ``element_geometry`` recomputes, element
 by element, the areas and barycentric gradients a mesh does store.
 ``midpoint_refine`` builds the red refinement of a mesh, and ``validate``
-asserts a mesh's structural invariants.  ``schur_solve`` solves a saddle system
-without the package's Krylov and factorization-cache code.  ``Saddle`` holds the blocks of one
-saddle system for the tests, and ``RecordingCache`` keeps the matrices a
-solve hands its factorization cache.
+asserts a mesh's structural invariants.  ``kinetic_energy``,
+``interfacial_energy`` and ``total_energy`` evaluate the discrete energies
+from a space's operators, independently of the package's audit but in its
+operation order, so the two agree bit for bit.  ``schur_solve`` solves a
+saddle system without the package's Krylov and factorization-cache code.
+``Saddle`` holds the blocks of one saddle system for the tests, and
+``RecordingCache`` keeps the matrices a solve hands its factorization cache.
 """
 
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ from phaseflow.errors import GeometryError
 from phaseflow.fem import ScalarSpace
 from phaseflow.linalg import FactorizationCache
 from phaseflow.mesh import Mesh, circumcenters
-from phaseflow.momentum import PIN, PinnedDivergence, solve_saddle
+from phaseflow.momentum import PIN, PinnedDivergence, density_from_phase, solve_saddle
 
 
 def duffy_rule(n=8):
@@ -172,6 +175,37 @@ def p1_interpolant(mesh, vals):
         return (vals[mesh.triangles[tri]] * lam).sum(axis=1)
 
     return f
+
+
+def kinetic_energy(vspace, phi, v, params):
+    """Half the density-weighted lumped velocity square, the discrete kinetic
+    energy the stability estimate controls."""
+    d = vspace.lumping @ density_from_phase(phi, params)
+    n = vspace.n_nodes
+    return 0.5 * float(d @ (v[:n] ** 2 + v[n:] ** 2))
+
+
+def interfacial_energy(space, phi, params):
+    """sigma (delta/2 |grad phi|^2 + 1/delta * lumped F(phi)) over the domain,
+    F(phi) = (phi^2 - 1)^2 / 4 the quartic well."""
+    grad = 0.5 * params.delta * float(phi @ (space.stiffness @ phi))
+    well = float(space.lumped @ (0.25 * (phi**2 - 1.0) ** 2)) / params.delta
+    return params.sigma * (grad + well)
+
+
+@dataclass(frozen=True)
+class Energy:
+    e_kin: float
+    e_int: float
+
+    @property
+    def e_total(self):
+        return self.e_kin + self.e_int
+
+
+def total_energy(sspace, vspace, phi, v, params):
+    return Energy(kinetic_energy(vspace, phi, v, params),
+                  interfacial_energy(sspace, phi, params))
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from phaseflow.cahn_hilliard import DoubleWell, ch_diffusive_solve, fe_convection_matrix
+from phaseflow.cahn_hilliard import ch_diffusive_solve, fe_convection_matrix
 from phaseflow.coupling import Discretization, SplitTolerances, State
 from phaseflow.errors import StepRejected
 from phaseflow.fem import QUAD_DEG4, ScalarSpace
@@ -176,7 +176,6 @@ def projection_reference_step(state: State, tau: float, params: PhysParams,
     disc = state.disc
     if ws is None:
         ws = ProjectionWorkspace(disc)
-    dw = DoubleWell(sigma=params.sigma, delta=params.delta)
     phi_k, v_k = state.phi, state.v
     step = MomentumStep(disc.vspace, disc.sspace, params, disc.divergence,
                         phi_k, v_k, tau, state.t)
@@ -184,7 +183,7 @@ def projection_reference_step(state: State, tau: float, params: PhysParams,
     def ch_solve(v_dofs, phi_guess):
         conv = fe_convection_matrix(disc.sspace, v_dofs, disc.vspace)
         phi_new, mu_new, _ = ch_diffusive_solve(
-            phi_k, phi_k, tau, params.mobility, dw, disc.sspace,
+            phi_k, phi_k, tau, params, disc.sspace,
             newton_tol=newton_tol, conv_matrix=conv, phi_guess=phi_guess,
             lin_cache=FactorizationCache(None))
         return phi_new, mu_new

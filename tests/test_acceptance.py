@@ -27,7 +27,7 @@ from phaseflow.coupling import (
     run,
     splitting_step,
 )
-from phaseflow.energy import step_inequality_check, total_energy
+from phaseflow.energy import step_inequality_check
 from phaseflow.errors import CflError
 from phaseflow.mesh import build_dual_grid, build_structured_mesh
 from phaseflow.momentum import (
@@ -40,7 +40,7 @@ from phaseflow.momentum import (
 )
 
 from oracles import (boundary_vertex_mask, dual_cell_volumes, dual_face_endpoints,
-                     interpolate_nodal)
+                     interpolate_nodal, total_energy)
 from projection_oracle import ProjectionWorkspace, projection_reference_step
 
 
@@ -126,9 +126,9 @@ def test_a1_negative_control(ellipse_fe_run):
     1e-15 while the tolerance stays near 1e-6.  The factor-2 count is
     therefore reported as information only.
 
-    Each step k instead gets its own factor c_k >= 1, derived from
-    total_energy and assemble_external_force alone (never from the auditor's
-    residual), so that with v = c_k v^{k+1}
+    Each step k instead gets its own factor c_k >= 1, derived from the
+    oracles' total_energy and assemble_external_force alone (never from the
+    auditor's code), so that with v = c_k v^{k+1}
 
         c_k^2 E_kin,new - c_k tau W_ext = E_old - E_int,new + 4 tau tol(c_k),
 

@@ -382,6 +382,49 @@ def test_cli_config_error_exits_1(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
+def test_cli_domain_the_grid_cannot_tile_exits_1_without_outputs(tmp_path, capsys):
+    # level 4 on width 2 has h = 0.5, and the height 1.7 is no multiple of it
+    out = tmp_path / "out"
+    p = tmp_path / "c.txt"
+    p.write_text(f"scenario.name = ellipse\ndiscretization.level = 4\n"
+                 f"domain.y1 = 0.7\noutput.dir = {out}\n")
+    assert cli_main(["run", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: domain: rectangle height 1.7 is not a multiple of h=0.5 "
+                          "at level 4 (the height is domain.y1 - domain.y0")
+    assert "usage: phaseflow run" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_eoc_level_the_grid_cannot_tile_exits_1(tmp_path, monkeypatch, capsys):
+    # the height 1.5 tiles at level 4 (h = 0.5) but not at level 2 (h = 1)
+    monkeypatch.setattr(app, "run_eoc", lambda cfg, levels: pytest.fail(f"a study ran on {levels}"))
+    p = tmp_path / "c.txt"
+    p.write_text("scenario.name = ellipse\ndiscretization.level = 4\ndomain.y1 = 0.5\n")
+    assert cli_main(["run", str(p), "--eoc", "2,4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: domain: rectangle height 1.5 is not a multiple of h=1.0 "
+                          "at level 2")
+    assert "usage: phaseflow run" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["physics.rho1", "domain.x1", "scenario.tmax"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_load_rejects_non_finite_numbers(tmp_path, key, value):
+    p = tmp_path / "c.txt"
+    p.write_text(f"scenario.name = ellipse\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=re.escape(f"c.txt:2: not a finite number: '{value}'")):
+        load_config(str(p))
+
+
+def test_cli_non_finite_flag_value_is_a_usage_error_naming_the_flag(tmp_path, capsys):
+    assert cli_main(["run", "--scenario", "ellipse", "--tmax", "inf",
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tmax: not a finite number: 'inf'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_solver_failure_exits_3_and_keeps_outputs(tmp_path, capsys):
     # a Newton tolerance no solve can reach: every retry of the first step fails
     out = tmp_path / "out"

@@ -5,22 +5,26 @@ from hypothesis import strategies as st
 
 from phaseflow.cahn_hilliard import (
     ChReport,
-    DoubleWell,
     ch_diffusive_solve,
     engquist_osher_flux,
     face_normal_velocities,
     fe_convection_matrix,
     fv_transport_step,
-    interfacial_energy,
     minmod_reconstruct,
+    well,
+    well_minus_prime,
+    well_plus_prime,
+    well_plus_second,
+    well_prime,
 )
 from phaseflow.errors import CflError, SolverError
 from phaseflow.fem import ScalarSpace, VelocitySpace, lumped_p1_weights
 from phaseflow.linalg import FactorizationCache
 from phaseflow.mesh import build_dual_grid, build_structured_mesh
+from phaseflow.momentum import PhysParams
 
 from oracles import (boundary_vertex_mask, dual_cell_volumes, dual_face_endpoints,
-                     integrate_on_mesh, interpolate_nodal)
+                     integrate_on_mesh, interfacial_energy, interpolate_nodal)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -28,43 +32,39 @@ finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 # ----------------------------------------------------------------- potential
 
 def test_double_well_minima():
-    dw = DoubleWell()
     for phi in (1.0, -1.0):
-        assert dw.f(phi) == 0.0 and dw.f_prime(phi) == 0.0
+        assert well(phi) == 0.0 and well_prime(phi) == 0.0
 
 
 def test_double_well_saddle():
-    dw = DoubleWell()
-    assert dw.f(0.0) == 0.25 and dw.f_plus_prime(0.0) == 0.0 and dw.f_minus_prime(0.0) == 0.0
+    assert well(0.0) == 0.25 and well_plus_prime(0.0) == 0.0 and well_minus_prime(0.0) == 0.0
 
 
 def test_double_well_at_two():
-    dw = DoubleWell()
-    assert dw.f_plus_prime(2.0) == 8.0 and dw.f_minus_prime(2.0) == -2.0
-    assert dw.f_prime(2.0) == 6.0
+    assert well_plus_prime(2.0) == 8.0 and well_minus_prime(2.0) == -2.0
+    assert well_prime(2.0) == 6.0
 
 
 @given(finite)
 def test_split_reconstructs_potential(phi):
-    dw = DoubleWell()
-    assert dw.f_prime(phi) == dw.f_plus_prime(phi) + dw.f_minus_prime(phi)
-    assert np.isclose(dw.f(phi), (phi**4 + 1) / 4 - phi**2 / 2, rtol=1e-12, atol=1e-12)
+    assert well_prime(phi) == well_plus_prime(phi) + well_minus_prime(phi)
+    assert np.isclose(well(phi), (phi**4 + 1) / 4 - phi**2 / 2, rtol=1e-12, atol=1e-12)
 
 
 @given(finite, finite)
 def test_convex_part_monotone(a, b):
-    dw = DoubleWell()
     lo, hi = min(a, b), max(a, b)
-    assert dw.f_plus_prime(hi) >= dw.f_plus_prime(lo)
-    assert dw.f_plus_second(a) >= 0.0
+    assert well_plus_prime(hi) >= well_plus_prime(lo)
+    assert well_plus_second(a) >= 0.0
     # concave part: second derivative is -1 everywhere
 
 
 def test_double_well_rejects_bad_params():
+    # the potential's sigma and delta are carried by PhysParams
     with pytest.raises(ValueError):
-        DoubleWell(sigma=0.0)
+        PhysParams(sigma=0.0)
     with pytest.raises(ValueError):
-        DoubleWell(delta=-0.1)
+        PhysParams(delta=-0.1)
 
 
 # ----------------------------------------------------------------- face flux
@@ -269,8 +269,8 @@ def test_diffusive_pure_phase_stationary():
     mesh = build_structured_mesh((0, 1, 0, 1), 4)
     space = ScalarSpace(mesh)
     one = np.ones(space.n_dofs)
-    dw = DoubleWell(sigma=1.0, delta=0.1)
-    phi, mu, rep = ch_diffusive_solve(one, one, tau=1e-2, mobility=0.1, dw=dw, space=space,
+    params = PhysParams(sigma=1.0, delta=0.1, mobility=0.1)
+    phi, mu, rep = ch_diffusive_solve(one, one, tau=1e-2, params=params, space=space,
                                       **defaults(one))
     np.testing.assert_allclose(phi, 1.0, atol=1e-11)
     np.testing.assert_allclose(mu, 0.0, atol=1e-10)
@@ -282,7 +282,8 @@ def test_diffusive_zero_mobility_keeps_source():
     rng = np.random.default_rng(1)
     src = np.clip(rng.normal(0, 0.5, space.n_dofs), -1, 1)
     old = np.zeros(space.n_dofs)
-    phi, mu, _ = ch_diffusive_solve(src, old, tau=1e-2, mobility=0.0, dw=DoubleWell(), space=space,
+    params = PhysParams(sigma=1.0, delta=1.0, mobility=0.0)
+    phi, mu, _ = ch_diffusive_solve(src, old, tau=1e-2, params=params, space=space,
                                     **defaults(old))
     np.testing.assert_allclose(phi, src, atol=1e-11)
 
@@ -294,19 +295,20 @@ def test_diffusive_nan_source_raises():
     src = np.zeros(space.n_dofs)
     src[5] = np.nan
     with pytest.raises(SolverError):
-        ch_diffusive_solve(src, np.zeros(space.n_dofs), tau=1e-2, mobility=0.1,
-                           dw=DoubleWell(), space=space, **defaults(np.zeros(space.n_dofs)))
+        ch_diffusive_solve(src, np.zeros(space.n_dofs), tau=1e-2,
+                           params=PhysParams(sigma=1.0, delta=1.0, mobility=0.1),
+                           space=space, **defaults(np.zeros(space.n_dofs)))
 
 
 def test_diffusive_interfacial_energy_decreases():
     mesh = build_structured_mesh((0, 1, 0, 1), 6)
     space = ScalarSpace(mesh)
-    dw = DoubleWell(sigma=1.0, delta=1.0)
+    params = PhysParams(sigma=1.0, delta=1.0, mobility=0.1)
     phi0 = np.tanh((mesh.vertices[:, 0] - 0.5) / (np.sqrt(2.0) * 0.15))
-    e0 = interfacial_energy(space, phi0, dw)
-    phi1, _, _ = ch_diffusive_solve(phi0, phi0, tau=1e-3, mobility=0.1, dw=dw, space=space,
+    e0 = interfacial_energy(space, phi0, params)
+    phi1, _, _ = ch_diffusive_solve(phi0, phi0, tau=1e-3, params=params, space=space,
                                     **defaults(phi0))
-    e1 = interfacial_energy(space, phi1, dw)
+    e1 = interfacial_energy(space, phi1, params)
     assert e1 <= e0 + 1e-12
     assert e1 < e0  # strictly dissipative away from equilibrium
 
@@ -314,9 +316,9 @@ def test_diffusive_interfacial_energy_decreases():
 def test_diffusive_conserves_mass():
     mesh = build_structured_mesh((0, 1, 0, 1), 6)
     space = ScalarSpace(mesh)
-    dw = DoubleWell(sigma=1.0, delta=0.2)
+    params = PhysParams(sigma=1.0, delta=0.2, mobility=0.5)
     phi0 = np.tanh((mesh.vertices[:, 0] - 0.4) / (np.sqrt(2.0) * 0.2))
-    phi1, _, rep = ch_diffusive_solve(phi0, phi0, tau=5e-3, mobility=0.5, dw=dw, space=space,
+    phi1, _, rep = ch_diffusive_solve(phi0, phi0, tau=5e-3, params=params, space=space,
                                       **defaults(phi0))
     assert abs(space.lumped @ phi1 - space.lumped @ phi0) < 1e-11
     # a returned solve reached newton_tol; one that did not raised SolverError

@@ -15,10 +15,12 @@ from phaseflow.coupling import (
     run,
     splitting_step,
 )
-from phaseflow.energy import step_inequality_check, total_energy
+from phaseflow.energy import step_inequality_check
 from phaseflow.errors import RunAborted, SolverError, StepRejected
 from phaseflow.mesh import COARSEN, KEEP, REFINE, build_structured_mesh, refine_and_coarsen
 from phaseflow.momentum import PhysParams
+
+from oracles import total_energy
 
 
 def circle_phi0(center, radius, delta):
@@ -326,7 +328,8 @@ def test_initial_adaptation_solves_for_mu_on_the_final_mesh_only(monkeypatch):
     solved_on = []
     solve = coupling.consistent_chemical_potential
     monkeypatch.setattr(coupling, "consistent_chemical_potential",
-                        lambda disc, phi, dw: solved_on.append(disc) or solve(disc, phi, dw))
+                        lambda disc, phi, params: solved_on.append(disc)
+                        or solve(disc, phi, params))
     out = run(tiny_run_config(t_end=0.0, adaptivity=AdaptivityConfig(enabled=True, min_level=2,
                                                                       max_level=8)))
     assert out.state.disc.mesh.generation.max() > 0  # the datum was adapted

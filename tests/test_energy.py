@@ -1,18 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import phaseflow.fem as fem
-from phaseflow.cahn_hilliard import DoubleWell, interfacial_energy
-from phaseflow.coupling import Discretization
-from phaseflow.energy import (
-    kinetic_energy,
-    step_inequality_check,
-    total_energy,
-)
+from phaseflow.app import preset, run_config
+from phaseflow.coupling import Discretization, run
+from phaseflow.energy import step_inequality_check
 from phaseflow.mesh import build_structured_mesh
 from phaseflow.momentum import PhysParams
 
-from oracles import interpolate_nodal
+from oracles import interfacial_energy, interpolate_nodal, kinetic_energy, total_energy
 
 
 def make_disc(level=4, domain=(-1, 1, -1, 1), **kw):
@@ -75,9 +73,8 @@ def stiffness_calls(monkeypatch):
 def test_interfacial_energy_assembles_the_stiffness_once(stiffness_calls):
     disc, params = make_disc(sigma=1.0, delta=0.1)
     x = disc.mesh.vertices[:, 0]
-    dw = DoubleWell(sigma=1.0, delta=0.1)
-    e1 = interfacial_energy(disc.sspace, np.tanh(x / 0.1), dw)
-    e2 = interfacial_energy(disc.sspace, np.tanh(x / 0.2), dw)
+    e1 = interfacial_energy(disc.sspace, np.tanh(x / 0.1), params)
+    e2 = interfacial_energy(disc.sspace, np.tanh(x / 0.2), params)
     assert e1 != e2
     assert len(stiffness_calls) == 1 and stiffness_calls[0] is disc.sspace
 
@@ -94,3 +91,25 @@ def test_audit_uses_the_space_operators(stiffness_calls):
     assert len(stiffness_calls) == 1 and stiffness_calls[0] is disc.sspace
     assert disc.lumped is disc.sspace.lumped
 
+
+@pytest.mark.parametrize("elements,convection", [("th", "fe"), ("p1p1", "fv")])
+def test_audit_energies_equal_the_oracle_bitwise(elements, convection):
+    cfg = preset("ellipse")
+    cfg.discretization_level = 4
+    cfg.discretization_elements = elements
+    cfg.discretization_convection = convection
+    states = []
+    hook = lambda state, step_index: step_index >= 0 and states.append(state)
+    rc = replace(run_config(cfg), max_steps=3, snapshot_every=1, snapshot_hook=hook)
+    out = run(rc)
+    assert len(out.records) == 3
+    for r, old, new in zip(out.records, states, states[1:]):
+        ss, vs = old.disc.sspace, old.disc.vspace
+        e_old = total_energy(ss, vs, old.phi, old.v, rc.params)
+        e_new = total_energy(ss, vs, new.phi, new.v, rc.params)
+        e = r.energy
+        assert (e.e_kin, e.e_int, e.e_total) == (e_new.e_kin, e_new.e_int, e_new.e_total)
+        assert r.report.tolerance == rc.audit_tol * (
+            1.0 + abs(r.report.rhs) + e_old.e_total / r.tau)
+    # the later steps start from a moving fluid
+    assert states[1].v.any()

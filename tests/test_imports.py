@@ -1,7 +1,8 @@
 """Every imported name is used in the module that imports it, the
 package imports at module level only, every module-level function and
 class of the package and every method and property of its classes is used
-in the package, and its functions hold exactly the budgeted number of
+in the package, every dataclass field and ``__init__`` attribute of its
+classes is read, and its functions hold exactly the budgeted number of
 defaulted parameters.
 
 An ``ast`` scan of the package and the test suite: a name bound by an
@@ -17,6 +18,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "phaseflow").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -60,16 +62,59 @@ def names_in(node: ast.AST) -> set[str]:
             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
 
 
+def attribute_reads(paths) -> set[str]:
+    """Attribute names the files load, or update in place with an
+    augmented assignment such as ``report.count += 1``."""
+    reads = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                reads.add(node.target.attr)
+    return reads
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def stored_attributes(node: ast.ClassDef) -> list[tuple[int, str]]:
+    """(line, name) of a dataclass's fields and of the ``self`` attributes
+    its ``__init__`` assigns."""
+    found = []
+    if is_dataclass(node):
+        found += [(member.lineno, member.target.id) for member in node.body
+                  if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)]
+    for member in node.body:
+        if isinstance(member, ast.FunctionDef) and member.name == "__init__":
+            found += [(target.lineno, target.attr) for target in ast.walk(member)
+                      if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+                      and isinstance(target.value, ast.Name) and target.value.id == "self"]
+    return found
+
+
+# ``dump_config`` and ``load_config`` read every field of the flat
+# configuration through ``dataclasses.fields``
+REFLECTIVE = {"app.py": {"Config"}}
+
+
 def unused_definitions() -> list[str]:
     """Module-level functions and classes of the package that no other
     top-level statement of the package names, as a name or an attribute,
     and methods and properties of its classes that no other statement of the
     package names, a sibling member included; the ``__init__`` re-exports do
-    not count as a use, and dunder methods are exempt."""
+    not count as a use, and dunder methods are exempt.  Also the dataclass
+    fields and ``__init__`` attributes of the package's classes that nothing
+    in the package or under ``perfbench/`` reads (see ``attribute_reads``),
+    the classes in ``REFLECTIVE`` exempt."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in PACKAGE if path.name != "__init__.py"}
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     statements = [(node, names_in(node)) for tree in trees.values() for node in tree.body]
+    reads = attribute_reads(PACKAGE + PERFBENCH)
     unused = []
     for path, tree in trees.items():
         for node in tree.body:
@@ -80,6 +125,9 @@ def unused_definitions() -> list[str]:
                 unused.append(f"{path.name}:{node.lineno}: {node.name}")
             if not isinstance(node, ast.ClassDef):
                 continue
+            if node.name not in REFLECTIVE.get(path.name, ()):
+                unused += [f"{path.name}:{line}: {node.name}.{name}"
+                           for line, name in stored_attributes(node) if name not in reads]
             members = [(member, names_in(member)) for member in node.body]
             for member in node.body:
                 if not isinstance(member, functions) or member.name[:2] == member.name[-2:] == "__":

@@ -13,6 +13,7 @@ from phaseflow.mesh import (
     barycentric_coordinates,
     build_dual_grid,
     build_structured_mesh,
+    grid_shape,
     locate_in_source,
     locate_points,
     refine_and_coarsen,
@@ -63,6 +64,22 @@ def test_structured_rectangle():
     assert m.n_triangles == 16
     assert m.areas.sum() == pytest.approx(2.0, abs=1e-14)
     validate(m)
+
+
+@pytest.mark.parametrize("domain,level,shape", [((0, 1, 0, 2), 2, (2, 4)),
+                                                 ((-1, 1, -1, 0.5), 4, (4, 3))])
+def test_grid_shape_counts_the_mesh_cells(domain, level, shape):
+    assert grid_shape(domain, level) == shape
+    assert build_structured_mesh(domain, level).n_triangles == 2 * shape[0] * shape[1]
+
+
+@pytest.mark.parametrize("domain,level", [((-1, 1, -1, 0.7), 4), ((-1, 1, -1, 0.5), 2),
+                                          ((0, 1, 0, 1e-12), 2)])
+def test_grid_shape_rejects_a_height_the_cells_cannot_tile(domain, level):
+    with pytest.raises(GeometryError):
+        grid_shape(domain, level)
+    with pytest.raises(GeometryError):
+        build_structured_mesh(domain, level)
 
 
 def test_no_marks_identity():

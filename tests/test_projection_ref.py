@@ -3,10 +3,11 @@ import pytest
 
 from phaseflow.coupling import (Discretization, SplitTolerances, initial_state,
                                 splitting_step)
-from phaseflow.energy import step_inequality_check, total_energy
+from phaseflow.energy import step_inequality_check
 from phaseflow.mesh import build_structured_mesh
 from phaseflow.momentum import PhysParams
 
+from oracles import total_energy
 from projection_oracle import l2_project, projection_reference_step
 
 
