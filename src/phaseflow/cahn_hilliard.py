@@ -253,7 +253,7 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
         it += 1
         dpot = sp.csr_array(sp.diags_array((sig / dlt) * c * well_plus_second(phi)))
         J = sp.bmat([[a_phi, kmu], [-(sig * dlt) * K - dpot, M]], format="csr")
-        delta = lin_cache.solve(J, -np.concatenate([r1, r2]), tol=LIN_TOL)
+        delta = lin_cache.solve(J, -np.concatenate([r1, r2]), tol=LIN_TOL, x0=None)
         dphi, dmu = delta[:n], delta[n:]
         step = 1.0
         for _ in range(10):

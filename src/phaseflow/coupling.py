@@ -4,10 +4,14 @@ rule, gradient-based mesh adaptation, and the run driver.
 One step alternates between the phase-field problem (finite-volume transport
 plus implicit diffusion, or a monolithic implicit convection) and the linear
 momentum solve, iterated until the sup-norm increments of velocity and phase
-fall below the configured tolerances.  In the monolithic mode the converged
-limit satisfies the coupled implicit scheme exactly, which is what the energy
-audit certifies.  After an adaptation every field is evaluated in the old
-elements that the new mesh records as its sources; nothing searches for points.
+fall below the configured tolerances.  The iteration is a fixed-point map of
+the phase field and chemical potential, accelerated by depth-one Anderson
+mixing (``anderson_mix``); each momentum solve starts from the previous
+iterate.  The accepted state is always an unmixed map output, so in the
+monolithic mode the converged limit satisfies the coupled implicit scheme
+exactly, which is what the energy audit certifies.  After an adaptation
+every field is evaluated in the old elements that the new mesh records as
+its sources; nothing searches for points.
 """
 
 from __future__ import annotations
@@ -209,13 +213,43 @@ class StepDiagnostics:
     viscous: object = None
 
 
+def anderson_mix(g: np.ndarray, f: np.ndarray, g_prev: np.ndarray | None,
+                 f_prev: np.ndarray | None) -> np.ndarray:
+    """The next input of a fixed-point iteration x -> g(x) by depth-one
+    Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011):
+    g - gamma (g - g_prev), where f = g - x is the residual of the last
+    input, f_prev and g_prev those of the input before, and gamma =
+    (df . f) / (df . df) with df = f - f_prev minimizes the residual of the
+    mixed pair.  Plain g when there is no earlier pair (None), when df = 0,
+    or when gamma is not finite."""
+    if g_prev is None:
+        return g
+    df = f - f_prev
+    dd = float(df @ df)
+    if dd == 0.0:
+        return g
+    gamma = float(df @ f) / dd
+    if not np.isfinite(gamma):
+        return g
+    return g - gamma * (g - g_prev)
+
+
 def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTolerances,
                    convection: str, newton_tol: float) -> tuple[State, StepDiagnostics]:
     """One time step of the split scheme, its solves factorized in the
     caches of the state's mesh.  Raises StepRejected when the inner
     loop does not contract within the iteration budget or a phase-field or
     momentum solve fails (``run`` halves tau and retries), and propagates
-    CFL violations of the transport stage."""
+    CFL violations of the transport stage.
+
+    One inner iteration maps an input (phi_i, mu_i) to the momentum solve
+    (v_i, p_i) it drives and the phase-field solve (phi_next, mu_next) that
+    velocity drives.  The loop stops when v_i and phi_next differ from the
+    previous velocity and from phi_i by at most the tolerances, and accepts
+    exactly that map output.  Otherwise the next input is the output mixed
+    with the previous one by ``anderson_mix``.  Each momentum solve starts
+    from the previous inner iterate, the first one from the old level's
+    (v, p)."""
     if convection not in ("fv", "fe"):
         raise ValueError(f"unknown convection mode {convection!r}")
     disc = state.disc
@@ -223,10 +257,6 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
 
     phi_k = state.phi
     v_k = state.v
-
-    step = MomentumStep(disc.vspace, disc.sspace, params, disc.divergence,
-                        phi_k, v_k, tau, state.t)
-    diags.viscous = step.viscous
 
     def ch_solve(v_dofs: np.ndarray, phi_guess: np.ndarray):
         if convection == "fv":
@@ -248,21 +278,33 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
         diags.newton_iterations += rep.newton_iterations
         return phi_new, mu_new
 
+    # the first transport reads only v^n: a CFL violation there rejects the
+    # attempt before any momentum operator is assembled
     phi_i, mu_i = ch_solve(v_k, phi_k)
-    v_prev = v_k
+    step = MomentumStep(disc.vspace, disc.sspace, params, disc.divergence,
+                        phi_k, v_k, tau, state.t)
+    diags.viscous = step.viscous
+    n = phi_i.shape[0]
+    guess = (v_k, state.p)
+    g_prev = f_prev = None
     for it in range(1, tols.max_inner + 1):
         diags.inner_iterations = it
         try:
-            v_i, p_i = solve_momentum(step, phi_i, mu_i, disc.saddle_cache)
+            v_i, p_i = solve_momentum(step, phi_i, mu_i, disc.saddle_cache, guess)
         except SolverError as exc:
             raise StepRejected(f"momentum solve failed: {exc}") from exc
         phi_next, mu_next = ch_solve(v_i, phi_i)
-        diags.dv = float(np.abs(v_i - v_prev).max())
+        diags.dv = float(np.abs(v_i - guess[0]).max())
         diags.dphi = float(np.abs(phi_next - phi_i).max())
-        phi_i, mu_i, v_prev = phi_next, mu_next, v_i
         if diags.dv <= tols.eps_v and diags.dphi <= tols.eps_phi:
-            new = State(t=state.t + tau, phi=phi_i, mu=mu_i, v=v_i, p=p_i, disc=disc)
+            new = State(t=state.t + tau, phi=phi_next, mu=mu_next, v=v_i, p=p_i, disc=disc)
             return new, diags
+        g = np.concatenate([phi_next, mu_next])
+        f = g - np.concatenate([phi_i, mu_i])
+        x = anderson_mix(g, f, g_prev, f_prev)
+        phi_i, mu_i = x[:n], x[n:]
+        guess = (v_i, p_i)
+        g_prev, f_prev = g, f
     raise StepRejected(
         f"inner splitting loop did not converge in {tols.max_inner} iterations "
         f"(dv={diags.dv:.3e}, dphi={diags.dphi:.3e})")

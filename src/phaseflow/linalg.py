@@ -49,12 +49,15 @@ def _inf_norm(A: sp.spmatrix) -> float:
 
 
 def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float, maxit: int,
-             M) -> tuple[np.ndarray, int]:
-    """BiCGstab on a sparse matrix A, preconditioned by the callable ``M``.
+             M, x0: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """BiCGstab on a sparse matrix A, preconditioned by the callable ``M``,
+    started from ``x0`` (None: from zero).
 
-    Returns (x, iterations).  Converged when ||r|| <= tol * ||b|| (or ||r||
-    below an absolute floor for b = 0).  Breakdown or exceeding maxit raises
-    IterativeFailure so callers can fall back to a factorization.
+    Returns (x, iterations).  Converged when ||b - A x|| <= tol * ||b||, so a
+    start vector that already meets that returns after 0 iterations.  For
+    b = 0 the answer is the zero vector, returned after 0 iterations
+    whatever ``x0`` is.  Breakdown, a non-finite residual or exceeding maxit
+    raises IterativeFailure so callers can fall back to a factorization.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -62,11 +65,20 @@ def bicgstab(A: sp.spmatrix, b: np.ndarray, tol: float, maxit: int,
     n = b.shape[0]
 
     bnorm = np.linalg.norm(b)
-    target = tol * bnorm if bnorm > 0 else 0.0
-    x = np.zeros(n)
-    r = b.copy()
-    if np.linalg.norm(r) <= target:
+    if bnorm == 0:
+        return np.zeros(n), 0
+    target = tol * bnorm
+    if x0 is None:
+        x = np.zeros(n)
+        r = b.copy()
+    else:
+        x = np.asarray(x0, dtype=float)
+        r = b - A @ x
+    rnorm = np.linalg.norm(r)
+    if rnorm <= target:
         return x, 0
+    if not np.isfinite(rnorm):
+        raise IterativeFailure("BiCGstab start residual is not finite")
     r_hat = r.copy()
     rho_old = alpha = omega = 1.0
     v = np.zeros(n)
@@ -128,11 +140,14 @@ class PermutedLU:
 class FactorizationCache:
     """The LU-backed solve of one kind of matrix on one mesh: one LU
     factorization preconditions BiCGstab solves with nearby matrices
-    (successive inner iterations and time steps).  ``solve`` accepts that
-    result only when its true residual ||Ax - b||_2 is at most 10 tol ||b||_2.
-    Otherwise A is refactorized and solved with one defect-correction pass,
-    and the result must be finite with ||Ax - b||_inf <= 1e-10 (||A||_inf
-    ||x||_inf + ||b||_inf), else SolverError.  A factorization that needed
+    (successive inner iterations and time steps).  ``solve`` starts that
+    BiCGstab from the caller's ``x0`` (None: from zero); the cache keeps no
+    start vector of its own.  It accepts the result only when its true
+    residual ||Ax - b||_2 is at most 10 tol ||b||_2.  Otherwise A is
+    refactorized and solved directly, without the start vector, with one
+    defect-correction pass, and the result must be finite with
+    ||Ax - b||_inf <= 1e-10 (||A||_inf ||x||_inf + ||b||_inf), else
+    SolverError.  A factorization that needed
     more than ``REFRESH_AFTER`` iterations is dropped, so the next call
     refactorizes, and a preconditioned solve gets at most ``MAXIT``
     iterations before it falls back.
@@ -174,10 +189,11 @@ class FactorizationCache:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
         return self.lu
 
-    def solve(self, A: sp.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
+    def solve(self, A: sp.spmatrix, b: np.ndarray, tol: float,
+              x0: np.ndarray | None) -> np.ndarray:
         if self.lu is not None:
             try:
-                x, its = bicgstab(A, b, tol=tol, maxit=self.MAXIT, M=self.lu.solve)
+                x, its = bicgstab(A, b, tol=tol, maxit=self.MAXIT, M=self.lu.solve, x0=x0)
             except IterativeFailure:
                 pass
             else:
@@ -206,7 +222,8 @@ def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
     several times faster than a factorization."""
     inv_diag = 1.0 / A.diagonal()
     try:
-        x, _ = bicgstab(A, b, tol=tol, maxit=LINEAR_MAXIT, M=lambda v: inv_diag * v)
+        x, _ = bicgstab(A, b, tol=tol, maxit=LINEAR_MAXIT, M=lambda v: inv_diag * v,
+                        x0=None)
         return x
     except IterativeFailure:
-        return FactorizationCache(None).solve(A, b, tol)
+        return FactorizationCache(None).solve(A, b, tol, x0=None)

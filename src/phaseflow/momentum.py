@@ -293,6 +293,11 @@ def apply_velocity_dirichlet(A: sp.csr_array, mask: np.ndarray) -> sp.csr_array:
 # the pressure dof the monolithic saddle solve fixes to zero
 PIN = 0
 
+# relative residual the monolithic saddle solve is iterated to: successive
+# splitting iterates differ far more than that, and the divergence it leaves
+# stays well inside the 1e-9 check of ``solve_momentum``
+SADDLE_TOL = 1e-10
+
 
 class PinnedDivergence:
     """The divergence B of a saddle system together with the off-diagonal
@@ -336,8 +341,8 @@ def dirichlet_divergence(vspace: VelocitySpace, B: sp.csr_array) -> PinnedDiverg
 
 
 def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, divergence: PinnedDivergence,
-                 C: sp.spmatrix | None, tol: float,
-                 cache: FactorizationCache) -> tuple[np.ndarray, np.ndarray]:
+                 C: sp.spmatrix | None, tol: float, cache: FactorizationCache,
+                 guess: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Solve the saddle-point problem
 
         [ G   B^T ] [v]   [rhs_v]
@@ -362,11 +367,15 @@ def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, divergence: PinnedDivergence
     keeps the matrix as sparse as its blocks, where a constraint row for the
     mean would couple every pressure dof.
 
-    The matrix goes through ``cache.solve``, which factorizes it in the
-    cache's order (the mesh's saddle cache is built with the divergence's)
-    and carries its factorization over to the next, nearby matrix.  A failed
-    solve, or a divergence residual above ``tol`` on
-    any pressure row, the pinned one included, raises SolverError.
+    The matrix goes through ``cache.solve`` to the relative residual
+    ``SADDLE_TOL``, which factorizes it in the cache's order (the mesh's
+    saddle cache is built with the divergence's) and carries its
+    factorization over to the next, nearby matrix.  Its iteration starts
+    from ``guess``, a (velocity, pressure) pair whose pressure is first
+    shifted to 0 at ``PIN``: a pressure of any other normalization would
+    leave a residual on the pin row.
+    A failed solve, or a divergence residual above ``tol`` on any pressure
+    row, the pinned one included, raises SolverError.
     """
     n_v, n_p = G.shape[0], divergence.B.shape[0]
     rows, cols, vals = np.array([PIN]), np.array([PIN]), np.array([1.0])
@@ -379,7 +388,8 @@ def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, divergence: PinnedDivergence
     Cblk = sp.csr_array((vals, (rows, cols)), shape=(n_p, n_p))
     K = sp.bmat([[sp.csr_array(G), divergence.pinned_T], [divergence.pinned, Cblk]],
                 format="csr")
-    sol = cache.solve(K, np.concatenate([rhs_v, np.zeros(n_p)]), tol=1e-13)
+    x0 = np.concatenate([guess[0], guess[1] - guess[1][PIN]])
+    sol = cache.solve(K, np.concatenate([rhs_v, np.zeros(n_p)]), tol=SADDLE_TOL, x0=x0)
     v, p = sol[:n_v], sol[n_v:]
     div_res = np.abs(divergence.B @ v - (C @ p if C is not None else 0.0)).max()
     if not div_res <= tol:
@@ -414,12 +424,15 @@ class MomentumStep:
 
 
 def solve_momentum(step: MomentumStep, phi_new: np.ndarray, mu_new: np.ndarray,
-                   cache: FactorizationCache) -> tuple[np.ndarray, np.ndarray]:
+                   cache: FactorizationCache,
+                   guess: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Assemble and solve the momentum saddle-point system of one splitting
     iteration: the terms of the new phase and chemical potential join the
-    step's fixed operators, and ``cache`` carries the saddle factorization
-    over from the previous solve.  The pressure is returned with zero mean
-    under the lumped weights of the pressure space."""
+    step's fixed operators, ``cache`` carries the saddle factorization over
+    from the previous solve, and the solve starts from ``guess``, a nearby
+    (velocity, pressure) such as the previous iterate.  The pressure is
+    returned with zero mean under the lumped weights of the pressure
+    space."""
     vspace, pspace, params = step.vspace, step.pspace, step.params
     rho_new = density_from_phase(phi_new, params)
     j_elem = compute_flux_j(mu_new, params.mobility, pspace)
@@ -433,6 +446,7 @@ def solve_momentum(step: MomentumStep, phi_new: np.ndarray, mu_new: np.ndarray,
     G = apply_velocity_dirichlet(G, mask)
     rhs = np.where(mask, 0.0, rhs)
 
-    v, p = solve_saddle(G, rhs, step.divergence, step.stabilization, tol=1e-9, cache=cache)
+    v, p = solve_saddle(G, rhs, step.divergence, step.stabilization, tol=1e-9, cache=cache,
+                        guess=guess)
     w = pspace.lumped
     return v, p - (w @ p) / w.sum()

@@ -226,7 +226,8 @@ class Saddle:
         return self.divergence.B.shape[0]
 
     def solve(self, tol, cache):
-        return solve_saddle(self.G, self.rhs_v, self.divergence, self.C, tol=tol, cache=cache)
+        return solve_saddle(self.G, self.rhs_v, self.divergence, self.C, tol=tol, cache=cache,
+                            guess=(np.zeros(self.n_v), np.zeros(self.n_p)))
 
     def monolithic(self):
         """The pinned monolithic matrix and right-hand side ``solve_saddle``
@@ -244,9 +245,9 @@ class RecordingCache(FactorizationCache):
         super().__init__(order)
         self.solved = []
 
-    def solve(self, A, b, tol):
+    def solve(self, A, b, tol, x0):
         self.solved.append((A, b))
-        return super().solve(A, b, tol)
+        return super().solve(A, b, tol, x0)
 
 
 def schur_solve(system, tol):

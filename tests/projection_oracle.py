@@ -158,7 +158,8 @@ def projection_momentum_solve(ws: ProjectionWorkspace, step: MomentumStep,
     # SuperLU's own order with partial pivoting, the rounding its fixed
     # point converges under (in the nested order the increments of the
     # fifth A3 step stall near 2e-10, above eps_v = 1e-10)
-    v, p = solve_saddle(G, rhs, ws.divergence, None, tol=1e-10, cache=FactorizationCache(None))
+    v, p = solve_saddle(G, rhs, ws.divergence, None, tol=1e-10, cache=FactorizationCache(None),
+                        guess=(np.zeros(G.shape[0]), np.zeros(ws.divergence.B.shape[0])))
     w = disc.sspace.lumped
     return v, p - (w @ p) / w.sum()
 

@@ -219,6 +219,26 @@ def test_a3_scheme_equivalence():
     report("A3", worst <= 1e-7, f"max dof discrepancy over 5 steps: {worst:.2e}")
 
 
+def test_a3_steps_take_fewer_inner_iterations_than_plain_iteration():
+    # A3's production steps: 307 inner iterations (60, 66, 63, 60, 58) with
+    # plain iteration and momentum solves started from zero at a 1e-13
+    # saddle tolerance; 98 (21, 20, 20, 19, 18) with Anderson mixing and
+    # warm-started solves at SADDLE_TOL.  Warm starts without the mixing
+    # take 275, so the bound below needs the mixing
+    cfg = ellipse_cfg(4, "fe")
+    params = phys_params(cfg)
+    state = initial_state(Discretization(build_structured_mesh((-1, 1, -1, 1), 4), params),
+                          params, initial_phase(cfg))
+    tols = SplitTolerances(eps_v=1e-10, eps_phi=1e-10, max_inner=400)
+    inner = 0
+    for _ in range(5):
+        tau = compute_timestep(state, TimestepConfig())
+        state, diags = splitting_step(state, tau, params, tols, convection="fe",
+                                      newton_tol=1e-13)
+        inner += diags.inner_iterations
+    assert inner < 307 // 2
+
+
 # --------------------------------------------------------------------- A4
 
 @pytest.mark.slow

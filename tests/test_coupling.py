@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phaseflow import linalg
+from phaseflow import coupling, linalg
 from phaseflow.coupling import (
     AdaptivityConfig,
     Discretization,
@@ -9,6 +9,7 @@ from phaseflow.coupling import (
     SplitTolerances,
     State,
     TimestepConfig,
+    anderson_mix,
     compute_timestep,
     initial_state,
     mark_elements,
@@ -16,7 +17,7 @@ from phaseflow.coupling import (
     splitting_step,
 )
 from phaseflow.energy import step_inequality_check
-from phaseflow.errors import RunAborted, SolverError, StepRejected
+from phaseflow.errors import CflError, RunAborted, SolverError, StepRejected
 from phaseflow.mesh import COARSEN, KEEP, REFINE, build_structured_mesh, refine_and_coarsen
 from phaseflow.momentum import PhysParams
 
@@ -143,6 +144,81 @@ def test_splitting_quiescent_pure_phase_fixed_point():
     np.testing.assert_allclose(new.v, 0.0, atol=1e-12)
 
 
+def fixed_point_iterations(A, c, mix):
+    """Iterations of x -> A x + c from x = 0 until the residual is below
+    1e-10, with or without ``anderson_mix``."""
+    x = np.zeros(len(c))
+    g_prev = f_prev = None
+    for k in range(1, 1000):
+        g = A @ x + c
+        f = g - x
+        if np.abs(f).max() <= 1e-10:
+            return k
+        x = anderson_mix(g, f, g_prev, f_prev) if mix else g
+        g_prev, f_prev = g, f
+    raise AssertionError("no convergence")
+
+
+def test_anderson_mix_beats_plain_iteration_on_a_linear_contraction():
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    A = Q @ np.diag(np.linspace(-0.5, 0.9, 20)) @ Q.T
+    c = rng.standard_normal(20)
+    # 203 plain iterations against 128 mixed
+    assert fixed_point_iterations(A, c, mix=True) < 0.7 * fixed_point_iterations(A, c, mix=False)
+
+
+def test_anderson_mix_falls_back_to_the_map_output():
+    g, f = np.array([1.0, 2.0]), np.array([0.5, -0.5])
+    assert anderson_mix(g, f, None, None) is g
+    assert anderson_mix(g, f, np.array([3.0, 4.0]), f.copy()) is g  # df = 0
+    huge = np.array([1e200, 1e200])
+    with np.errstate(over="ignore"):
+        assert anderson_mix(g, huge, np.zeros(2), -huge) is g  # df . df overflows
+    mixed = anderson_mix(g, f, np.array([3.0, 4.0]), np.array([1.5, 0.5]))
+    # df = (-1, -1), gamma = (df . f) / (df . df) = 0
+    np.testing.assert_array_equal(mixed, g)
+    mixed = anderson_mix(g, f, np.array([3.0, 4.0]), np.array([0.0, -2.0]))
+    # df = (0.5, 1.5), gamma = -0.5 / 2.5
+    np.testing.assert_allclose(mixed, g + 0.2 * (g - np.array([3.0, 4.0])))
+
+
+def test_momentum_solves_start_from_the_old_level_then_the_last_iterate(monkeypatch):
+    params = quiescent_params()
+    disc = Discretization(build_structured_mesh((-1, 1, -1, 1), 4), params)
+    state = initial_state(disc, params, circle_phi0((0, 0), 0.5, 0.1))
+    guesses, outputs = [], []
+    solve = coupling.solve_momentum
+
+    def recording(step, phi, mu, cache, guess):
+        guesses.append(guess)
+        outputs.append(solve(step, phi, mu, cache, guess))
+        return outputs[-1]
+
+    monkeypatch.setattr(coupling, "solve_momentum", recording)
+    new, diags = splitting_step(state, 1e-4, params, SplitTolerances(), convection="fe",
+                                newton_tol=1e-12)
+    assert diags.inner_iterations == len(guesses) > 1
+    assert guesses[0][0] is state.v and guesses[0][1] is state.p
+    for guess, previous in zip(guesses[1:], outputs):
+        assert guess[0] is previous[0] and guess[1] is previous[1]
+    assert new.v is outputs[-1][0] and new.p is outputs[-1][1]
+
+
+def test_cfl_violation_of_the_first_transport_assembles_no_momentum_operator(monkeypatch):
+    params = quiescent_params()
+    disc = Discretization(build_structured_mesh((-1, 1, -1, 1), 4), params)
+    state = initial_state(disc, params, circle_phi0((0, 0), 0.5, 0.1))
+    fast = np.where(disc.vspace.dirichlet_mask, 0.0, 1e3)
+    state = State(t=0.0, phi=state.phi, mu=state.mu, v=fast, p=state.p, disc=disc)
+    built = []
+    monkeypatch.setattr(coupling, "MomentumStep", lambda *args: built.append(args))
+    with pytest.raises(CflError):
+        splitting_step(state, 1e-2, params, SplitTolerances(), convection="fv",
+                       newton_tol=1e-12)
+    assert built == []
+
+
 def test_discretization_builds_dual_grid_and_divergence_on_first_use():
     params = quiescent_params()
     disc = Discretization(build_structured_mesh((-1, 1, -1, 1), 4), params)
@@ -178,9 +254,9 @@ def test_each_discretization_factorizes_its_own_systems(monkeypatch):
         events.append(("refresh", cache))
         return refresh(cache, A)
 
-    def recording_bicgstab(A, b, tol, maxit, M):
+    def recording_bicgstab(A, b, tol, maxit, M, x0):
         events.append(("bicgstab", getattr(M, "__self__", None)))
-        return bicgstab(A, b, tol, maxit, M)
+        return bicgstab(A, b, tol, maxit, M, x0)
 
     monkeypatch.setattr(linalg.FactorizationCache, "refresh", recording_refresh)
     monkeypatch.setattr(linalg, "bicgstab", recording_bicgstab)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 from phaseflow import app, linalg, momentum
 from phaseflow.coupling import Discretization, initial_state
 from phaseflow.errors import IterativeFailure, SolverError
+from phaseflow.fem import ScalarSpace
 from phaseflow.linalg import FactorizationCache, bicgstab, solve_linear
 from phaseflow.mesh import build_structured_mesh
 from phaseflow.momentum import PIN, PinnedDivergence
@@ -23,7 +25,7 @@ def laplacian_1d(n):
 
 def direct(A, b):
     """A solve through a fresh cache: one factorization in SuperLU's order."""
-    return FactorizationCache(None).solve(A, b, tol=1e-13)
+    return FactorizationCache(None).solve(A, b, tol=1e-13, x0=None)
 
 
 def jacobi(A):
@@ -66,16 +68,18 @@ def test_direct_nan_raises():
 
 
 def test_bicgstab_zero_rhs_zero_iterations():
+    # b = 0 returns the zero vector whatever the start
     A = laplacian_1d(10)
-    x, it = bicgstab(A, np.zeros(10), tol=1e-12, maxit=1000, M=jacobi(A))
-    assert it == 0
-    np.testing.assert_allclose(x, 0.0)
+    for x0 in (None, np.ones(10), np.full(10, np.nan)):
+        x, it = bicgstab(A, np.zeros(10), tol=1e-12, maxit=1000, M=jacobi(A), x0=x0)
+        assert it == 0
+        np.testing.assert_array_equal(x, 0.0)
 
 
 def test_bicgstab_identity_one_iteration():
     A = sp.eye_array(7, format="csr")
     b = np.linspace(1, 2, 7)
-    x, it = bicgstab(A, b, tol=1e-12, maxit=1000, M=lambda v: v)
+    x, it = bicgstab(A, b, tol=1e-12, maxit=1000, M=lambda v: v, x0=None)
     assert it == 1
     np.testing.assert_allclose(x, b, atol=1e-12)
 
@@ -83,22 +87,53 @@ def test_bicgstab_identity_one_iteration():
 def test_bicgstab_matches_direct_on_laplacian():
     A = laplacian_1d(100)
     b = np.ones(100)
-    x, _ = bicgstab(A, b, tol=1e-12, maxit=500, M=jacobi(A))
+    x, _ = bicgstab(A, b, tol=1e-12, maxit=500, M=jacobi(A), x0=None)
     xd = direct(A, b)
     assert np.abs(A @ x - b).max() <= 1e-12 * np.linalg.norm(b) * 10
     np.testing.assert_allclose(x, xd, atol=1e-7)
 
 
+def test_bicgstab_started_from_the_solution_returns_it_after_zero_iterations():
+    A = laplacian_1d(60)
+    b = np.linspace(1.0, 2.0, 60)
+    exact = direct(A, b)
+    x, it = bicgstab(A, b, tol=1e-10, maxit=500, M=jacobi(A), x0=exact)
+    assert it == 0
+    np.testing.assert_array_equal(x, exact)
+
+
+def test_bicgstab_start_near_the_solution_takes_fewer_iterations():
+    # preconditioned by the factors of a nearby matrix, as in a cache
+    A = laplacian_1d(100)
+    b = np.ones(100)
+    M = FactorizationCache(None).refresh(A + 0.01 * sp.eye_array(100, format="csr")).solve
+    near = direct(A, b) * (1.0 + 1e-8 * np.sin(np.arange(100)))
+    _, cold = bicgstab(A, b, tol=1e-12, maxit=500, M=M, x0=None)
+    x, warm = bicgstab(A, b, tol=1e-12, maxit=500, M=M, x0=near)
+    assert warm < cold
+    assert np.linalg.norm(A @ x - b) <= 10 * 1e-12 * np.linalg.norm(b)
+
+
+def test_solve_linear_zero_start_is_bitwise_the_earlier_iteration():
+    # the P1 mass solve at the commit before start vectors existed, whose
+    # BiCGstab always began at x = 0 with r = b: sha256 of its solution bytes
+    ss = ScalarSpace(build_structured_mesh((-1, 1, -1, 1), 6))
+    x, y = ss.mesh.vertices.T
+    sol = solve_linear(ss.mass, ss.lumped * np.cos(3.0 * x) * (1.0 + y), tol=1e-13)
+    assert hashlib.sha256(sol.tobytes()).hexdigest() == \
+        "460c3782c5095008ad60b5d8e6b4d17d50741998004f851dbe1569c606c87ca3"
+
+
 def test_bicgstab_maxit_raises():
     A = laplacian_1d(200)
     with pytest.raises(IterativeFailure):
-        bicgstab(A, np.ones(200), tol=1e-14, maxit=2, M=jacobi(A))
+        bicgstab(A, np.ones(200), tol=1e-14, maxit=2, M=jacobi(A), x0=None)
 
 
 def test_bicgstab_rejects_bad_tol():
     A = laplacian_1d(4)
     with pytest.raises(ValueError):
-        bicgstab(A, np.ones(4), tol=0.0, maxit=1000, M=jacobi(A))
+        bicgstab(A, np.ones(4), tol=0.0, maxit=1000, M=jacobi(A), x0=None)
 
 
 def test_solve_linear_falls_back(monkeypatch):
@@ -113,7 +148,7 @@ def test_solve_linear_falls_back(monkeypatch):
     # refactorizes, with the same accuracy
     cache = FactorizationCache(None)
     stale = cache.refresh(2.0 * A + sp.eye_array(50, format="csr"))
-    x = cache.solve(A, b, tol=1e-14)
+    x = cache.solve(A, b, tol=1e-14, x0=None)
     assert cache.lu is not stale
     assert np.abs(A @ x - b).max() < 1e-10
 
@@ -121,12 +156,12 @@ def test_solve_linear_falls_back(monkeypatch):
 def test_warm_cache_non_finite_rhs_raises():
     A = laplacian_1d(20)
     cache = FactorizationCache(None)
-    cache.solve(A, np.ones(20), tol=1e-12)
+    cache.solve(A, np.ones(20), tol=1e-12, x0=None)
     assert cache.lu is not None
     b = np.ones(20)
     b[3] = np.nan
     with pytest.raises(SolverError, match="non-finite"):
-        cache.solve(A, b, tol=1e-12)
+        cache.solve(A, b, tol=1e-12, x0=None)
 
 
 def test_cached_result_missing_the_residual_bound_refactorizes(monkeypatch):
@@ -135,11 +170,11 @@ def test_cached_result_missing_the_residual_bound_refactorizes(monkeypatch):
     A = laplacian_1d(30)
     b = np.linspace(1.0, 2.0, 30)
     cache = FactorizationCache(None)
-    cache.solve(A, b, tol=1e-12)
+    cache.solve(A, b, tol=1e-12, x0=None)
     warm = cache.lu
     # an iteration that reports convergence with a wrong answer
     monkeypatch.setattr(linalg, "bicgstab", lambda *args, **kw: (np.zeros(30), 1))
-    x = cache.solve(A, b, tol=1e-12)
+    x = cache.solve(A, b, tol=1e-12, x0=None)
     assert cache.lu is not warm
     assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
 
@@ -276,6 +311,45 @@ def test_cached_saddle_solve_matches_direct():
     assert np.abs(p1 - p2).max() < 1e-10
 
 
+@pytest.mark.parametrize("with_c", [False, True])
+def test_saddle_guess_pressure_is_shifted_to_the_pin(monkeypatch, with_c):
+    # a pressure guess off by a constant is as good as the pinned one: the
+    # pin row alone would otherwise carry a residual of that constant
+    sys = synthetic_saddle(with_c=with_c)
+    cache = warm_cache(sys)
+    sys.G = sys.G + 0.1 * sp.eye_array(sys.n_v, format="csr")  # a nearby matrix
+    v, p = sys.solve(1e-9, cache)
+    iterations = []
+    plain = linalg.bicgstab
+
+    def recording(*args, **kw):
+        x, it = plain(*args, **kw)
+        iterations.append(it)
+        return x, it
+
+    monkeypatch.setattr(linalg, "bicgstab", recording)
+    v2, p2 = momentum.solve_saddle(sys.G, sys.rhs_v, sys.divergence, sys.C, tol=1e-9,
+                                   cache=cache, guess=(v, p + 1e3))
+    assert iterations == [0]
+    assert p2[PIN] == 0.0
+    np.testing.assert_allclose(v2, v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(p2, p, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("start", ["nan", "wild"])
+def test_cache_solve_from_a_bad_start_meets_the_contract(start):
+    sys = synthetic_saddle(with_c=True)
+    cache = warm_cache(sys)
+    sys.G = sys.G + 0.1 * sp.eye_array(sys.n_v, format="csr")
+    K, b = sys.monolithic()
+    x0 = np.full(b.shape, np.nan) if start == "nan" \
+        else 1e12 * np.random.default_rng(1).standard_normal(b.shape)
+    tol = momentum.SADDLE_TOL
+    x = cache.solve(K, b, tol=tol, x0=x0)
+    assert np.all(np.isfinite(x))
+    assert np.linalg.norm(K @ x - b) <= 10.0 * tol * np.linalg.norm(b)
+
+
 # ------------------------------------------------------ factorization order
 
 @pytest.mark.parametrize("with_c", [False, True])
@@ -327,7 +401,7 @@ def first_saddle(name):
     step = momentum.MomentumStep(disc.vspace, disc.sspace, rc.params, disc.divergence,
                                  state.phi, state.v, 1e-3, 0.0)
     cache = RecordingCache(disc.divergence.order)
-    momentum.solve_momentum(step, state.phi, state.mu, cache)
+    momentum.solve_momentum(step, state.phi, state.mu, cache, (state.v, state.p))
     return cache.solved[0][0], disc.divergence.order
 
 

@@ -40,7 +40,8 @@ def momentum_solve(vs, ss, params, phi_old, phi_new, mu_new, v_old, tau, t):
     """One momentum solve from a fresh step and factorization cache."""
     divergence = dirichlet_divergence(vs, assemble_divergence(vs, ss))
     step = MomentumStep(vs, ss, params, divergence, phi_old, v_old, tau, t)
-    return solve_momentum(step, phi_new, mu_new, FactorizationCache(divergence.order))
+    return solve_momentum(step, phi_new, mu_new, FactorizationCache(divergence.order),
+                          (v_old, np.zeros(ss.n_dofs)))
 
 
 # ------------------------------------------------------------- material laws
