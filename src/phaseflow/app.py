@@ -440,21 +440,19 @@ def write_vtk(state: State, path: str, quadratic: bool = False) -> None:
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {len(points)} double",
     ]
-    for x, y in points:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0")
+    # each section is formatted a whole column at a time, in _fmt's format
+    lines.extend(map("{:.17g} {:.17g} 0".format, *points.T.tolist()))
     lines.append(f"CELLS {len(tris)} {4 * len(tris)}")
-    for a, b, c in tris:
-        lines.append(f"3 {a} {b} {c}")
+    lines.extend(map("3 {} {} {}".format, *tris.T.tolist()))
     lines.append(f"CELL_TYPES {len(tris)}")
     lines.extend(["5"] * len(tris))
     lines.append(f"POINT_DATA {len(points)}")
     for name, vals in (("phi", phi), ("mu", mu), ("p", p)):
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in vals)
+        lines.extend(map("{:.17g}".format, vals.tolist()))
     lines.append("VECTORS velocity double")
-    for vx, vy in vel:
-        lines.append(f"{_fmt(vx)} {_fmt(vy)} 0")
+    lines.extend(map("{:.17g} {:.17g} 0".format, *vel.T.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .errors import CflError, SolverError
 from .fem import QUAD_DEG4, ScalarSpace, VelocitySpace, assemble
-from .linalg import FactorizationCache, solve_linear
+from .linalg import FactorizationCache
 from .mesh import DualGrid
 from .momentum import PhysParams
 
@@ -205,7 +205,7 @@ def fe_convection_matrix(space: ScalarSpace, v_dofs: np.ndarray,
 def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
                        params: PhysParams, space: ScalarSpace,
                        newton_tol: float, conv_matrix: sp.csr_array | None,
-                       phi_guess: np.ndarray,
+                       phi_guess: np.ndarray, mu_guess: np.ndarray,
                        lin_cache: FactorizationCache) -> tuple[np.ndarray, np.ndarray, ChReport]:
     """Implicit solve of the diffusive phase-field system
 
@@ -219,9 +219,10 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
     ``conv_matrix`` (monolithic mode) the convection enters implicitly; with
     None the transported field is passed as ``phi_source``.  Testing the
     first equation with 1 shows the mean of phi is conserved up to the linear
-    solver residual.  Newton starts from ``phi_guess``, and its systems go
-    through ``lin_cache``; a residual that does not reach ``newton_tol``, NaN
-    included, raises SolverError.
+    solver residual.  Newton starts from (``phi_guess``, ``mu_guess``), its
+    first correction settling the mu row, which is linear in mu; its systems
+    go through ``lin_cache``.  A residual that does not reach ``newton_tol``,
+    NaN included, raises SolverError.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -234,17 +235,13 @@ def ch_diffusive_solve(phi_source: np.ndarray, phi_old: np.ndarray, tau: float,
     f_minus_lump = (sig / dlt) * c * well_minus_prime(phi_old)
     rhs1 = M @ phi_source
 
-    phi = phi_guess.copy()
-    mu = np.zeros(n)
+    phi, mu = phi_guess, mu_guess
 
     def residual(p, m):
         r1 = a_phi @ p + kmu @ m - rhs1
         r2 = M @ m - sig * dlt * (K @ p) - (sig / dlt) * c * well_plus_prime(p) - f_minus_lump
         return r1, r2
 
-    r1, r2 = residual(phi, mu)
-    # solve the linear mu-row once so the initial residual is meaningful
-    mu = solve_linear(M, M @ mu - r2, tol=LIN_TOL)
     r1, r2 = residual(phi, mu)
     res = max(np.abs(r1).max(), np.abs(r2).max())
 

@@ -249,7 +249,8 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
     exactly that map output.  Otherwise the next input is the output mixed
     with the previous one by ``anderson_mix``.  Each momentum solve starts
     from the previous inner iterate, the first one from the old level's
-    (v, p)."""
+    (v, p), and each phase-field Newton from the input (phi_i, mu_i), the
+    first one from the old level's (phi, mu)."""
     if convection not in ("fv", "fe"):
         raise ValueError(f"unknown convection mode {convection!r}")
     disc = state.disc
@@ -258,7 +259,7 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
     phi_k = state.phi
     v_k = state.v
 
-    def ch_solve(v_dofs: np.ndarray, phi_guess: np.ndarray):
+    def ch_solve(v_dofs: np.ndarray, phi_guess: np.ndarray, mu_guess: np.ndarray):
         if convection == "fv":
             u_n = face_normal_velocities(v_dofs, disc.vspace, disc.dual)
             phi_half = fv_transport_step(phi_k, disc.dual, tau, order=2, u_n=u_n,
@@ -272,7 +273,7 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
             phi_new, mu_new, rep = ch_diffusive_solve(
                 phi_half, phi_k, tau, params, disc.sspace,
                 newton_tol=newton_tol, conv_matrix=conv, phi_guess=phi_guess,
-                lin_cache=disc.phase_cache)
+                mu_guess=mu_guess, lin_cache=disc.phase_cache)
         except SolverError as exc:
             raise StepRejected(f"phase-field solve failed: {exc}") from exc
         diags.newton_iterations += rep.newton_iterations
@@ -280,7 +281,7 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
 
     # the first transport reads only v^n: a CFL violation there rejects the
     # attempt before any momentum operator is assembled
-    phi_i, mu_i = ch_solve(v_k, phi_k)
+    phi_i, mu_i = ch_solve(v_k, phi_k, state.mu)
     step = MomentumStep(disc.vspace, disc.sspace, params, disc.divergence,
                         phi_k, v_k, tau, state.t)
     diags.viscous = step.viscous
@@ -293,7 +294,7 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
             v_i, p_i = solve_momentum(step, phi_i, mu_i, disc.saddle_cache, guess)
         except SolverError as exc:
             raise StepRejected(f"momentum solve failed: {exc}") from exc
-        phi_next, mu_next = ch_solve(v_i, phi_i)
+        phi_next, mu_next = ch_solve(v_i, phi_i, mu_i)
         diags.dv = float(np.abs(v_i - guess[0]).max())
         diags.dphi = float(np.abs(phi_next - phi_i).max())
         if diags.dv <= tols.eps_v and diags.dphi <= tols.eps_phi:

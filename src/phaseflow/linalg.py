@@ -9,9 +9,9 @@ saddle's, one per mesh) tells SuperLU to keep it: no column reordering, and
 a diagonal pivot kept unless it is ten times smaller than the largest entry
 of its column.  Full partial pivoting would swap rows away from the order.
 A cache built with ``order`` None, the phase-field Newton systems', uses
-SuperLU's own column order.  Only the well-conditioned P1 mass matrix goes
-through Jacobi-preconditioned BiCGstab (``solve_linear``): it converges in
-a few iterations, cheaper than any factorization.
+SuperLU's own column order.  Only the initial chemical potential's P1 mass
+matrix goes through Jacobi-preconditioned BiCGstab (``solve_linear``): it
+converges in a few iterations, cheaper than any factorization.
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ else:  # glibc's int malloc_trim(size_t pad) hands the heap's free pages back
 
 def _check_direct(A: sp.spmatrix, x: np.ndarray, b: np.ndarray) -> None:
     """The contract of a direct solve: a finite x with a relative residual
-    of at most 1e-10, else SolverError."""
-    if not np.all(np.isfinite(x)):
-        bad = int(np.nonzero(~np.isfinite(x))[0][0])
-        raise SolverError(f"singular matrix: non-finite solution entry at index {bad}")
+    of at most 1e-10, else SolverError.  A non-finite b, which makes x
+    non-finite whatever A is, is named before x."""
+    for vec, what in ((b, "non-finite right-hand side"),
+                      (x, "singular matrix: non-finite solution")):
+        if not np.all(np.isfinite(vec)):
+            raise SolverError(f"{what} entry at index {int(np.flatnonzero(~np.isfinite(vec))[0])}")
     resid = np.abs(A @ x - b).max()
     scale = _inf_norm(A) * np.abs(x).max() + np.abs(b).max()
     if resid > 1e-10 * max(scale, 1e-300):
@@ -218,8 +220,8 @@ LINEAR_MAXIT = 200
 
 def solve_linear(A: sp.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
     """Jacobi-preconditioned BiCGstab with a direct fallback, the path of the
-    P1 mass matrix: well conditioned, it converges in a few iterations,
-    several times faster than a factorization."""
+    initial chemical potential's P1 mass matrix: well conditioned, it
+    converges in a few iterations, faster than a factorization."""
     inv_diag = 1.0 / A.diagonal()
     try:
         x, _ = bicgstab(A, b, tol=tol, maxit=LINEAR_MAXIT, M=lambda v: inv_diag * v,

@@ -16,6 +16,8 @@ operation order, so the two agree bit for bit.  ``schur_solve`` solves a
 saddle system without the package's Krylov and factorization-cache code.
 ``Saddle`` holds the blocks of one saddle system for the tests, and
 ``RecordingCache`` keeps the matrices a solve hands its factorization cache.
+``write_vtk_per_value`` is the legacy-VTK writer formatting one value at a
+time, the byte reference for ``app.write_vtk``.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from phaseflow.errors import GeometryError
-from phaseflow.fem import ScalarSpace
+from phaseflow.fem import P2_CHILDREN, ScalarSpace, p1_at_p2_nodes
 from phaseflow.linalg import FactorizationCache
 from phaseflow.mesh import Mesh, circumcenters
 from phaseflow.momentum import PIN, PinnedDivergence, density_from_phase, solve_saddle
@@ -279,3 +281,50 @@ def schur_solve(system, tol):
     assert info == 0, f"Schur BiCGstab did not converge (info {info})"
     v = lu.solve(system.rhs_v - B.T @ p)
     return v, p - p[PIN]
+
+
+def write_vtk_per_value(state, path, quadratic):
+    """``app.write_vtk``'s snapshot, each number formatted on its own by
+    ``f"{float(x):.17g}"``."""
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    disc = state.disc
+    mesh = disc.mesh
+    n = disc.vspace.n_nodes
+    if quadratic and disc.vspace.degree == 2:
+        points = disc.vspace.nodes
+        tris = np.concatenate([disc.vspace.tri_nodes[:, child] for child in P2_CHILDREN])
+        phi, mu, p = (p1_at_p2_nodes(mesh, f) for f in (state.phi, state.mu, state.p))
+        vel = np.column_stack([state.v[:n], state.v[n:]])
+    else:
+        points = mesh.vertices
+        tris = mesh.triangles
+        phi, mu, p = state.phi, state.mu, state.p
+        nv = mesh.n_vertices
+        vel = np.column_stack([state.v[:n][:nv], state.v[n:][:nv]])
+
+    lines = [
+        "# vtk DataFile Version 3.0",
+        f"phaseflow state t={fmt(state.t)}",
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {len(points)} double",
+    ]
+    for x, y in points:
+        lines.append(f"{fmt(x)} {fmt(y)} 0")
+    lines.append(f"CELLS {len(tris)} {4 * len(tris)}")
+    for a, b, c in tris:
+        lines.append(f"3 {a} {b} {c}")
+    lines.append(f"CELL_TYPES {len(tris)}")
+    lines.extend(["5"] * len(tris))
+    lines.append(f"POINT_DATA {len(points)}")
+    for name, vals in (("phi", phi), ("mu", mu), ("p", p)):
+        lines.append(f"SCALARS {name} double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(fmt(v) for v in vals)
+    lines.append("VECTORS velocity double")
+    for vx, vy in vel:
+        lines.append(f"{fmt(vx)} {fmt(vy)} 0")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

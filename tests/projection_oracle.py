@@ -181,19 +181,19 @@ def projection_reference_step(state: State, tau: float, params: PhysParams,
     step = MomentumStep(disc.vspace, disc.sspace, params, disc.divergence,
                         phi_k, v_k, tau, state.t)
 
-    def ch_solve(v_dofs, phi_guess):
+    def ch_solve(v_dofs, phi_guess, mu_guess):
         conv = fe_convection_matrix(disc.sspace, v_dofs, disc.vspace)
         phi_new, mu_new, _ = ch_diffusive_solve(
             phi_k, phi_k, tau, params, disc.sspace,
             newton_tol=newton_tol, conv_matrix=conv, phi_guess=phi_guess,
-            lin_cache=FactorizationCache(None))
+            mu_guess=mu_guess, lin_cache=FactorizationCache(None))
         return phi_new, mu_new
 
-    phi_i, mu_i = ch_solve(v_k, phi_k)
+    phi_i, mu_i = ch_solve(v_k, phi_k, state.mu)
     v_prev = v_k
     for _ in range(tols.max_inner):
         v_i, p_i = projection_momentum_solve(ws, step, phi_i, mu_i)
-        phi_next, mu_next = ch_solve(v_i, phi_i)
+        phi_next, mu_next = ch_solve(v_i, phi_i, mu_i)
         dv = float(np.abs(v_i - v_prev).max())
         dphi = float(np.abs(phi_next - phi_i).max())
         phi_i, mu_i, v_prev = phi_next, mu_next, v_i

@@ -22,7 +22,7 @@ from phaseflow.fem import p1_at_p2_nodes
 from phaseflow.mesh import REFINE, build_structured_mesh, refine_and_coarsen
 from phaseflow.momentum import PhysParams
 
-from oracles import midpoint_refine
+from oracles import midpoint_refine, write_vtk_per_value
 
 
 # ------------------------------------------------------------------- config
@@ -252,6 +252,22 @@ def test_vtk_quadratic_matches_a_midpoint_refined_mesh_bytewise(tmp_path, bisect
     phi_f, mu_f, p_f = (p1_at_p2_nodes(mesh, f) for f in (phi, mu, p))
     write_vtk(State(0.25, phi_f, mu_f, v, p_f, fine), str(tmp_path / "ref.vtk"))
     assert (tmp_path / "q.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+
+
+@pytest.mark.parametrize("elements, quadratic", [("p1p1", False), ("th", True)],
+                         ids=["p1p1", "th-quadratic"])
+def test_vtk_bytes_equal_the_per_value_writer(tmp_path, elements, quadratic):
+    mesh = build_structured_mesh((0, 1, 0, 2), 4)
+    disc = Discretization(mesh, PhysParams(elements=elements))
+    rng = np.random.default_rng(4)
+    phi, mu, p = rng.standard_normal((3, mesh.n_vertices))
+    # signed zero, subnormal, huge and short decimals format like any other value
+    phi[:5] = -0.0, 5e-324, 1.7976931348623157e308, 0.1, -1e-7
+    v = rng.standard_normal(disc.vspace.n_dofs) * 1e-3
+    state = State(1.0 / 3.0, phi, mu, v, p, disc)
+    write_vtk(state, str(tmp_path / "columns.vtk"), quadratic=quadratic)
+    write_vtk_per_value(state, str(tmp_path / "values.vtk"), quadratic)
+    assert (tmp_path / "columns.vtk").read_bytes() == (tmp_path / "values.vtk").read_bytes()
 
 
 # -------------------------------------------------------------------- csv

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseflow import linalg
 from phaseflow.cahn_hilliard import (
     ChReport,
     ch_diffusive_solve,
@@ -260,9 +261,10 @@ def test_transport_second_order_beats_first_on_rotation():
 
 def defaults(phi_old):
     """The Newton settings of a standalone diffusive solve: the run's
-    default tolerance, no convection, a guess of phi_old, a fresh cache."""
+    default tolerance, no convection, a start at (phi_old, 0), a fresh
+    cache."""
     return dict(newton_tol=1e-12, conv_matrix=None, phi_guess=phi_old,
-                lin_cache=FactorizationCache(None))
+                mu_guess=np.zeros_like(phi_old), lin_cache=FactorizationCache(None))
 
 
 def test_diffusive_pure_phase_stationary():
@@ -323,6 +325,44 @@ def test_diffusive_conserves_mass():
     assert abs(space.lumped @ phi1 - space.lumped @ phi0) < 1e-11
     # a returned solve reached newton_tol; one that did not raised SolverError
     assert isinstance(rep, ChReport) and rep.newton_iterations >= 1
+
+
+def test_diffusive_krylov_solves_are_all_newton_solves(monkeypatch):
+    # every BiCGstab under the solve is the phase cache's preconditioned
+    # Newton correction on the 2n x 2n (phi, mu) system; none is on the
+    # n x n mass matrix
+    mesh = build_structured_mesh((0, 1, 0, 1), 6)
+    space = ScalarSpace(mesh)
+    params = PhysParams(sigma=1.0, delta=0.2, mobility=0.5)
+    phi0 = np.tanh((mesh.vertices[:, 0] - 0.4) / (np.sqrt(2.0) * 0.2))
+    shapes = []
+    solve = linalg.bicgstab
+
+    def recording(A, b, tol, maxit, M, x0):
+        shapes.append(A.shape)
+        return solve(A, b, tol, maxit, M, x0)
+
+    monkeypatch.setattr(linalg, "bicgstab", recording)
+    _, _, rep = ch_diffusive_solve(phi0, phi0, tau=5e-3, params=params, space=space,
+                                   **defaults(phi0))
+    n = space.n_dofs
+    assert rep.newton_iterations >= 2 and shapes  # a warm cache runs BiCGstab
+    assert shapes == [(2 * n, 2 * n)] * len(shapes)
+
+
+def test_diffusive_solve_started_at_its_solution_takes_no_newton_step():
+    mesh = build_structured_mesh((0, 1, 0, 1), 6)
+    space = ScalarSpace(mesh)
+    params = PhysParams(sigma=1.0, delta=0.2, mobility=0.5)
+    phi0 = np.tanh((mesh.vertices[:, 0] - 0.4) / (np.sqrt(2.0) * 0.2))
+    phi1, mu1, _ = ch_diffusive_solve(phi0, phi0, tau=5e-3, params=params, space=space,
+                                      **defaults(phi0))
+    start = dict(defaults(phi0), phi_guess=phi1, mu_guess=mu1)
+    phi2, mu2, rep = ch_diffusive_solve(phi0, phi0, tau=5e-3, params=params, space=space,
+                                        **start)
+    assert rep.newton_iterations == 0
+    np.testing.assert_array_equal(phi2, phi1)
+    np.testing.assert_array_equal(mu2, mu1)
 
 
 # ---------------------------------------------------------------- convection

@@ -205,6 +205,34 @@ def test_momentum_solves_start_from_the_old_level_then_the_last_iterate(monkeypa
     assert new.v is outputs[-1][0] and new.p is outputs[-1][1]
 
 
+@pytest.mark.parametrize("convection", ["fv", "fe"])
+def test_phase_solves_start_from_the_old_level_then_the_loop_input(monkeypatch, convection):
+    params = quiescent_params()
+    disc = Discretization(build_structured_mesh((-1, 1, -1, 1), 4), params)
+    state = initial_state(disc, params, circle_phi0((0, 0), 0.5, 0.1))
+    starts, inputs = [], []
+    ch_solve, momentum_solve = coupling.ch_diffusive_solve, coupling.solve_momentum
+
+    def recording_ch(*args, phi_guess, mu_guess, **kw):
+        starts.append((phi_guess, mu_guess))
+        return ch_solve(*args, phi_guess=phi_guess, mu_guess=mu_guess, **kw)
+
+    def recording_momentum(step, phi, mu, cache, guess):
+        inputs.append((phi, mu))
+        return momentum_solve(step, phi, mu, cache, guess)
+
+    monkeypatch.setattr(coupling, "ch_diffusive_solve", recording_ch)
+    monkeypatch.setattr(coupling, "solve_momentum", recording_momentum)
+    _, diags = splitting_step(state, 1e-4, params, SplitTolerances(), convection=convection,
+                              newton_tol=1e-12)
+    assert diags.inner_iterations == len(inputs) == len(starts) - 1 > 1
+    assert starts[0][0] is state.phi and starts[0][1] is state.mu
+    # inner iteration i solves the phase field from the (phi_i, mu_i) the
+    # momentum solve of that iteration read
+    for (phi_guess, mu_guess), (phi_i, mu_i) in zip(starts[1:], inputs):
+        assert phi_guess is phi_i and mu_guess is mu_i
+
+
 def test_cfl_violation_of_the_first_transport_assembles_no_momentum_operator(monkeypatch):
     params = quiescent_params()
     disc = Discretization(build_structured_mesh((-1, 1, -1, 1), 4), params)

@@ -1,9 +1,9 @@
 """Every imported name is used in the module that imports it, the
-package imports at module level only, every module-level function and
-class of the package and every method and property of its classes is used
-in the package, every dataclass field and ``__init__`` attribute of its
-classes is read, and its functions hold exactly the budgeted number of
-defaulted parameters.
+package imports at module level only, every module-level function, class
+and constant of the package and every method and property of its classes
+is used in the package, every dataclass field and ``__init__`` attribute
+of its classes is read, and its functions hold exactly the budgeted number
+of defaulted parameters.
 
 An ``ast`` scan of the package and the test suite: a name bound by an
 import must occur as a name elsewhere in its module.  Exempt are
@@ -96,17 +96,26 @@ def stored_attributes(node: ast.ClassDef) -> list[tuple[int, str]]:
     return found
 
 
+def assigned_names(node: ast.Assign | ast.AnnAssign) -> list[str]:
+    """The names a top-level assignment binds, tuple targets unpacked;
+    dunders such as ``__all__`` are exempt."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and not n.id[:2] == n.id[-2:] == "__"]
+
+
 # ``dump_config`` and ``load_config`` read every field of the flat
 # configuration through ``dataclasses.fields``
 REFLECTIVE = {"app.py": {"Config"}}
 
 
 def unused_definitions() -> list[str]:
-    """Module-level functions and classes of the package that no other
-    top-level statement of the package names, as a name or an attribute,
-    and methods and properties of its classes that no other statement of the
-    package names, a sibling member included; the ``__init__`` re-exports do
-    not count as a use, and dunder methods are exempt.  Also the dataclass
+    """Module-level functions, classes and constants (see
+    ``assigned_names``) of the package that no other top-level statement of
+    the package names, as a name or an attribute, and methods and
+    properties of its classes that no other statement of the package names,
+    a sibling member included; the ``__init__`` re-exports do not count as
+    a use, and dunder methods are exempt.  Also the dataclass
     fields and ``__init__`` attributes of the package's classes that nothing
     in the package or under ``perfbench/`` reads (see ``attribute_reads``),
     the classes in ``REFLECTIVE`` exempt."""
@@ -118,9 +127,12 @@ def unused_definitions() -> list[str]:
     unused = []
     for path, tree in trees.items():
         for node in tree.body:
+            outside = [names for other, names in statements if other is not node]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                unused += [f"{path.name}:{node.lineno}: {name}" for name in assigned_names(node)
+                           if not any(name in names for names in outside)]
             if not isinstance(node, (*functions, ast.ClassDef)):
                 continue
-            outside = [names for other, names in statements if other is not node]
             if not any(node.name in names for names in outside):
                 unused.append(f"{path.name}:{node.lineno}: {node.name}")
             if not isinstance(node, ast.ClassDef):

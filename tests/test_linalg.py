@@ -160,8 +160,25 @@ def test_warm_cache_non_finite_rhs_raises():
     assert cache.lu is not None
     b = np.ones(20)
     b[3] = np.nan
-    with pytest.raises(SolverError, match="non-finite"):
+    with pytest.raises(SolverError, match="non-finite right-hand side entry at index 3"):
         cache.solve(A, b, tol=1e-12, x0=None)
+
+
+def test_fresh_cache_names_a_non_finite_rhs_of_a_regular_matrix():
+    A = laplacian_1d(20)
+    b = np.ones(20)
+    b[7] = np.inf
+    with pytest.raises(SolverError, match="non-finite right-hand side entry at index 7") as info:
+        FactorizationCache(None).solve(A, b, tol=1e-12, x0=None)
+    assert "singular" not in str(info.value)
+
+
+def test_initial_mu_of_a_nan_phase_names_the_rhs():
+    params = momentum.PhysParams()
+    disc = Discretization(build_structured_mesh((0, 1, 0, 1), 4), params)
+    with pytest.raises(SolverError, match="non-finite right-hand side") as info:
+        initial_state(disc, params, lambda p: np.where(p[:, 0] > 0.5, np.nan, 0.0))
+    assert "singular" not in str(info.value)
 
 
 def test_cached_result_missing_the_residual_bound_refactorizes(monkeypatch):
