@@ -670,6 +670,10 @@ def cli_main(argv: list[str]) -> int:
             prev = err
         return 0
 
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        return _usage_error(f"output.dir (--out) {cfg.output_dir!r}: {exc.strerror}")
     result, code = run_scenario(cfg)
     if code == 0:
         n = len(result.records)

@@ -46,7 +46,7 @@ from .momentum import (
     MomentumStep,
     PhysParams,
     assemble_divergence,
-    dirichlet_divergence,
+    saddle_order,
     solve_momentum,
 )
 
@@ -93,8 +93,8 @@ class AdaptivityConfig:
 
 class Discretization:
     """Per-mesh bundle of the two spaces and ``lumped`` (``sspace.lumped``).
-    Every per-mesh operator, the dual grid, divergence blocks and
-    factorization caches here and the spaces' own matrices, is built on
+    Every per-mesh operator, the dual grid, the divergence block ``B`` and
+    the factorization caches here and the spaces' own matrices, is built on
     first use.  The caches belong to this mesh alone, so a factorization
     never preconditions another mesh's system, and it is freed with the
     mesh."""
@@ -114,14 +114,9 @@ class Discretization:
         return assemble_divergence(self.vspace, self.sspace)
 
     @cached_property
-    def divergence(self):
-        """The saddle solve's divergence blocks."""
-        return dirichlet_divergence(self.vspace, self.B)
-
-    @cached_property
     def saddle_cache(self):
-        """The momentum saddle's factorization, in the divergence's order."""
-        return FactorizationCache(self.divergence.order)
+        """The momentum saddle's factorization, in ``saddle_order``."""
+        return FactorizationCache(saddle_order(self.vspace))
 
     @cached_property
     def phase_cache(self):
@@ -282,7 +277,7 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
     # the first transport reads only v^n: a CFL violation there rejects the
     # attempt before any momentum operator is assembled
     phi_i, mu_i = ch_solve(v_k, phi_k, state.mu)
-    step = MomentumStep(disc.vspace, disc.sspace, params, disc.divergence,
+    step = MomentumStep(disc.vspace, disc.sspace, params, disc.B,
                         phi_k, v_k, tau, state.t)
     diags.viscous = step.viscous
     n = phi_i.shape[0]

@@ -11,9 +11,9 @@ the model switch turns exactly that coupling off (the simplified model
 follows the classical volume-averaged formulation without the flux term).
 
 The saddle-point system of velocity and pressure is this module's alone:
-``dirichlet_divergence`` fixes its divergence blocks and the dof order
-they are factorized in, once per mesh, and ``solve_saddle`` stacks and
-solves its monolithic matrix; ``linalg`` supplies the generic sparse solve.
+``saddle_order`` fixes the dof order it is factorized in, once per mesh,
+and ``solve_saddle`` stacks its monolithic matrix, fixes its constrained
+dofs and solves it; ``linalg`` supplies the generic sparse solve.
 """
 
 from __future__ import annotations
@@ -281,7 +281,8 @@ def assemble_time_terms(vspace: VelocitySpace, rho_old: np.ndarray, rho_new: np.
 
 
 def apply_velocity_dirichlet(A: sp.csr_array, mask: np.ndarray) -> sp.csr_array:
-    """Zero constrained rows and columns and put ones on the diagonal."""
+    """Fix the dofs of ``mask`` to zero: zero their rows and columns and put
+    ones on the diagonal."""
     A = sp.csr_array(A, copy=True)
     A.sum_duplicates()
     keep = ~mask
@@ -299,48 +300,23 @@ PIN = 0
 SADDLE_TOL = 1e-10
 
 
-class PinnedDivergence:
-    """The divergence B of a saddle system together with the off-diagonal
-    blocks of its monolithic matrix: B with the row of pressure dof ``PIN``
-    zeroed, and its transpose; and ``order``, the permutation of the
-    monolithic dofs [velocity; pressure] its matrices are factorized in
-    (None: SuperLU's own).  They depend on the mesh only, so a caller that
-    solves many systems with the same B builds them once and hands them to
-    each ``solve_saddle``."""
+def saddle_order(vspace: VelocitySpace) -> np.ndarray:
+    """The fill-reducing order of the monolithic saddle matrix's dofs
+    [v_x; v_y; p]; depends on the mesh only.
 
-    def __init__(self, B: sp.spmatrix, order: np.ndarray | None):
-        self.B = B
-        self.order = order
-        # CSR throughout lets sp.bmat stack the blocks without sorting
-        coo = sp.coo_array(B)
-        keep = coo.row != PIN
-        self.pinned = sp.csr_array((coo.data[keep], (coo.row[keep], coo.col[keep])),
-                                   shape=B.shape)
-        self.pinned_T = self.pinned.T.tocsr()
-
-
-def dirichlet_divergence(vspace: VelocitySpace, B: sp.csr_array) -> PinnedDivergence:
-    """The divergence block with the columns of constrained velocity dofs
-    zeroed, with its pinned saddle blocks and the saddle's fill-reducing
-    order; depends on the mesh only.
-
-    The order permutes the dofs [v_x; v_y; p] of the monolithic matrix: the
-    nested-dissection order of the velocity nodes (``fem.nested_dissection``),
-    each node expanded to its dofs v_x, v_y and, when the node is a vertex
-    and so carries a P1 pressure dof, p, so that the dofs of one node are
-    contiguous."""
-    B = sp.csr_array(B, copy=True)
-    B.data *= ~vspace.dirichlet_mask[B.indices]
-    B.eliminate_zeros()
+    It is the nested-dissection order of the velocity nodes
+    (``fem.nested_dissection``), each node expanded to its dofs v_x, v_y
+    and, when the node is a vertex and so carries a P1 pressure dof, p, so
+    that the dofs of one node are contiguous."""
     nodes = nested_dissection(vspace.nodes, vspace.tri_nodes)
     n = vspace.n_nodes
     dofs = np.column_stack([nodes, n + nodes, 2 * n + nodes])
     keep = np.ones(dofs.shape, dtype=bool)
     keep[:, 2] = nodes < vspace.mesh.n_vertices
-    return PinnedDivergence(B, dofs[keep])
+    return dofs[keep]
 
 
-def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, divergence: PinnedDivergence,
+def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, B: sp.csr_array, mask: np.ndarray,
                  C: sp.spmatrix | None, tol: float, cache: FactorizationCache,
                  guess: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Solve the saddle-point problem
@@ -348,18 +324,19 @@ def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, divergence: PinnedDivergence
         [ G   B^T ] [v]   [rhs_v]
         [ B   -C  ] [p] = [  0  ]
 
-    with B = ``divergence.B`` the gradient-form coupling (one row per
-    pressure dof) and C an optional pressure stabilization (None for inf-sup
-    stable pairs); returns (velocity, pressure) with the pressure dof ``PIN``
-    at 0.
+    with B the gradient-form coupling (one row per pressure dof) and C an
+    optional pressure stabilization (None for inf-sup stable pairs), the
+    velocity dofs of ``mask`` fixed to zero; returns (velocity, pressure)
+    with the pressure dof ``PIN`` at 0.
 
     The pressure is defined up to constants only: B^T 1 = 0, since B pairs
     each velocity basis function with the gradients of the P1 pressure basis
     functions, which sum to the gradient of 1, and C 1 = 0, since the
-    stabilization vanishes on elementwise constants.  The monolithic matrix
-    therefore fixes the pressure dof ``PIN`` to zero: its row of B and its
-    row and column of C are zeroed, with 1 on the diagonal, and every
-    pressure row of the right-hand side is 0.  That changes neither the
+    stabilization vanishes on elementwise constants.  So the pressure dof
+    ``PIN`` is fixed to zero like the masked velocity dofs: one
+    ``apply_velocity_dirichlet`` on the stacked monolithic matrix zeroes the
+    rows and columns of all of them, with 1 on the diagonal, and the
+    right-hand side is zeroed on the same dofs.  The pin changes neither the
     velocity nor the pressure up to that constant: with C symmetric, the
     dropped divergence row is minus the sum of the others, so it holds
     whenever the others do.  It holds only through that identity, so the
@@ -369,7 +346,7 @@ def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, divergence: PinnedDivergence
 
     The matrix goes through ``cache.solve`` to the relative residual
     ``SADDLE_TOL``, which factorizes it in the cache's order (the mesh's
-    saddle cache is built with the divergence's) and carries its
+    saddle cache is built with ``saddle_order``) and carries its
     factorization over to the next, nearby matrix.  Its iteration starts
     from ``guess``, a (velocity, pressure) pair whose pressure is first
     shifted to 0 at ``PIN``: a pressure of any other normalization would
@@ -377,21 +354,16 @@ def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, divergence: PinnedDivergence
     A failed solve, or a divergence residual above ``tol`` on any pressure
     row, the pinned one included, raises SolverError.
     """
-    n_v, n_p = G.shape[0], divergence.B.shape[0]
-    rows, cols, vals = np.array([PIN]), np.array([PIN]), np.array([1.0])
-    if C is not None:
-        coo = sp.coo_array(C)
-        keep = (coo.row != PIN) & (coo.col != PIN)
-        rows = np.concatenate([coo.row[keep], rows])
-        cols = np.concatenate([coo.col[keep], cols])
-        vals = np.concatenate([-coo.data[keep], vals])
-    Cblk = sp.csr_array((vals, (rows, cols)), shape=(n_p, n_p))
-    K = sp.bmat([[sp.csr_array(G), divergence.pinned_T], [divergence.pinned, Cblk]],
-                format="csr")
+    n_v, n_p = G.shape[0], B.shape[0]
+    # CSR throughout lets sp.bmat stack the blocks without sorting
+    lower = sp.csr_array((n_p, n_p)) if C is None else -sp.csr_array(C)
+    K = sp.bmat([[sp.csr_array(G), B.T.tocsr()], [B, lower]], format="csr")
+    K = apply_velocity_dirichlet(K, np.concatenate([mask, np.arange(n_p) == PIN]))
+    rhs = np.concatenate([np.where(mask, 0.0, rhs_v), np.zeros(n_p)])
     x0 = np.concatenate([guess[0], guess[1] - guess[1][PIN]])
-    sol = cache.solve(K, np.concatenate([rhs_v, np.zeros(n_p)]), tol=SADDLE_TOL, x0=x0)
+    sol = cache.solve(K, rhs, tol=SADDLE_TOL, x0=x0)
     v, p = sol[:n_v], sol[n_v:]
-    div_res = np.abs(divergence.B @ v - (C @ p if C is not None else 0.0)).max()
+    div_res = np.abs(B @ v - (C @ p if C is not None else 0.0)).max()
     if not div_res <= tol:
         raise SolverError(f"divergence residual {div_res:.3e} exceeds tol {tol:.1e}")
     return v, p
@@ -401,17 +373,16 @@ class MomentumStep:
     """The old time level of one step and the momentum operators built from
     it: the viscous block, the skew convection and, for the equal-order
     pair, the pressure stabilization.  They stay fixed across the splitting
-    iterations of the step, so they are assembled once, here; so is
-    ``divergence``, ``dirichlet_divergence`` of the mesh's divergence
-    block, which depends on the mesh alone."""
+    iterations of the step, so they are assembled once, here; ``B`` is the
+    mesh's divergence block, unconstrained."""
 
     def __init__(self, vspace: VelocitySpace, pspace: ScalarSpace, params: PhysParams,
-                 divergence: PinnedDivergence, phi_old: np.ndarray, v_old: np.ndarray,
+                 B: sp.csr_array, phi_old: np.ndarray, v_old: np.ndarray,
                  tau: float, t: float):
         self.vspace = vspace
         self.pspace = pspace
         self.params = params
-        self.divergence = divergence
+        self.B = B
         self.v_old = v_old
         self.tau = tau
         self.t = t
@@ -441,12 +412,7 @@ def solve_momentum(step: MomentumStep, phi_new: np.ndarray, mu_new: np.ndarray,
     G = mat_t + step.viscous + step.convective \
         + assemble_Nb(vspace, j_elem, params)
     rhs = rhs_t + assemble_rhs_K(vspace, pspace, mu_new, phi_new, params, step.t)
-
-    mask = vspace.dirichlet_mask
-    G = apply_velocity_dirichlet(G, mask)
-    rhs = np.where(mask, 0.0, rhs)
-
-    v, p = solve_saddle(G, rhs, step.divergence, step.stabilization, tol=1e-9, cache=cache,
-                        guess=guess)
+    v, p = solve_saddle(G, rhs, step.B, vspace.dirichlet_mask, step.stabilization, tol=1e-9,
+                        cache=cache, guess=guess)
     w = pspace.lumped
     return v, p - (w @ p) / w.sum()

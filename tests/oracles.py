@@ -14,8 +14,10 @@ asserts a mesh's structural invariants.  ``kinetic_energy``,
 from a space's operators, independently of the package's audit but in its
 operation order, so the two agree bit for bit.  ``schur_solve`` solves a
 saddle system without the package's Krylov and factorization-cache code.
-``Saddle`` holds the blocks of one saddle system for the tests, and
-``RecordingCache`` keeps the matrices a solve hands its factorization cache.
+``Saddle`` holds the blocks of one saddle system for the tests,
+``pinned_monolithic`` stacks its constrained monolithic matrix block by
+block, and ``RecordingCache`` keeps the matrices a solve hands its
+factorization cache.
 ``write_vtk_per_value`` is the legacy-VTK writer formatting one value at a
 time, the byte reference for ``app.write_vtk``.
 """
@@ -30,7 +32,7 @@ from phaseflow.errors import GeometryError
 from phaseflow.fem import P2_CHILDREN, ScalarSpace, p1_at_p2_nodes
 from phaseflow.linalg import FactorizationCache
 from phaseflow.mesh import Mesh, circumcenters
-from phaseflow.momentum import PIN, PinnedDivergence, density_from_phase, solve_saddle
+from phaseflow.momentum import PIN, apply_velocity_dirichlet, density_from_phase, solve_saddle
 
 
 def duffy_rule(n=8):
@@ -212,11 +214,13 @@ def total_energy(sspace, vspace, phi, v, params):
 
 @dataclass
 class Saddle:
-    """The blocks ``momentum.solve_saddle`` reads, in its argument order."""
+    """The blocks ``momentum.solve_saddle`` reads, in its argument order:
+    G and rhs_v unconstrained, ``mask`` the velocity dofs it fixes."""
 
     G: sp.csr_array
     rhs_v: np.ndarray
-    divergence: PinnedDivergence
+    B: sp.csr_array
+    mask: np.ndarray
     C: sp.csr_array | None
 
     @property
@@ -225,18 +229,43 @@ class Saddle:
 
     @property
     def n_p(self) -> int:
-        return self.divergence.B.shape[0]
+        return self.B.shape[0]
 
     def solve(self, tol, cache):
-        return solve_saddle(self.G, self.rhs_v, self.divergence, self.C, tol=tol, cache=cache,
+        return solve_saddle(self.G, self.rhs_v, self.B, self.mask, self.C, tol=tol, cache=cache,
                             guess=(np.zeros(self.n_v), np.zeros(self.n_p)))
 
     def monolithic(self):
-        """The pinned monolithic matrix and right-hand side ``solve_saddle``
-        hands its factorization cache."""
-        cache = RecordingCache(self.divergence.order)
+        """The constrained monolithic matrix and right-hand side
+        ``solve_saddle`` hands its factorization cache."""
+        cache = RecordingCache(None)
         self.solve(1e-9, cache)
         return cache.solved[0]
+
+
+def pinned_monolithic(system):
+    """The constrained monolithic matrix of a ``Saddle`` built block by
+    block, the reference for ``solve_saddle``'s one-mask construction: G
+    constrained by ``apply_velocity_dirichlet``; B with the columns of the
+    masked velocity dofs zeroed and its row ``PIN`` dropped, and that
+    block's transpose; -C with its row and column ``PIN`` dropped and 1 at
+    (PIN, PIN)."""
+    B = sp.csr_array(system.B, copy=True)
+    B.data *= ~system.mask[B.indices]
+    B.eliminate_zeros()
+    coo = sp.coo_array(B)
+    keep = coo.row != PIN
+    pinned = sp.csr_array((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=B.shape)
+    rows, cols, vals = np.array([PIN]), np.array([PIN]), np.array([1.0])
+    if system.C is not None:
+        coo = sp.coo_array(system.C)
+        keep = (coo.row != PIN) & (coo.col != PIN)
+        rows = np.concatenate([coo.row[keep], rows])
+        cols = np.concatenate([coo.col[keep], cols])
+        vals = np.concatenate([-coo.data[keep], vals])
+    lower = sp.csr_array((vals, (rows, cols)), shape=(system.n_p, system.n_p))
+    G = apply_velocity_dirichlet(system.G, system.mask)
+    return sp.bmat([[G, pinned.T.tocsr()], [pinned, lower]], format="csr")
 
 
 class RecordingCache(FactorizationCache):
@@ -258,9 +287,14 @@ def schur_solve(system, tol):
     cross-check of ``momentum.solve_saddle``.  The Schur operator
     annihilates constant pressures (B^T 1 = 0, C 1 = 0), so the iteration
     runs orthogonal to them; p is then shifted to p[PIN] = 0, the
-    normalization ``solve_saddle`` returns."""
-    G = sp.csc_matrix(system.G)
-    B = sp.csr_matrix(system.divergence.B)
+    normalization ``solve_saddle`` returns.  The masked velocity dofs are
+    fixed to zero here, through a diagonal keep-mask D: G becomes
+    D G D + (I - D), B becomes B D, and rhs_v is zeroed on the mask."""
+    keep = sp.diags_array((~system.mask).astype(float))
+    fixed = sp.diags_array(system.mask.astype(float))
+    G = sp.csc_matrix(keep @ system.G @ keep + fixed)
+    B = sp.csr_matrix(system.B @ keep)
+    f = np.where(system.mask, 0.0, system.rhs_v)
     lu = spla.splu(G)
     e = np.full(system.n_p, 1.0 / np.sqrt(system.n_p))
 
@@ -274,12 +308,12 @@ def schur_solve(system, tol):
             y = y + system.C @ q
         return project(y)
 
-    rhs = project(B @ lu.solve(system.rhs_v))
+    rhs = project(B @ lu.solve(f))
     op = spla.LinearOperator((system.n_p, system.n_p), matvec=schur_mv)
     p, info = spla.bicgstab(op, rhs, rtol=min(tol * 1e-3, 1e-12), atol=0.0,
                             maxiter=40 * system.n_p)
     assert info == 0, f"Schur BiCGstab did not converge (info {info})"
-    v = lu.solve(system.rhs_v - B.T @ p)
+    v = lu.solve(f - B.T @ p)
     return v, p - p[PIN]
 
 

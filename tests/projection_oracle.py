@@ -24,7 +24,6 @@ from phaseflow.linalg import FactorizationCache
 from phaseflow.momentum import (
     MomentumStep,
     PhysParams,
-    apply_velocity_dirichlet,
     assemble_Nb,
     assemble_rhs_K,
     assemble_time_terms,
@@ -37,8 +36,8 @@ from oracles import midpoint_refine
 
 
 class ProjectionWorkspace:
-    """Factorized P1 mass matrix, the projections of the velocity-node hat
-    functions and the saddle divergence, precomputed once per mesh.
+    """Factorized P1 mass matrix and the projections of the velocity-node
+    hat functions, precomputed once per mesh.
 
     For a nodal velocity basis, interpolating <v, w_i> on the velocity node
     mesh gives V_i times the hat function of node(i) there, so the projection
@@ -66,7 +65,6 @@ class ProjectionWorkspace:
             cross = disc.sspace.mass.toarray()
         # projected hats, one column per velocity node
         self.projected_hats = self.mass_lu.solve(cross)
-        self.divergence = disc.divergence
 
     def l2_project(self, rhs_moments: np.ndarray) -> np.ndarray:
         """P1 field x with mass_matrix @ x = rhs_moments, i.e. the orthogonal
@@ -149,17 +147,14 @@ def projection_momentum_solve(ws: ProjectionWorkspace, step: MomentumStep,
         - sp.csr_array(S)
     # the time term tested against w keeps the averaged mass on v_old here
     rhs = mat_t @ v_old - r + assemble_rhs_K(vs, disc.sspace, mu_new, phi_new, params, step.t)
-
-    mask = vs.dirichlet_mask
-    G = apply_velocity_dirichlet(G, mask)
-    rhs = np.where(mask, 0.0, rhs)
     # the projection terms fill the velocity block densely, so the mesh's
     # sparse factorization order has nothing to save; the oracle keeps
     # SuperLU's own order with partial pivoting, the rounding its fixed
     # point converges under (in the nested order the increments of the
     # fifth A3 step stall near 2e-10, above eps_v = 1e-10)
-    v, p = solve_saddle(G, rhs, ws.divergence, None, tol=1e-10, cache=FactorizationCache(None),
-                        guess=(np.zeros(G.shape[0]), np.zeros(ws.divergence.B.shape[0])))
+    v, p = solve_saddle(G, rhs, disc.B, vs.dirichlet_mask, None, tol=1e-10,
+                        cache=FactorizationCache(None),
+                        guess=(np.zeros(G.shape[0]), np.zeros(disc.B.shape[0])))
     w = disc.sspace.lumped
     return v, p - (w @ p) / w.sum()
 
@@ -178,7 +173,7 @@ def projection_reference_step(state: State, tau: float, params: PhysParams,
     if ws is None:
         ws = ProjectionWorkspace(disc)
     phi_k, v_k = state.phi, state.v
-    step = MomentumStep(disc.vspace, disc.sspace, params, disc.divergence,
+    step = MomentumStep(disc.vspace, disc.sspace, params, disc.B,
                         phi_k, v_k, tau, state.t)
 
     def ch_solve(v_dofs, phi_guess, mu_guess):

@@ -441,6 +441,26 @@ def test_cli_non_finite_flag_value_is_a_usage_error_naming_the_flag(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["", "taken", "taken/sub"], ids=["empty", "file", "below-file"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_unusable_output_dir_is_a_usage_error(tmp_path, monkeypatch, capsys, source, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    if source == "flag":
+        argv = ["run", "--scenario", "ellipse", "--level", "2", "--tmax", "0.001",
+                "--out", value]
+    else:
+        (tmp_path / "c.txt").write_text("scenario.name = ellipse\ndiscretization.level = 2\n"
+                                        f"scenario.tmax = 0.001\noutput.dir = {value}\n")
+        argv = ["run", "c.txt"]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output.dir (--out) {value!r}: ")
+    assert "usage: phaseflow run" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == sorted(["taken"] + ["c.txt"] * (source == "config"))
+    assert (tmp_path / "taken").read_text() == ""
+
+
 def test_cli_solver_failure_exits_3_and_keeps_outputs(tmp_path, capsys):
     # a Newton tolerance no solve can reach: every retry of the first step fails
     out = tmp_path / "out"

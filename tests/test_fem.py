@@ -285,7 +285,7 @@ def test_saddle_order_permutes_the_saddle_dofs_node_by_node(degree, bc, refined)
     m = locally_refined_mesh() if refined else build_structured_mesh((0, 1, 0, 2), 4)
     disc = Discretization(m, PhysParams(elements="th" if degree == 2 else "p1p1", bc=bc))
     vs = disc.vspace
-    order = disc.divergence.order
+    order = disc.saddle_cache.order
     n, nv = vs.n_nodes, m.n_vertices
     np.testing.assert_array_equal(np.sort(order), np.arange(2 * n + nv))
     # one contiguous run per node: v_x = i, v_y = n + i, then p = 2 n + i at a vertex
@@ -301,9 +301,9 @@ def test_saddle_order_permutes_the_saddle_dofs_node_by_node(degree, bc, refined)
 def test_saddle_order_is_cached_and_deterministic():
     m = locally_refined_mesh()
     disc = Discretization(m, PhysParams())
-    assert disc.divergence.order is disc.divergence.order
-    np.testing.assert_array_equal(disc.divergence.order,
-                                  Discretization(m, PhysParams()).divergence.order)
+    assert disc.saddle_cache.order is disc.saddle_cache.order
+    np.testing.assert_array_equal(disc.saddle_cache.order,
+                                  Discretization(m, PhysParams()).saddle_cache.order)
 
 
 def test_nested_dissection_orders_a_separator_after_both_halves():

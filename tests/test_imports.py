@@ -2,8 +2,8 @@
 package imports at module level only, every module-level function, class
 and constant of the package and every method and property of its classes
 is used in the package, every dataclass field and ``__init__`` attribute
-of its classes is read, and its functions hold exactly the budgeted number
-of defaulted parameters.
+of its classes is read, every parameter of its functions is read, and its
+functions hold exactly the budgeted number of defaulted parameters.
 
 An ``ast`` scan of the package and the test suite: a name bound by an
 import must occur as a name elsewhere in its module.  Exempt are
@@ -152,6 +152,31 @@ def unused_definitions() -> list[str]:
 
 def test_every_definition_is_used_in_the_package():
     assert unused_definitions() == []
+
+
+def unread_parameters(path: pathlib.Path) -> list[str]:
+    """Parameters of the file's functions and lambdas that their bodies,
+    nested functions included, never name; ``self``, ``cls`` and
+    ``_``-prefixed names are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = func.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        body = func.body if isinstance(func.body, list) else [func.body]
+        named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        found += [f"{path.name}:{func.lineno}: {getattr(func, 'name', 'lambda')}({name})"
+                  for name in params
+                  if name not in ("self", "cls") and not name.startswith("_")
+                  and name not in named]
+    return found
+
+
+def test_every_parameter_is_read():
+    assert [entry for path in PACKAGE for entry in unread_parameters(path)] == []
 
 
 # Defaulted parameters of the package's functions, each an option a caller

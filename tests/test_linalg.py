@@ -12,7 +12,7 @@ from phaseflow.errors import IterativeFailure, SolverError
 from phaseflow.fem import ScalarSpace
 from phaseflow.linalg import FactorizationCache, bicgstab, solve_linear
 from phaseflow.mesh import build_structured_mesh
-from phaseflow.momentum import PIN, PinnedDivergence
+from phaseflow.momentum import PIN
 
 from oracles import RecordingCache, Saddle, schur_solve
 
@@ -209,7 +209,7 @@ def synthetic_saddle(n_v=24, n_p=7, seed=11, with_c=False):
         S -= S.mean(axis=0, keepdims=True)
         C = sp.csr_array(S @ S.T)
     f = rng.standard_normal(n_v)
-    return Saddle(G=G, rhs_v=f, divergence=PinnedDivergence(B, None), C=C)
+    return Saddle(G=G, rhs_v=f, B=B, mask=np.zeros(n_v, dtype=bool), C=C)
 
 
 def test_saddle_zero_rhs():
@@ -224,10 +224,10 @@ def test_saddle_zero_rhs():
 def test_saddle_direct_constraints(with_c):
     sys = synthetic_saddle(with_c=with_c)
     v, p = sys.solve(1e-9, FactorizationCache(None))
-    div = sys.divergence.B @ v - (sys.C @ p if sys.C is not None else 0.0)
+    div = sys.B @ v - (sys.C @ p if sys.C is not None else 0.0)
     assert np.abs(div).max() <= 1e-9
     assert p[PIN] == 0.0
-    mom = sys.G @ v + sys.divergence.B.T @ p - sys.rhs_v
+    mom = sys.G @ v + sys.B.T @ p - sys.rhs_v
     assert np.abs(mom).max() <= 1e-9 * (1.0 + np.abs(sys.rhs_v).max())
 
 
@@ -260,7 +260,7 @@ def test_saddle_monolithic_pins_one_pressure_dof():
     np.testing.assert_array_equal(K[n_v], unit)
     np.testing.assert_array_equal(K[:, n_v], unit)
     np.testing.assert_array_equal(rhs[n_v:], 0.0)
-    np.testing.assert_array_equal(K[n_v + 1:, :n_v], sys.divergence.B.toarray()[1:])
+    np.testing.assert_array_equal(K[n_v + 1:, :n_v], sys.B.toarray()[1:])
     np.testing.assert_array_equal(K[n_v + 1:, n_v + 1:], -sys.C.toarray()[1:, 1:])
 
 
@@ -268,9 +268,9 @@ def test_saddle_divergence_with_constants_outside_its_left_kernel_fails_the_chec
     # B^T 1 != 0 breaks the identity that makes the pinned row hold, so
     # only the check over every pressure row can see the violation
     sys = synthetic_saddle()
-    B = sys.divergence.B.toarray()
+    B = sys.B.toarray()
     B[1, 5] += 1.0
-    sys.divergence = PinnedDivergence(sp.csr_array(B), None)
+    sys.B = sp.csr_array(B)
     with pytest.raises(SolverError, match="divergence residual"):
         sys.solve(1e-9, FactorizationCache(None))
 
@@ -345,7 +345,7 @@ def test_saddle_guess_pressure_is_shifted_to_the_pin(monkeypatch, with_c):
         return x, it
 
     monkeypatch.setattr(linalg, "bicgstab", recording)
-    v2, p2 = momentum.solve_saddle(sys.G, sys.rhs_v, sys.divergence, sys.C, tol=1e-9,
+    v2, p2 = momentum.solve_saddle(sys.G, sys.rhs_v, sys.B, sys.mask, sys.C, tol=1e-9,
                                    cache=cache, guess=(v, p + 1e3))
     assert iterations == [0]
     assert p2[PIN] == 0.0
@@ -410,16 +410,17 @@ def test_refresh_returns_free_heap_pages_after_freeing_the_replaced_factorizatio
 
 
 def first_saddle(name):
-    """The pinned monolithic matrix of the first momentum solve of a preset
-    at its default level, and the order its divergence carries."""
+    """The constrained monolithic matrix of the first momentum solve of a
+    preset at its default level, and the mesh's saddle order."""
     rc = app.run_config(app.preset(name))
     disc = Discretization(build_structured_mesh(rc.domain, rc.base_level), rc.params)
     state = initial_state(disc, rc.params, rc.phi0)
-    step = momentum.MomentumStep(disc.vspace, disc.sspace, rc.params, disc.divergence,
+    step = momentum.MomentumStep(disc.vspace, disc.sspace, rc.params, disc.B,
                                  state.phi, state.v, 1e-3, 0.0)
-    cache = RecordingCache(disc.divergence.order)
+    order = momentum.saddle_order(disc.vspace)
+    cache = RecordingCache(order)
     momentum.solve_momentum(step, state.phi, state.mu, cache, (state.v, state.p))
-    return cache.solved[0][0], disc.divergence.order
+    return cache.solved[0][0], order
 
 
 @pytest.mark.parametrize("name", ["ellipse", "rayleigh-taylor"])

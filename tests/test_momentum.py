@@ -9,7 +9,6 @@ from phaseflow.momentum import (
     ForceSpec,
     MomentumStep,
     PhysParams,
-    PinnedDivergence,
     apply_velocity_dirichlet,
     assemble_divergence,
     assemble_Na,
@@ -20,12 +19,12 @@ from phaseflow.momentum import (
     assemble_viscous,
     compute_flux_j,
     density_from_phase,
-    dirichlet_divergence,
+    saddle_order,
     solve_momentum,
     viscosity_from_phase,
 )
 
-from oracles import Saddle, duffy_rule, interpolate_nodal, schur_solve
+from oracles import Saddle, duffy_rule, interpolate_nodal, pinned_monolithic, schur_solve
 
 
 PAPER_DENSITIES = dict(rho1=0.001, rho2=0.019)
@@ -38,9 +37,8 @@ def setup(level=2, domain=(0, 1, 0, 1), degree=2, bc="noslip"):
 
 def momentum_solve(vs, ss, params, phi_old, phi_new, mu_new, v_old, tau, t):
     """One momentum solve from a fresh step and factorization cache."""
-    divergence = dirichlet_divergence(vs, assemble_divergence(vs, ss))
-    step = MomentumStep(vs, ss, params, divergence, phi_old, v_old, tau, t)
-    return solve_momentum(step, phi_new, mu_new, FactorizationCache(divergence.order),
+    step = MomentumStep(vs, ss, params, assemble_divergence(vs, ss), phi_old, v_old, tau, t)
+    return solve_momentum(step, phi_new, mu_new, FactorizationCache(saddle_order(vs)),
                           (v_old, np.zeros(ss.n_dofs)))
 
 
@@ -405,7 +403,6 @@ def test_stokes_divergence_and_crosscheck():
     G = assemble_viscous(vs, eta)
     B = assemble_divergence(vs, ss)
     mask = vs.dirichlet_mask
-    G = apply_velocity_dirichlet(G, mask)
     import scipy.sparse as sp
 
     keep = sp.csr_array(sp.diags_array((~mask).astype(float)))
@@ -413,10 +410,8 @@ def test_stokes_divergence_and_crosscheck():
     phi = np.tanh((mesh.vertices[:, 1] - 0.5) / 0.2)
     p = PhysParams(force=ForceSpec(kind="weighted", k0=(-5.0, -10.0)))
     f = assemble_rhs_K(vs, ss, np.zeros(ss.n_dofs), phi, p, 0.0)
-    f = np.where(mask, 0.0, f)
-    order = dirichlet_divergence(vs, B).order
-    sys = Saddle(G=G, rhs_v=f, divergence=PinnedDivergence(Bc, order), C=None)
-    v1, p1 = sys.solve(1e-9, FactorizationCache(order))
+    sys = Saddle(G=G, rhs_v=f, B=B, mask=mask, C=None)
+    v1, p1 = sys.solve(1e-9, FactorizationCache(saddle_order(vs)))
     assert np.abs(Bc @ v1).max() <= 1e-9
     v2, p2 = schur_solve(sys, tol=1e-9)
     assert np.abs(v1 - v2).max() < 1e-8
@@ -472,10 +467,27 @@ def test_apply_velocity_dirichlet_matches_dense():
     assert out.has_sorted_indices and np.all(out.data != 0.0)
 
 
+def assert_same_csr(a, b):
+    """a and b store the same CSR arrays bit for bit."""
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def test_apply_velocity_dirichlet_is_idempotent():
+    # a G its caller already constrained reaches the saddle matrix unchanged
+    mesh, ss, vs = setup(level=4, bc="freeslip")
+    once = apply_velocity_dirichlet(assemble_viscous(vs, 0.5 + mesh.vertices[:, 0]),
+                                    vs.dirichlet_mask)
+    assert_same_csr(apply_velocity_dirichlet(once, vs.dirichlet_mask), once)
+
+
 def captured_systems(monkeypatch, level, elements, bc):
     """The saddle systems of two real momentum solves on the unit square (a
     layered phase under weighted gravity with a swirling old velocity),
-    the (v, p) each momentum solve returned, and the pressure space."""
+    the (v, p) each momentum solve returned, and the pressure and velocity
+    spaces."""
     import phaseflow.momentum as momentum
 
     seen = []
@@ -501,7 +513,7 @@ def captured_systems(monkeypatch, level, elements, bc):
     v_old = np.where(vs.dirichlet_mask, 0.0, swirl)
     solved = [momentum_solve(vs, ss, params, phi_old, phi_new, mu, v_old, tau=tau, t=0.0)
               for tau in (1e-3, 1e-2)]
-    return seen, solved, ss
+    return seen, solved, ss, vs
 
 
 PAIRS = [("th", "noslip"), ("th", "freeslip"), ("p1p1", "noslip")]
@@ -509,9 +521,9 @@ PAIRS = [("th", "noslip"), ("th", "freeslip"), ("p1p1", "noslip")]
 
 @pytest.mark.parametrize("elements,bc", PAIRS)
 def test_pinned_direct_solve_matches_schur_level6(monkeypatch, elements, bc):
-    systems, solved, ss = captured_systems(monkeypatch, 6, elements, bc)
+    systems, solved, ss, vs = captured_systems(monkeypatch, 6, elements, bc)
     for system, (v, p) in zip(systems, solved):
-        v1, p1 = system.solve(1e-9, FactorizationCache(system.divergence.order))
+        v1, p1 = system.solve(1e-9, FactorizationCache(saddle_order(vs)))
         v2, p2 = schur_solve(system, tol=1e-9)
         assert p1[PIN] == 0.0 and p2[PIN] == 0.0
         assert np.abs(v1 - v2).max() <= 1e-9 * np.abs(v1).max()
@@ -523,11 +535,25 @@ def test_pinned_direct_solve_matches_schur_level6(monkeypatch, elements, bc):
         assert abs(w @ p) <= 1e-12 * (w @ np.abs(p))
 
 
+@pytest.mark.parametrize("elements,bc", PAIRS)
+def test_monolithic_matrix_equals_the_pinned_block_construction(monkeypatch, elements, bc):
+    # one mask over the stacked matrix fixes exactly the entries the
+    # block-by-block construction drops: Dirichlet columns of B, the pinned
+    # row of B and the pinned row and column of C
+    systems = captured_systems(monkeypatch, 4, elements, bc)[0]
+    assert (systems[0].C is not None) == (elements == "p1p1")
+    for system in systems:
+        K, rhs = system.monolithic()
+        assert_same_csr(K, pinned_monolithic(system))
+        np.testing.assert_array_equal(rhs[:system.n_v], np.where(system.mask, 0.0, system.rhs_v))
+        np.testing.assert_array_equal(rhs[system.n_v:], 0.0)
+
+
 @pytest.mark.parametrize("bc", ["noslip", "freeslip"])
 def test_divergence_annihilates_constant_pressures(bc):
     # B^T 1 = 0 is what makes the pinned pressure dof exact
     mesh, ss, vs = setup(level=6, bc=bc)
-    B = dirichlet_divergence(vs, assemble_divergence(vs, ss)).B
+    B = assemble_divergence(vs, ss)
     colsum = np.abs(B.T @ np.ones(ss.n_dofs)).max()
     assert colsum <= 1e-13 * abs(B).sum(axis=1).max()
     C = assemble_stabilization(ss, 0.5 + mesh.vertices[:, 0])
