@@ -45,6 +45,7 @@ from .mesh import (
 from .momentum import (
     MomentumStep,
     PhysParams,
+    SaddlePlan,
     assemble_divergence,
     saddle_order,
     solve_momentum,
@@ -93,17 +94,18 @@ class AdaptivityConfig:
 
 class Discretization:
     """Per-mesh bundle of the two spaces and ``lumped`` (``sspace.lumped``).
-    Every per-mesh operator, the dual grid, the divergence block ``B`` and
-    the factorization caches here and the spaces' own matrices, is built on
-    first use.  The caches belong to this mesh alone, so a factorization
-    never preconditions another mesh's system, and it is freed with the
-    mesh."""
+    Every per-mesh operator, the dual grid, the divergence block ``B``, the
+    saddle matrix's fixed pattern ``saddle`` and the factorization caches
+    here and the spaces' own matrices and patterns, is built on first use.
+    The caches belong to this mesh alone, so a factorization never
+    preconditions another mesh's system, and it is freed with the mesh."""
 
     def __init__(self, mesh: Mesh, params: PhysParams):
         self.mesh = mesh
         self.sspace = ScalarSpace(mesh)
         self.vspace = VelocitySpace(mesh, degree=params.velocity_degree, bc=params.bc)
         self.lumped = self.sspace.lumped
+        self.stabilized = params.elements == "p1p1"
 
     @cached_property
     def dual(self):
@@ -112,6 +114,13 @@ class Discretization:
     @cached_property
     def B(self):
         return assemble_divergence(self.vspace, self.sspace)
+
+    @cached_property
+    def saddle(self):
+        """The momentum saddle matrix's ``SaddlePlan``."""
+        return SaddlePlan(self.vspace.pattern, self.B,
+                          self.sspace.pattern if self.stabilized else None,
+                          self.vspace.dirichlet_mask)
 
     @cached_property
     def saddle_cache(self):
@@ -277,7 +286,7 @@ def splitting_step(state: State, tau: float, params: PhysParams, tols: SplitTole
     # the first transport reads only v^n: a CFL violation there rejects the
     # attempt before any momentum operator is assembled
     phi_i, mu_i = ch_solve(v_k, phi_k, state.mu)
-    step = MomentumStep(disc.vspace, disc.sspace, params, disc.B,
+    step = MomentumStep(disc.vspace, disc.sspace, params, disc.saddle,
                         phi_k, v_k, tau, state.t)
     diags.viscous = step.viscous
     n = phi_i.shape[0]

@@ -8,8 +8,18 @@ constant operators: the consistent mass matrix, the unit-coefficient
 stiffness matrix and the lumped weights are assembled once per space, on
 first use, so the Cahn-Hilliard solve and the energy audit read the same
 matrices.  ``ScalarSpace.element_gradients`` is the one elementwise
-gradient of a P1 field.  Every sparse finite element matrix is built by
-``assemble``, the one scatter of element matrices into CSR.
+gradient of a P1 field.
+
+Every sparse finite element matrix is written into a fixed CSR ``Pattern``
+built once per mesh: ``element_pattern`` sorts the couplings of a set of
+element matrices once and keeps, for each of their entries, its int32 slot,
+so assembling an operator is one ``np.bincount`` of its element matrices,
+each slot summing its terms in element order.  ``ScalarSpace.pattern``
+holds every P1 operator and ``VelocitySpace.pattern`` every vector
+operator; ``stack_patterns`` joins patterns into the pattern of a block
+matrix, such as the phase-field Newton Jacobian (``pair_pattern``) and the
+momentum saddle matrix, and returns where each block's entries go.  ``assemble`` is the same scatter for a one-off
+operator.
 
 A ``VelocitySpace`` owns the fixed per-mesh data of the momentum operators;
 P1 and P2 differ only in their node table and ``REFERENCE_ELEMENTS`` entry.
@@ -163,6 +173,20 @@ class ScalarSpace:
         return self.mesh.n_vertices
 
     @cached_property
+    def pattern(self) -> Pattern:
+        """The pattern every P1 operator on the mesh is assembled in."""
+        tri = self.mesh.triangles
+        return element_pattern(tri, tri, (self.n_dofs, self.n_dofs))
+
+    @cached_property
+    def pair_pattern(self) -> tuple[Pattern, list]:
+        """The pattern of a 2 x 2 block operator on two P1 fields, each
+        block in ``pattern``, and the slots of each block's entries
+        (``stack_patterns``)."""
+        p = self.pattern
+        return stack_patterns([[p, p], [p, p]], None)
+
+    @cached_property
     def mass(self) -> sp.csr_array:
         """Consistent mass matrix."""
         return assemble_p1_mass(self)
@@ -237,6 +261,18 @@ class VelocitySpace:
         return mask
 
     # -- fixed per-mesh operators -----------------------------------------
+
+    @cached_property
+    def pattern(self) -> Pattern:
+        """The pattern of the vector operators, every component block (a, b)
+        in the pattern of the node couplings, with ``slots`` (m, 2 nloc,
+        2 nloc) for element matrices over the dofs [x nodes; y nodes] of
+        each element."""
+        nodes = self.tri_nodes
+        p = element_pattern(nodes, nodes, (self.n_nodes, self.n_nodes))
+        vector, maps = stack_patterns([[p, p], [p, p]], None)
+        slots = np.block([[maps[a][b][p.slots] for b in range(2)] for a in range(2)])
+        return Pattern(vector.indptr, vector.indices, vector.shape, slots)
 
     @cached_property
     def lumping(self) -> sp.csr_array:
@@ -347,15 +383,126 @@ def nested_dissection(points: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
+@dataclass(frozen=True, eq=False)
+class Pattern:
+    """A fixed CSR pattern: per row, sorted column ``indices`` without
+    duplicates, both index arrays int32.  ``slots`` (int32, or None) holds,
+    for the element matrices the pattern was built from, the slot of each
+    entry; an operator on the pattern is then one ``np.bincount``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    shape: tuple[int, int]
+    slots: np.ndarray | None
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def matrix(self, data: np.ndarray) -> sp.csr_array:
+        """The matrix with values ``data`` (nnz,) in this pattern."""
+        return sp.csr_array((data, self.indices, self.indptr), shape=self.shape)
+
+    def scatter(self, slots: np.ndarray, ke: np.ndarray) -> np.ndarray:
+        """The values (nnz,) of element matrices ``ke`` whose entries go to
+        ``slots``: each slot sums its entries in element order."""
+        return np.bincount(slots.ravel(), ke.ravel(), minlength=self.nnz)
+
+    def assemble(self, ke: np.ndarray) -> sp.csr_array:
+        """The matrix of the element matrices ``ke`` the pattern was built
+        from."""
+        return self.matrix(self.scatter(self.slots, ke))
+
+    def rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int32), np.diff(self.indptr))
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The slot of each diagonal entry, by row, of a square pattern that
+        holds its whole diagonal."""
+        return np.flatnonzero(self.rows() == self.indices).astype(np.int32)
+
+    def transpose(self) -> tuple[Pattern, np.ndarray]:
+        """The transposed pattern, and for each of its entries the slot of
+        the same entry here."""
+        marks = sp.csr_array((np.arange(self.nnz, dtype=float), self.indices, self.indptr),
+                             shape=self.shape).T.tocsr()
+        return (Pattern(marks.indptr.astype(np.int32), marks.indices.astype(np.int32),
+                        marks.shape, None), marks.data.astype(np.int32))
+
+
+def element_pattern(row_dofs: np.ndarray, col_dofs: np.ndarray,
+                    shape: tuple[int, int]) -> Pattern:
+    """The pattern of the element matrices whose entry (i, j) of element k
+    couples (row_dofs[k, i], col_dofs[k, j]), with ``slots`` of shape
+    (m, a, b)."""
+    m, a = row_dofs.shape
+    b = col_dofs.shape[1]
+    keys = (row_dofs.astype(np.int64)[:, :, None] * shape[1] + col_dofs[:, None, :]).ravel()
+    # one sort of the keys with each entry's index in the low bits orders
+    # both, at a fraction of an argsort's cost
+    bits = max(keys.size - 1, 1).bit_length()
+    if shape[0] * shape[1] > 1 << (63 - bits):
+        raise ValueError(f"a {shape[0]} x {shape[1]} pattern of {keys.size} entries "
+                         "exceeds 63-bit keys")
+    packed = np.sort((keys << bits) | np.arange(keys.size))
+    keys = packed >> bits
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    slots = np.empty(keys.size, dtype=np.int32)
+    slots[packed & ((1 << bits) - 1)] = np.cumsum(first) - 1
+    rows, cols = np.divmod(keys[first], shape[1])
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return Pattern(indptr, cols.astype(np.int32), shape, slots.reshape(m, a, b))
+
+
+def stack_patterns(blocks: list[list[Pattern]],
+                   drop: np.ndarray | None) -> tuple[Pattern, list]:
+    """The pattern of the block matrix whose block (a, b) has the pattern
+    ``blocks[a][b]``, and for each block the slot of each of its entries
+    (``maps[a][b]``, int32).  With a boolean ``drop`` over the rows of a
+    square result, the entries off the diagonal in the rows and columns it
+    marks are left out, and their slot is nnz, one past the last."""
+    heights = [row[0].shape[0] for row in blocks]
+    widths = [p.shape[1] for p in blocks[0]]
+    col_start = np.cumsum([0] + widths)
+    lengths = np.concatenate([sum(np.diff(p.indptr) for p in row) for row in blocks])
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    maps = []
+    for a, row in enumerate(blocks):
+        free = indptr[sum(heights[:a]):sum(heights[:a + 1])].copy()
+        maps.append([])
+        for b, p in enumerate(row):
+            rows = p.rows()
+            slots = free[rows] + np.arange(p.nnz) - p.indptr[rows]
+            indices[slots] = p.indices + col_start[b]
+            free += np.diff(p.indptr)
+            maps[a].append(slots)
+    shape = (len(lengths), int(col_start[-1]))
+    if drop is None:
+        return (Pattern(indptr.astype(np.int32), indices, shape, None),
+                [[slots.astype(np.int32) for slots in row] for row in maps])
+    rows = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    keep = (rows == indices) | ~(drop[rows] | drop[indices])
+    renumber = np.where(keep, np.cumsum(keep) - 1, np.count_nonzero(keep)).astype(np.int32)
+    kept = np.zeros(len(lengths) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[keep], minlength=len(lengths)), out=kept[1:])
+    return (Pattern(kept, indices[keep], shape, None),
+            [[renumber[slots] for slots in row] for row in maps])
+
+
 def assemble(row_dofs: np.ndarray, col_dofs: np.ndarray, ke: np.ndarray,
              shape: tuple[int, int]) -> sp.csr_array:
     """Scatter element matrices ``ke`` (m, a, b) into a CSR matrix: entry
-    (i, j) of element k adds to (row_dofs[k, i], col_dofs[k, j]).  Duplicates
-    are summed in element order, so stacking the component blocks of a
-    vector operator along the element axis fixes its summation order."""
-    rows = np.repeat(row_dofs, col_dofs.shape[1], axis=1)
-    cols = np.tile(col_dofs, (1, row_dofs.shape[1]))
-    return sp.csr_array(sp.coo_array((ke.ravel(), (rows.ravel(), cols.ravel())), shape=shape))
+    (i, j) of element k adds to (row_dofs[k, i], col_dofs[k, j]), each
+    entry of the result summing its terms in element order.  Stacking the
+    component blocks of a vector operator along the element axis fixes its
+    summation order."""
+    return element_pattern(row_dofs, col_dofs, shape).assemble(ke)
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +531,14 @@ def assemble_stiffness(space: ScalarSpace) -> sp.csr_array:
     mesh = space.mesh
     g = mesh.barycentric_gradients
     ke = np.einsum("m,mid,mjd->mij", mesh.areas, g, g)
-    return assemble(mesh.triangles, mesh.triangles, ke, (space.n_dofs, space.n_dofs))
+    return space.pattern.assemble(ke)
 
 
 def assemble_p1_mass(space: ScalarSpace) -> sp.csr_array:
     """Consistent P1 mass matrix (|K|/6 diagonal, |K|/12 off-diagonal)."""
     mesh = space.mesh
     ke = mesh.areas[:, None, None] * P1_MASS[None, :, :]
-    return assemble(mesh.triangles, mesh.triangles, ke, (space.n_dofs, space.n_dofs))
+    return space.pattern.assemble(ke)
 
 
 def lumped_p1_weights(mesh: Mesh) -> np.ndarray:

@@ -10,10 +10,18 @@ slope (rho2 - rho1)/2 of the affine density law, ``PhysParams.density_slope``;
 the model switch turns exactly that coupling off (the simplified model
 follows the classical volume-averaged formulation without the flux term).
 
+Every operator a step assembles is written into a pattern fixed per mesh:
+the viscous, convective and flux operators into the velocity space's, the
+stabilization into the pressure space's.  The viscous and convective
+kernels form their element matrices by batched products over the
+quadrature points.
+
 The saddle-point system of velocity and pressure is this module's alone:
-``saddle_order`` fixes the dof order it is factorized in, once per mesh,
-and ``solve_saddle`` stacks its monolithic matrix, fixes its constrained
-dofs and solves it; ``linalg`` supplies the generic sparse solve.
+``saddle_order`` fixes the dof order it is factorized in and
+``SaddlePlan`` the pattern of its monolithic matrix, both once per mesh,
+and ``solve_saddle`` writes the blocks into that pattern, fixes its
+constrained dofs and solves it; ``linalg`` supplies the generic sparse
+solve.
 """
 
 from __future__ import annotations
@@ -25,11 +33,13 @@ import scipy.sparse as sp
 
 from .errors import SolverError
 from .fem import (
+    Pattern,
     ScalarSpace,
     VelocitySpace,
     assemble,
     element_chunks,
     nested_dissection,
+    stack_patterns,
 )
 from .linalg import FactorizationCache
 
@@ -124,38 +134,48 @@ def compute_flux_j(mu_new: np.ndarray, mobility: float, space: ScalarSpace) -> n
 # operator assembly on the velocity space
 
 
-def _assemble_blocks(vspace: VelocitySpace, blocks) -> sp.csr_array:
-    """Assemble a vector-valued operator from per-element (nloc x nloc)
-    component blocks: blocks[(a, b)] has shape (m, nloc, nloc)."""
-    nodes = vspace.tri_nodes
-    n = vspace.n_nodes
-    rows = np.concatenate([a * n + nodes for a, _ in blocks])
-    cols = np.concatenate([b * n + nodes for _, b in blocks])
-    return assemble(rows, cols, np.concatenate(list(blocks.values())),
-                    (vspace.n_dofs, vspace.n_dofs))
-
-
 def _skew_blocks(vspace: VelocitySpace, ke: np.ndarray) -> sp.csr_array:
     """Assemble the skew parts 0.5 (ke - ke^T) of per-element (nloc x nloc)
-    matrices on both diagonal component blocks.  Two distinct nodes share at
-    most two elements, so entry (J, I) sums exactly the negated terms of
-    entry (I, J) and the result is exactly antisymmetric."""
+    matrices on both diagonal component blocks of ``vspace.pattern``.  Two
+    distinct nodes share at most two elements, so entry (J, I) sums exactly
+    the negated terms of entry (I, J) and the result is exactly
+    antisymmetric."""
     skew = 0.5 * (ke - ke.transpose(0, 2, 1))
-    return _assemble_blocks(vspace, {(0, 0): skew, (1, 1): skew})
+    pattern, n = vspace.pattern, ke.shape[1]
+    slots = np.concatenate([pattern.slots[:, :n, :n], pattern.slots[:, n:, n:]])
+    return pattern.matrix(pattern.scatter(slots, np.concatenate([skew, skew])))
 
 
-def assemble_Na(vspace: VelocitySpace, rho_old: np.ndarray, v_old: np.ndarray) -> sp.csr_array:
-    """Skew-symmetrized density-weighted convection: the skew part of
-    C[(a,i),(b,j)] = delta_ab int rho_old shape_i (v_old . grad shape_j)."""
+def convection_elements(vspace: VelocitySpace, rho_old: np.ndarray,
+                        v_old: np.ndarray) -> np.ndarray:
+    """Element matrices (m, nloc, nloc) of the density-weighted convection
+    int rho_old shape_i (v_old . grad shape_j), one batched product over
+    the quadrature points."""
     vals, grads, w = vspace.shape_table
     rho_qp = vspace.p1_at_qp(rho_old)
     v_qp = vspace.velocity_at_qp(v_old)
 
     def kernel(span):
-        dgrad = np.einsum("mqd,mqnd->mqn", v_qp[span], grads[span])
-        return np.einsum("mq,mq,qi,mqj->mij", w[span], rho_qp[span], vals, dgrad)
+        g = grads[span]
+        dgrad = g[..., 0] * v_qp[span, :, None, 0] + g[..., 1] * v_qp[span, :, None, 1]
+        weighted = (w[span] * rho_qp[span])[:, :, None] * vals
+        return weighted.transpose(0, 2, 1) @ dgrad
 
-    return _skew_blocks(vspace, np.concatenate(element_chunks(kernel, vspace.mesh.n_triangles)))
+    return np.concatenate(element_chunks(kernel, vspace.mesh.n_triangles))
+
+
+def assemble_Na(vspace: VelocitySpace, rho_old: np.ndarray, v_old: np.ndarray) -> sp.csr_array:
+    """Skew-symmetrized density-weighted convection: the skew part of
+    C[(a,i),(b,j)] = delta_ab int rho_old shape_i (v_old . grad shape_j)."""
+    return _skew_blocks(vspace, convection_elements(vspace, rho_old, v_old))
+
+
+def flux_elements(vspace: VelocitySpace, j_elem: np.ndarray, params: PhysParams) -> np.ndarray:
+    """Element matrices (m, nloc, nloc) of density_slope int shape_i
+    (j . grad shape_j) for the elementwise-constant flux j."""
+    fm = vspace.flux_moments
+    return params.density_slope * (j_elem[:, 0, None, None] * fm[:, 0]
+                                   + j_elem[:, 1, None, None] * fm[:, 1])
 
 
 def assemble_Nb(vspace: VelocitySpace, j_elem: np.ndarray, params: PhysParams) -> sp.csr_array:
@@ -166,62 +186,72 @@ def assemble_Nb(vspace: VelocitySpace, j_elem: np.ndarray, params: PhysParams) -
     if params.model == "dss":
         n = vspace.n_dofs
         return sp.csr_array((n, n))
-    ke = params.density_slope * np.einsum("md,mdij->mij", j_elem, vspace.flux_moments)
-    return _skew_blocks(vspace, ke)
+    return _skew_blocks(vspace, flux_elements(vspace, j_elem, params))
 
 
-def assemble_viscous(vspace: VelocitySpace, eta_old: np.ndarray) -> sp.csr_array:
-    """int 2 eta D(u) : D(w) with the symmetrized gradient; symmetric positive
-    semidefinite, kernel = rigid motions before boundary conditions."""
+def viscous_elements(vspace: VelocitySpace, eta_old: np.ndarray) -> np.ndarray:
+    """Element matrices (m, 2 nloc, 2 nloc) over each element's dofs
+    [x nodes; y nodes] of int 2 eta D(u) : D(w), from one batched product
+    of the shape gradients over the quadrature points."""
     eta_old = np.asarray(eta_old, dtype=float)
     if eta_old.min() <= 0:
         raise ValueError("viscosity must be positive")
     _, grads, w = vspace.shape_table
     wq = w * vspace.p1_at_qp(eta_old)
+    nloc = grads.shape[2]
 
     # 2 D(w_i^a) : D(w_j^b) = delta_ab grad_i . grad_j + d_b shape_i d_a shape_j
     def kernel(span):
-        gdot = np.einsum("mq,mqid,mqjd->mij", wq[span], grads[span], grads[span])
-        out = {}
-        for a in range(2):
-            for b in range(2):
-                ke = np.einsum("mq,mqi,mqj->mij", wq[span],
-                               grads[span, :, :, b], grads[span, :, :, a])
-                if a == b:
-                    ke = ke + gdot
-                out[(a, b)] = ke
-        return out
+        # rows (d, i) of h: d_d shape_i at the quadrature points
+        h = grads[span].transpose(0, 3, 2, 1).reshape(-1, 2 * nloc, grads.shape[1])
+        prod = ((h * wq[span][:, None, :]) @ h.transpose(0, 2, 1)).reshape(-1, 2, nloc, 2, nloc)
+        ke = prod.transpose(0, 3, 2, 1, 4).copy()
+        gdot = prod[:, 0, :, 0] + prod[:, 1, :, 1]
+        ke[:, 0, :, 0] += gdot
+        ke[:, 1, :, 1] += gdot
+        return ke.reshape(-1, 2 * nloc, 2 * nloc)
 
-    parts = element_chunks(kernel, vspace.mesh.n_triangles)
-    blocks = {key: np.concatenate([p[key] for p in parts], axis=0)
-              for key in parts[0]}
-    return _assemble_blocks(vspace, blocks)
+    return np.concatenate(element_chunks(kernel, vspace.mesh.n_triangles))
+
+
+def assemble_viscous(vspace: VelocitySpace, eta_old: np.ndarray) -> sp.csr_array:
+    """int 2 eta D(u) : D(w) with the symmetrized gradient; symmetric positive
+    semidefinite, kernel = rigid motions before boundary conditions."""
+    return vspace.pattern.assemble(viscous_elements(vspace, eta_old))
+
+
+def divergence_elements(vspace: VelocitySpace, pspace: ScalarSpace) -> np.ndarray:
+    """Element matrices (m, 3, 2 nloc) of B over each element's vertices and
+    velocity dofs [x nodes; y nodes]."""
+    vals, _, w = vspace.shape_table
+    gp1 = pspace.mesh.barycentric_gradients
+    return np.concatenate([np.einsum("mq,ml,qj->mlj", w, gp1[:, :, a], vals) for a in range(2)],
+                          axis=2)
 
 
 def assemble_divergence(vspace: VelocitySpace, pspace: ScalarSpace) -> sp.csr_array:
     """B[l, (a, j)] = int shape_j^a d_a psi_l, the gradient-form coupling
     between velocity and the P1 pressure (rows sum to zero per column)."""
-    vals, _, w = vspace.shape_table
-    gp1 = pspace.mesh.barycentric_gradients
-    tri = pspace.mesh.triangles
     nodes = vspace.tri_nodes
-    ke = np.concatenate([np.einsum("mq,ml,qj->mlj", w, gp1[:, :, a], vals) for a in range(2)])
-    return assemble(np.concatenate([tri, tri]),
-                    np.concatenate([nodes, vspace.n_nodes + nodes]), ke,
-                    (pspace.n_dofs, vspace.n_dofs))
+    return assemble(pspace.mesh.triangles, np.concatenate([nodes, vspace.n_nodes + nodes], axis=1),
+                    divergence_elements(vspace, pspace), (pspace.n_dofs, vspace.n_dofs))
+
+
+def stabilization_elements(pspace: ScalarSpace, eta_old: np.ndarray) -> np.ndarray:
+    """Element matrices (m, 3, 3) of the pressure stabilization."""
+    mesh = pspace.mesh
+    eta_bar = np.asarray(eta_old, dtype=float)[mesh.triangles].mean(axis=1)
+    # int (psi_i - 1/3)(psi_j - 1/3) = |K| [ (1 + delta_ij)/12 - 1/9 ]
+    local = np.full((3, 3), 1.0 / 12.0 - 1.0 / 9.0)
+    np.fill_diagonal(local, 1.0 / 6.0 - 1.0 / 9.0)
+    return (mesh.areas / eta_bar)[:, None, None] * local[None, :, :]
 
 
 def assemble_stabilization(pspace: ScalarSpace, eta_old: np.ndarray) -> sp.csr_array:
     """Pressure-projection stabilization for the equal-order pair:
     C_ij = int (1/eta) (psi_i - Pi0 psi_i)(psi_j - Pi0 psi_j) with Pi0 the
     elementwise mean; kernel = elementwise-constant pressures."""
-    mesh = pspace.mesh
-    eta_bar = np.asarray(eta_old, dtype=float)[mesh.triangles].mean(axis=1)
-    # int (psi_i - 1/3)(psi_j - 1/3) = |K| [ (1 + delta_ij)/12 - 1/9 ]
-    local = np.full((3, 3), 1.0 / 12.0 - 1.0 / 9.0)
-    np.fill_diagonal(local, 1.0 / 6.0 - 1.0 / 9.0)
-    ke = (mesh.areas / eta_bar)[:, None, None] * local[None, :, :]
-    return assemble(mesh.triangles, mesh.triangles, ke, (pspace.n_dofs, pspace.n_dofs))
+    return pspace.pattern.assemble(stabilization_elements(pspace, eta_old))
 
 
 def assemble_rhs_K(vspace: VelocitySpace, pspace: ScalarSpace, mu_new: np.ndarray,
@@ -266,29 +296,27 @@ def assemble_external_force(vspace: VelocitySpace, pspace: ScalarSpace,
 
 
 def assemble_time_terms(vspace: VelocitySpace, rho_old: np.ndarray, rho_new: np.ndarray,
-                        v_old: np.ndarray, tau: float) -> tuple[sp.csr_array, np.ndarray]:
-    """Time discretization of the inertia with averaged lumped mass:
-    matrix (M(rho_old) + M(rho_new)) / (2 tau), right-hand side
-    M(rho_old) v_old / tau (the density-exchange term is already folded in)."""
+                        v_old: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Time discretization of the inertia with averaged lumped mass: the
+    diagonal of the matrix (M(rho_old) + M(rho_new)) / (2 tau), and the
+    right-hand side M(rho_old) v_old / tau (the density-exchange term is
+    already folded in)."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     d_old = vspace.lumping @ rho_old
     d_new = vspace.lumping @ rho_new
     diag = np.concatenate([d_old + d_new, d_old + d_new]) / (2.0 * tau)
-    mat = sp.csr_array(sp.diags_array(diag))
     rhs = np.concatenate([d_old, d_old]) / tau * v_old
-    return mat, rhs
+    return diag, rhs
 
 
-def apply_velocity_dirichlet(A: sp.csr_array, mask: np.ndarray) -> sp.csr_array:
-    """Fix the dofs of ``mask`` to zero: zero their rows and columns and put
-    ones on the diagonal."""
-    A = sp.csr_array(A, copy=True)
-    A.sum_duplicates()
-    keep = ~mask
-    A.data *= np.repeat(keep, np.diff(A.indptr)) & keep[A.indices]
-    A.eliminate_zeros()
-    return A + sp.diags_array(mask.astype(float), format="csr")
+def apply_velocity_dirichlet(K: sp.csr_array, fixed: np.ndarray) -> sp.csr_array:
+    """Fix the constrained dofs of a saddle matrix in its plan's pattern to
+    zero: put 1 on their diagonal slots ``fixed``, in place.  The pattern
+    holds no other entry in their rows and columns, so that is the whole
+    constraint."""
+    K.data[fixed] = 1.0
+    return K
 
 
 # the pressure dof the monolithic saddle solve fixes to zero
@@ -316,8 +344,43 @@ def saddle_order(vspace: VelocitySpace) -> np.ndarray:
     return dofs[keep]
 
 
-def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, B: sp.csr_array, mask: np.ndarray,
-                 C: sp.spmatrix | None, tol: float, cache: FactorizationCache,
+class SaddlePlan:
+    """The fixed pattern of one mesh's monolithic saddle matrix
+    [[G, B^T], [B, -C]] over the dofs [v_x; v_y; p], built once.
+
+    G has the pattern ``velocity`` (the velocity space's), B is the mesh's
+    divergence block and -C, present for the equal-order pair, has the
+    pattern ``pressure`` (the pressure space's); with ``pressure`` None the
+    pressure block holds only the diagonal of ``PIN``.  The constrained
+    dofs, the velocity dofs of ``mask`` and the pressure dof ``PIN``, keep
+    only their diagonal entry: the other entries of their rows and columns
+    are left out of the pattern.  ``g`` and ``c`` map each entry of G and
+    of C to its slot (the slot one past the last for a left-out entry),
+    ``fixed`` holds the diagonal slots of the constrained dofs, and
+    ``base`` the values of B and B^T in the pattern, with zeros
+    elsewhere."""
+
+    def __init__(self, velocity: Pattern, B: sp.csr_array, pressure: Pattern | None,
+                 mask: np.ndarray):
+        self.B = B
+        self.mask = mask
+        n_p = B.shape[0]
+        if pressure is None:
+            pressure = Pattern(np.where(np.arange(n_p + 1) > PIN, 1, 0).astype(np.int32),
+                               np.array([PIN], dtype=np.int32), (n_p, n_p), None)
+        b = Pattern(B.indptr, B.indices, B.shape, None)
+        bt, from_b = b.transpose()
+        fixed = np.concatenate([mask, np.arange(n_p) == PIN])
+        self.pattern, ((self.g, to_bt), (to_b, self.c)) = stack_patterns(
+            [[velocity, bt], [b, pressure]], fixed)
+        self.fixed = self.pattern.indptr[:-1][fixed]
+        self.base = np.zeros(self.pattern.nnz + 1)
+        self.base[to_b] = B.data
+        self.base[to_bt] = B.data[from_b]
+
+
+def solve_saddle(plan: SaddlePlan, G: sp.csr_array, rhs_v: np.ndarray, C: sp.csr_array | None,
+                 tol: float, cache: FactorizationCache,
                  guess: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Solve the saddle-point problem
 
@@ -326,23 +389,25 @@ def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, B: sp.csr_array, mask: np.nd
 
     with B the gradient-form coupling (one row per pressure dof) and C an
     optional pressure stabilization (None for inf-sup stable pairs), the
-    velocity dofs of ``mask`` fixed to zero; returns (velocity, pressure)
-    with the pressure dof ``PIN`` at 0.
+    velocity dofs of ``plan.mask`` fixed to zero; returns (velocity,
+    pressure) with the pressure dof ``PIN`` at 0.  G and C must be in the
+    plan's patterns, as their assembly leaves them, and B is ``plan.B``.
 
     The pressure is defined up to constants only: B^T 1 = 0, since B pairs
     each velocity basis function with the gradients of the P1 pressure basis
     functions, which sum to the gradient of 1, and C 1 = 0, since the
     stabilization vanishes on elementwise constants.  So the pressure dof
-    ``PIN`` is fixed to zero like the masked velocity dofs: one
-    ``apply_velocity_dirichlet`` on the stacked monolithic matrix zeroes the
-    rows and columns of all of them, with 1 on the diagonal, and the
-    right-hand side is zeroed on the same dofs.  The pin changes neither the
-    velocity nor the pressure up to that constant: with C symmetric, the
-    dropped divergence row is minus the sum of the others, so it holds
-    whenever the others do.  It holds only through that identity, so the
-    divergence is still checked on every pressure row afterwards.  The pin
-    keeps the matrix as sparse as its blocks, where a constraint row for the
-    mean would couple every pressure dof.
+    ``PIN`` is fixed to zero like the masked velocity dofs.  The values of G
+    and -C are written into the plan's fixed pattern, which holds no
+    off-diagonal entry in the rows and columns of those dofs, and
+    ``apply_velocity_dirichlet`` puts 1 on their diagonal; the right-hand
+    side is zeroed on the same dofs.  The pin changes neither the velocity
+    nor the pressure up to that constant: with C symmetric, the dropped
+    divergence row is minus the sum of the others, so it holds whenever the
+    others do.  It holds only through that identity, so the divergence is
+    still checked on every pressure row afterwards.  The pin keeps the
+    matrix as sparse as its blocks, where a constraint row for the mean
+    would couple every pressure dof.
 
     The matrix goes through ``cache.solve`` to the relative residual
     ``SADDLE_TOL``, which factorizes it in the cache's order (the mesh's
@@ -354,12 +419,15 @@ def solve_saddle(G: sp.spmatrix, rhs_v: np.ndarray, B: sp.csr_array, mask: np.nd
     A failed solve, or a divergence residual above ``tol`` on any pressure
     row, the pinned one included, raises SolverError.
     """
-    n_v, n_p = G.shape[0], B.shape[0]
-    # CSR throughout lets sp.bmat stack the blocks without sorting
-    lower = sp.csr_array((n_p, n_p)) if C is None else -sp.csr_array(C)
-    K = sp.bmat([[sp.csr_array(G), B.T.tocsr()], [B, lower]], format="csr")
-    K = apply_velocity_dirichlet(K, np.concatenate([mask, np.arange(n_p) == PIN]))
-    rhs = np.concatenate([np.where(mask, 0.0, rhs_v), np.zeros(n_p)])
+    if G.nnz != len(plan.g) or (C is not None and C.nnz != len(plan.c)):
+        raise ValueError("G or C is not in the patterns of the saddle plan")
+    n_v, B = G.shape[0], plan.B
+    data = plan.base.copy()
+    data[plan.g] = G.data
+    if C is not None:
+        data[plan.c] = -C.data
+    K = apply_velocity_dirichlet(plan.pattern.matrix(data[:-1]), plan.fixed)
+    rhs = np.concatenate([np.where(plan.mask, 0.0, rhs_v), np.zeros(B.shape[0])])
     x0 = np.concatenate([guess[0], guess[1] - guess[1][PIN]])
     sol = cache.solve(K, rhs, tol=SADDLE_TOL, x0=x0)
     v, p = sol[:n_v], sol[n_v:]
@@ -373,23 +441,24 @@ class MomentumStep:
     """The old time level of one step and the momentum operators built from
     it: the viscous block, the skew convection and, for the equal-order
     pair, the pressure stabilization.  They stay fixed across the splitting
-    iterations of the step, so they are assembled once, here; ``B`` is the
-    mesh's divergence block, unconstrained."""
+    iterations of the step, so they are assembled once, here, and the
+    values of viscous + convective are kept in the velocity pattern as
+    ``old_terms``; ``saddle`` is the mesh's ``SaddlePlan``."""
 
     def __init__(self, vspace: VelocitySpace, pspace: ScalarSpace, params: PhysParams,
-                 B: sp.csr_array, phi_old: np.ndarray, v_old: np.ndarray,
+                 saddle: SaddlePlan, phi_old: np.ndarray, v_old: np.ndarray,
                  tau: float, t: float):
         self.vspace = vspace
         self.pspace = pspace
         self.params = params
-        self.B = B
+        self.saddle = saddle
         self.v_old = v_old
         self.tau = tau
         self.t = t
         self.rho_old = density_from_phase(phi_old, params)
         eta_old = viscosity_from_phase(phi_old, params)
         self.viscous = assemble_viscous(vspace, eta_old)
-        self.convective = assemble_Na(vspace, self.rho_old, v_old)
+        self.old_terms = self.viscous.data + assemble_Na(vspace, self.rho_old, v_old).data
         self.stabilization = assemble_stabilization(pspace, eta_old) \
             if params.elements == "p1p1" else None
 
@@ -401,18 +470,22 @@ def solve_momentum(step: MomentumStep, phi_new: np.ndarray, mu_new: np.ndarray,
     iteration: the terms of the new phase and chemical potential join the
     step's fixed operators, ``cache`` carries the saddle factorization over
     from the previous solve, and the solve starts from ``guess``, a nearby
-    (velocity, pressure) such as the previous iterate.  The pressure is
-    returned with zero mean under the lumped weights of the pressure
-    space."""
+    (velocity, pressure) such as the previous iterate.  G is summed in the
+    velocity pattern in the order ((viscous + convective) + flux coupling)
+    + time terms, the last on the diagonal alone.  The pressure is returned
+    with zero mean under the lumped weights of the pressure space."""
     vspace, pspace, params = step.vspace, step.pspace, step.params
     rho_new = density_from_phase(phi_new, params)
     j_elem = compute_flux_j(mu_new, params.mobility, pspace)
 
-    mat_t, rhs_t = assemble_time_terms(vspace, step.rho_old, rho_new, step.v_old, step.tau)
-    G = mat_t + step.viscous + step.convective \
-        + assemble_Nb(vspace, j_elem, params)
+    diag_t, rhs_t = assemble_time_terms(vspace, step.rho_old, rho_new, step.v_old, step.tau)
+    data = step.old_terms.copy()
+    flux = assemble_Nb(vspace, j_elem, params)
+    if flux.nnz:  # empty in the simplified ('dss') model
+        data += flux.data
+    data[vspace.pattern.diagonal] += diag_t
     rhs = rhs_t + assemble_rhs_K(vspace, pspace, mu_new, phi_new, params, step.t)
-    v, p = solve_saddle(G, rhs, step.B, vspace.dirichlet_mask, step.stabilization, tol=1e-9,
-                        cache=cache, guess=guess)
+    v, p = solve_saddle(step.saddle, vspace.pattern.matrix(data), rhs, step.stabilization,
+                        tol=1e-9, cache=cache, guess=guess)
     w = pspace.lumped
     return v, p - (w @ p) / w.sum()

@@ -14,9 +14,11 @@ asserts a mesh's structural invariants.  ``kinetic_energy``,
 from a space's operators, independently of the package's audit but in its
 operation order, so the two agree bit for bit.  ``schur_solve`` solves a
 saddle system without the package's Krylov and factorization-cache code.
-``Saddle`` holds the blocks of one saddle system for the tests,
-``pinned_monolithic`` stacks its constrained monolithic matrix block by
-block, and ``RecordingCache`` keeps the matrices a solve hands its
+``Saddle`` holds the blocks of one saddle system for the tests and
+``monolithic_reference`` builds the constrained monolithic matrix of a
+momentum solve from its operators' element matrices, dense and entry by
+entry, the bit-for-bit reference for the fixed-pattern assembly.
+``RecordingCache`` keeps the matrices and tolerances a solve hands its
 factorization cache.
 ``write_vtk_per_value`` is the legacy-VTK writer formatting one value at a
 time, the byte reference for ``app.write_vtk``.
@@ -29,10 +31,23 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from phaseflow.errors import GeometryError
-from phaseflow.fem import P2_CHILDREN, ScalarSpace, p1_at_p2_nodes
+from phaseflow.fem import P2_CHILDREN, Pattern, ScalarSpace, p1_at_p2_nodes
 from phaseflow.linalg import FactorizationCache
 from phaseflow.mesh import Mesh, circumcenters
-from phaseflow.momentum import PIN, apply_velocity_dirichlet, density_from_phase, solve_saddle
+from phaseflow.momentum import (
+    PIN,
+    SaddlePlan,
+    assemble_time_terms,
+    compute_flux_j,
+    convection_elements,
+    density_from_phase,
+    divergence_elements,
+    flux_elements,
+    solve_saddle,
+    stabilization_elements,
+    viscosity_from_phase,
+    viscous_elements,
+)
 
 
 def duffy_rule(n=8):
@@ -212,10 +227,27 @@ def total_energy(sspace, vspace, phi, v, params):
                   interfacial_energy(sspace, phi, params))
 
 
+def assert_same_csr(a, b):
+    """a and b store the same CSR arrays bit for bit."""
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def pattern_of(A):
+    """The ``fem.Pattern`` of a canonical CSR matrix (None for None)."""
+    if A is None:
+        return None
+    return Pattern(A.indptr.astype(np.int32), A.indices.astype(np.int32), A.shape, None)
+
+
 @dataclass
 class Saddle:
-    """The blocks ``momentum.solve_saddle`` reads, in its argument order:
-    G and rhs_v unconstrained, ``mask`` the velocity dofs it fixes."""
+    """The blocks of one saddle system: G and rhs_v unconstrained, ``mask``
+    the velocity dofs ``momentum.solve_saddle`` fixes.  ``solve`` hands them
+    to it through a ``SaddlePlan`` built on the patterns of G and C, which
+    for a system of a mesh are the plan's own."""
 
     G: sp.csr_array
     rhs_v: np.ndarray
@@ -231,8 +263,11 @@ class Saddle:
     def n_p(self) -> int:
         return self.B.shape[0]
 
+    def plan(self):
+        return SaddlePlan(pattern_of(self.G), self.B, pattern_of(self.C), self.mask)
+
     def solve(self, tol, cache):
-        return solve_saddle(self.G, self.rhs_v, self.B, self.mask, self.C, tol=tol, cache=cache,
+        return solve_saddle(self.plan(), self.G, self.rhs_v, self.C, tol=tol, cache=cache,
                             guess=(np.zeros(self.n_v), np.zeros(self.n_p)))
 
     def monolithic(self):
@@ -243,41 +278,81 @@ class Saddle:
         return cache.solved[0]
 
 
-def pinned_monolithic(system):
-    """The constrained monolithic matrix of a ``Saddle`` built block by
-    block, the reference for ``solve_saddle``'s one-mask construction: G
-    constrained by ``apply_velocity_dirichlet``; B with the columns of the
-    masked velocity dofs zeroed and its row ``PIN`` dropped, and that
-    block's transpose; -C with its row and column ``PIN`` dropped and 1 at
-    (PIN, PIN)."""
-    B = sp.csr_array(system.B, copy=True)
-    B.data *= ~system.mask[B.indices]
-    B.eliminate_zeros()
-    coo = sp.coo_array(B)
-    keep = coo.row != PIN
-    pinned = sp.csr_array((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=B.shape)
-    rows, cols, vals = np.array([PIN]), np.array([PIN]), np.array([1.0])
-    if system.C is not None:
-        coo = sp.coo_array(system.C)
-        keep = (coo.row != PIN) & (coo.col != PIN)
-        rows = np.concatenate([coo.row[keep], rows])
-        cols = np.concatenate([coo.col[keep], cols])
-        vals = np.concatenate([-coo.data[keep], vals])
-    lower = sp.csr_array((vals, (rows, cols)), shape=(system.n_p, system.n_p))
-    G = apply_velocity_dirichlet(system.G, system.mask)
-    return sp.bmat([[G, pinned.T.tocsr()], [pinned, lower]], format="csr")
+def _accumulate(shape, rows, cols, ke):
+    """Element matrices ``ke`` summed into a dense (values, coupled) pair,
+    entry by entry in element order: (values[r, c], True) where some
+    element couples (r, c)."""
+    r = np.broadcast_to(rows[:, :, None], ke.shape).ravel()
+    c = np.broadcast_to(cols[:, None, :], ke.shape).ravel()
+    values = np.zeros(shape)
+    np.add.at(values, (r, c), ke.ravel())
+    coupled = np.zeros(shape, dtype=bool)
+    coupled[r, c] = True
+    return values, coupled
+
+
+def monolithic_reference(vs, ss, params, phi_old, v_old, phi_new, mu_new, tau):
+    """The constrained monolithic saddle matrix of one ``solve_momentum``,
+    built from the element matrices of its operators without the package's
+    patterns: each operator summed entry by entry in element order, G as
+    ((viscous + convective) + flux coupling) + time terms (the last on the
+    diagonal), B and B^T, and -C for P1/P1; the rows and columns of the
+    Dirichlet dofs and of ``PIN`` cleared with 1 on the diagonal.  Its
+    pattern is every entry some element couples (for Taylor-Hood, the
+    pressure block only at (PIN, PIN)), less the constrained ones off the
+    diagonal; explicit zeros stay."""
+    n, n_v, n_p = vs.n_nodes, vs.n_dofs, ss.n_dofs
+    nodes = vs.tri_nodes
+    vdofs = np.concatenate([nodes, n + nodes], axis=1)
+    both = np.concatenate([nodes, n + nodes])
+    tri = ss.mesh.triangles
+    rho_old, eta_old = density_from_phase(phi_old, params), viscosity_from_phase(phi_old, params)
+    rho_new = density_from_phase(phi_new, params)
+
+    def skew(ke):
+        s = 0.5 * (ke - ke.transpose(0, 2, 1))
+        return _accumulate((n_v, n_v), both, both, np.concatenate([s, s]))[0]
+
+    viscous, coupled = _accumulate((n_v, n_v), vdofs, vdofs, viscous_elements(vs, eta_old))
+    G = viscous + skew(convection_elements(vs, rho_old, v_old))
+    if params.model == "agg":
+        j = compute_flux_j(mu_new, params.mobility, ss)
+        G = G + skew(flux_elements(vs, j, params))
+    G[np.diag_indices(n_v)] += assemble_time_terms(vs, rho_old, rho_new, v_old, tau)[0]
+    B, b_coupled = _accumulate((n_p, n_v), tri, vdofs, divergence_elements(vs, ss))
+    if params.elements == "p1p1":
+        C, c_coupled = _accumulate((n_p, n_p), tri, tri, stabilization_elements(ss, eta_old))
+    else:
+        C, c_coupled = np.zeros((n_p, n_p)), np.zeros((n_p, n_p), dtype=bool)
+        c_coupled[PIN, PIN] = True
+    K = np.block([[G, B.T], [B, -C]])
+    S = np.block([[coupled, b_coupled.T], [b_coupled, c_coupled]])
+    fixed = np.concatenate([vs.dirichlet_mask, np.arange(n_p) == PIN])
+    K[fixed, :] = 0.0
+    K[:, fixed] = 0.0
+    S[fixed, :] = False
+    S[:, fixed] = False
+    K[fixed, fixed] = 1.0
+    S[fixed, fixed] = True
+    rows, cols = np.nonzero(S)
+    indptr = np.zeros(len(K) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=len(K)), out=indptr[1:])
+    return sp.csr_array((K[rows, cols], cols.astype(np.int32), indptr), shape=K.shape)
 
 
 class RecordingCache(FactorizationCache):
     """A factorization cache that keeps every (matrix, right-hand side) it
-    is asked to solve, such as the monolithic saddle matrix."""
+    is asked to solve, such as the monolithic saddle matrix, in ``solved``
+    and the relative tolerance of each solve in ``tols``."""
 
     def __init__(self, order):
         super().__init__(order)
         self.solved = []
+        self.tols = []
 
     def solve(self, A, b, tol, x0):
         self.solved.append((A, b))
+        self.tols.append(tol)
         return super().solve(A, b, tol, x0)
 
 

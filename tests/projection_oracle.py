@@ -32,7 +32,7 @@ from phaseflow.momentum import (
     solve_saddle,
 )
 
-from oracles import midpoint_refine
+from oracles import Saddle, midpoint_refine
 
 
 class ProjectionWorkspace:
@@ -140,9 +140,10 @@ def projection_momentum_solve(ws: ProjectionWorkspace, step: MomentumStep,
     rho_new = density_from_phase(phi_new, params)
     j_elem = compute_flux_j(mu_new, params.mobility, disc.sspace)
 
-    mat_t, _ = assemble_time_terms(vs, step.rho_old, rho_new, v_old, step.tau)
+    mat_t = sp.diags_array(assemble_time_terms(vs, step.rho_old, rho_new, v_old, step.tau)[0],
+                           format="csr")
     S, r = _projection_coupling(ws, params, phi_new, v_old, j_elem)
-    G = mat_t + step.viscous + step.convective \
+    G = mat_t + vs.pattern.matrix(step.old_terms) \
         + assemble_Nb(vs, j_elem, params) \
         - sp.csr_array(S)
     # the time term tested against w keeps the averaged mass on v_old here
@@ -152,8 +153,9 @@ def projection_momentum_solve(ws: ProjectionWorkspace, step: MomentumStep,
     # SuperLU's own order with partial pivoting, the rounding its fixed
     # point converges under (in the nested order the increments of the
     # fifth A3 step stall near 2e-10, above eps_v = 1e-10)
-    v, p = solve_saddle(G, rhs, disc.B, vs.dirichlet_mask, None, tol=1e-10,
-                        cache=FactorizationCache(None),
+    # the saddle plan is built on G's own, dense, velocity pattern
+    plan = Saddle(G, rhs, disc.B, vs.dirichlet_mask, None).plan()
+    v, p = solve_saddle(plan, G, rhs, None, tol=1e-10, cache=FactorizationCache(None),
                         guess=(np.zeros(G.shape[0]), np.zeros(disc.B.shape[0])))
     w = disc.sspace.lumped
     return v, p - (w @ p) / w.sum()
@@ -173,7 +175,7 @@ def projection_reference_step(state: State, tau: float, params: PhysParams,
     if ws is None:
         ws = ProjectionWorkspace(disc)
     phi_k, v_k = state.phi, state.v
-    step = MomentumStep(disc.vspace, disc.sspace, params, disc.B,
+    step = MomentumStep(disc.vspace, disc.sspace, params, disc.saddle,
                         phi_k, v_k, tau, state.t)
 
     def ch_solve(v_dofs, phi_guess, mu_guess):

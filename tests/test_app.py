@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phaseflow import app
+from phaseflow import app, coupling
+from phaseflow.cahn_hilliard import LIN_TOL
 from phaseflow.app import (
     CSV_HEADER,
     cli_main,
@@ -521,3 +522,54 @@ def test_cli_strict_audit_failure_exits_2_and_keeps_accepted_rows(tmp_path, monk
     assert "audit failure after 1 accepted steps" in capsys.readouterr().err
     assert (out / "config.txt").exists()
     assert len((out / "energy.csv").read_text().strip().split("\n")) == 2
+
+
+# -------------------------------------------------- phase-field Newton tolerance
+
+# level-4 runs on the code paths of the three benchmark workloads
+NEWTON_RUNS = {
+    "ellipse-fe": ("ellipse", dict(discretization_level=4, discretization_convection="fe",
+                                   scenario_tmax=0.01)),
+    "rt-fv": ("rayleigh-taylor", dict(discretization_level=4, discretization_elements="p1p1",
+                                      discretization_convection="fv", scenario_tmax=0.001)),
+    "adapt": ("ellipse", dict(discretization_level=4, discretization_convection="fv",
+                              adaptivity_enabled=True, adaptivity_min_level=4,
+                              adaptivity_max_level=6, scenario_tmax=0.01)),
+}
+
+
+class AtLinTol:
+    """A phase cache whose solves all run to ``LIN_TOL``."""
+
+    def __init__(self, cache):
+        self.cache = cache
+
+    def solve(self, A, b, tol, x0):
+        return self.cache.solve(A, b, LIN_TOL, x0)
+
+
+def newton_counts(monkeypatch, name, at_lin_tol):
+    """The Newton iterations of every phase-field solve of a run, with the
+    corrections solved to the forcing tolerance or, held, to LIN_TOL."""
+    scenario, inputs = NEWTON_RUNS[name]
+    counts = []
+    solve = coupling.ch_diffusive_solve
+
+    def recording(*args, lin_cache, **kw):
+        out = solve(*args, lin_cache=AtLinTol(lin_cache) if at_lin_tol else lin_cache, **kw)
+        counts.append(out[2].newton_iterations)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(coupling, "ch_diffusive_solve", recording)
+        run(run_config(replace(preset(scenario), **inputs)))
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_RUNS))
+def test_newton_iterations_do_not_depend_on_the_forcing_tolerance(monkeypatch, name):
+    # solving each correction only as far as Newton's own test needs takes
+    # exactly the Newton iterations of corrections solved to LIN_TOL
+    forced = newton_counts(monkeypatch, name, at_lin_tol=False)
+    assert sum(forced) > len(forced)
+    assert forced == newton_counts(monkeypatch, name, at_lin_tol=True)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaseflow import linalg
 from phaseflow.cahn_hilliard import (
+    LIN_TOL,
     ChReport,
     ch_diffusive_solve,
     engquist_osher_flux,
@@ -24,8 +26,9 @@ from phaseflow.linalg import FactorizationCache
 from phaseflow.mesh import build_dual_grid, build_structured_mesh
 from phaseflow.momentum import PhysParams
 
-from oracles import (boundary_vertex_mask, dual_cell_volumes, dual_face_endpoints,
-                     integrate_on_mesh, interfacial_energy, interpolate_nodal)
+from oracles import (RecordingCache, assert_same_csr, boundary_vertex_mask, dual_cell_volumes,
+                     dual_face_endpoints, integrate_on_mesh, interfacial_energy,
+                     interpolate_nodal)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -363,6 +366,56 @@ def test_diffusive_solve_started_at_its_solution_takes_no_newton_step():
     assert rep.newton_iterations == 0
     np.testing.assert_array_equal(phi2, phi1)
     np.testing.assert_array_equal(mu2, mu1)
+
+
+def convected_solve(newton_tol, cache):
+    """A level-4 diffusive solve with implicit FE convection by a swirl,
+    its systems through ``cache``: (phi0, tau, params, space, conv) and the
+    solve's report."""
+    mesh = build_structured_mesh((0, 1, 0, 1), 4)
+    space = ScalarSpace(mesh)
+    vs = VelocitySpace(mesh, degree=2, bc="noslip")
+    params = PhysParams(sigma=1.0, delta=0.2, mobility=0.5)
+    phi0 = np.tanh((mesh.vertices[:, 0] - 0.4) / (np.sqrt(2.0) * 0.2))
+    v = interpolate_nodal(
+        lambda p: np.column_stack([np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
+                                   np.cos(np.pi * p[:, 0]) * p[:, 1]]), vs)
+    conv = fe_convection_matrix(space, np.where(vs.dirichlet_mask, 0.0, v), vs)
+    tau = 5e-3
+    _, _, rep = ch_diffusive_solve(phi0, phi0, tau, params, space, newton_tol=newton_tol,
+                                   conv_matrix=conv, phi_guess=phi0,
+                                   mu_guess=np.zeros_like(phi0), lin_cache=cache)
+    return (phi0, tau, params, space, conv), rep
+
+
+def test_newton_jacobian_is_bitwise_the_bmat_of_its_blocks():
+    # the blocks written into the fixed pair pattern store what sp.bmat
+    # stacks from the same blocks; each iteration rewrites only values
+    cache = RecordingCache(None)
+    (phi0, tau, params, space, conv), rep = convected_solve(1e-12, cache)
+    M, K, c = space.mass, space.stiffness, space.lumped
+    sig, dlt = params.sigma, params.delta
+    lower = -(sig * dlt) * K
+    lower.setdiag(lower.diagonal() - (sig / dlt) * c * well_plus_second(phi0))
+    ref = sp.bmat([[M + tau * conv, (tau * params.mobility) * K], [lower, M]], format="csr")
+    J = cache.solved[0][0]
+    assert_same_csr(J, ref)
+    assert len(cache.solved) == rep.newton_iterations >= 2
+    for A, _ in cache.solved[1:]:
+        assert np.array_equal(A.indptr, J.indptr) and np.array_equal(A.indices, J.indices)
+
+
+def test_newton_corrections_are_solved_to_the_forcing_tolerance():
+    # each correction gets max(LIN_TOL, 0.1 newton_tol / ||F||_2) for the
+    # residual F it corrects, the negative of its right-hand side
+    newton_tol = 1e-9
+    cache = RecordingCache(None)
+    _, rep = convected_solve(newton_tol, cache)
+    assert len(cache.tols) == rep.newton_iterations >= 2
+    for (_, b), tol in zip(cache.solved, cache.tols):
+        assert tol == max(LIN_TOL, 0.1 * newton_tol / np.linalg.norm(b))
+        assert tol >= LIN_TOL
+    assert max(cache.tols) > LIN_TOL  # the forcing term is live
 
 
 # ---------------------------------------------------------------- convection

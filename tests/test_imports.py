@@ -2,8 +2,9 @@
 package imports at module level only, every module-level function, class
 and constant of the package and every method and property of its classes
 is used in the package, every dataclass field and ``__init__`` attribute
-of its classes is read, every parameter of its functions is read, and its
-functions hold exactly the budgeted number of defaulted parameters.
+of its classes is read, every parameter of its functions is read, its
+functions hold exactly the budgeted number of defaulted parameters, and the
+functions of the splitting loop's inner iteration build no sparse structure.
 
 An ``ast`` scan of the package and the test suite: a name bound by an
 import must occur as a name elsewhere in its module.  Exempt are
@@ -198,3 +199,38 @@ def defaulted_parameters(path: pathlib.Path) -> list[str]:
 def test_defaulted_parameters_within_budget():
     found = [entry for path in PACKAGE for entry in defaulted_parameters(path)]
     assert len(found) == DEFAULTED_PARAMETER_BUDGET, found
+
+
+# The functions of the splitting loop's inner iteration write their
+# operators into fixed per-mesh patterns; none of them may build a sparse
+# structure anew through these calls.
+LOOP_FUNCTIONS = {"solve_momentum", "solve_saddle", "apply_velocity_dirichlet", "assemble_Nb",
+                  "ch_diffusive_solve", "fe_convection_matrix"}
+RESTRUCTURING_CALLS = {"bmat", "coo_array", "diags_array", "tocsr", "tocsc", "eliminate_zeros",
+                       "sum_duplicates"}
+
+
+def restructuring_calls(paths) -> tuple[set[str], list[str]]:
+    """The ``LOOP_FUNCTIONS`` the files define, and every call of a
+    ``RESTRUCTURING_CALLS`` name in them, by name or as an attribute."""
+    defined, found = set(), []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef) or func.name not in LOOP_FUNCTIONS:
+                continue
+            defined.add(func.name)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    name = callee.attr if isinstance(callee, ast.Attribute) else \
+                        getattr(callee, "id", None)
+                    if name in RESTRUCTURING_CALLS:
+                        found.append(f"{path.name}:{node.lineno}: {func.name} calls {name}")
+    return defined, found
+
+
+def test_the_splitting_loop_builds_no_sparse_structure():
+    defined, found = restructuring_calls(PACKAGE)
+    assert defined == LOOP_FUNCTIONS
+    assert found == []

@@ -345,7 +345,7 @@ def test_saddle_guess_pressure_is_shifted_to_the_pin(monkeypatch, with_c):
         return x, it
 
     monkeypatch.setattr(linalg, "bicgstab", recording)
-    v2, p2 = momentum.solve_saddle(sys.G, sys.rhs_v, sys.B, sys.mask, sys.C, tol=1e-9,
+    v2, p2 = momentum.solve_saddle(sys.plan(), sys.G, sys.rhs_v, sys.C, tol=1e-9,
                                    cache=cache, guess=(v, p + 1e3))
     assert iterations == [0]
     assert p2[PIN] == 0.0
@@ -415,7 +415,7 @@ def first_saddle(name):
     rc = app.run_config(app.preset(name))
     disc = Discretization(build_structured_mesh(rc.domain, rc.base_level), rc.params)
     state = initial_state(disc, rc.params, rc.phi0)
-    step = momentum.MomentumStep(disc.vspace, disc.sspace, rc.params, disc.B,
+    step = momentum.MomentumStep(disc.vspace, disc.sspace, rc.params, disc.saddle,
                                  state.phi, state.v, 1e-3, 0.0)
     order = momentum.saddle_order(disc.vspace)
     cache = RecordingCache(order)

@@ -9,6 +9,7 @@ from phaseflow.momentum import (
     ForceSpec,
     MomentumStep,
     PhysParams,
+    SaddlePlan,
     apply_velocity_dirichlet,
     assemble_divergence,
     assemble_Na,
@@ -24,7 +25,15 @@ from phaseflow.momentum import (
     viscosity_from_phase,
 )
 
-from oracles import Saddle, duffy_rule, interpolate_nodal, pinned_monolithic, schur_solve
+from oracles import (
+    RecordingCache,
+    Saddle,
+    assert_same_csr,
+    duffy_rule,
+    interpolate_nodal,
+    monolithic_reference,
+    schur_solve,
+)
 
 
 PAPER_DENSITIES = dict(rho1=0.001, rho2=0.019)
@@ -35,11 +44,19 @@ def setup(level=2, domain=(0, 1, 0, 1), degree=2, bc="noslip"):
     return mesh, ScalarSpace(mesh), VelocitySpace(mesh, degree=degree, bc=bc)
 
 
-def momentum_solve(vs, ss, params, phi_old, phi_new, mu_new, v_old, tau, t):
-    """One momentum solve from a fresh step and factorization cache."""
-    step = MomentumStep(vs, ss, params, assemble_divergence(vs, ss), phi_old, v_old, tau, t)
-    return solve_momentum(step, phi_new, mu_new, FactorizationCache(saddle_order(vs)),
-                          (v_old, np.zeros(ss.n_dofs)))
+def saddle_plan(vs, ss, params):
+    """The mesh's ``SaddlePlan``, as ``coupling.Discretization.saddle``
+    builds it."""
+    return SaddlePlan(vs.pattern, assemble_divergence(vs, ss),
+                      ss.pattern if params.elements == "p1p1" else None, vs.dirichlet_mask)
+
+
+def momentum_solve(vs, ss, params, phi_old, phi_new, mu_new, v_old, tau, t, cache=None):
+    """One momentum solve from a fresh step and, by default, a fresh
+    factorization cache."""
+    step = MomentumStep(vs, ss, params, saddle_plan(vs, ss, params), phi_old, v_old, tau, t)
+    cache = FactorizationCache(saddle_order(vs)) if cache is None else cache
+    return solve_momentum(step, phi_new, mu_new, cache, (v_old, np.zeros(ss.n_dofs)))
 
 
 # ------------------------------------------------------------- material laws
@@ -288,9 +305,9 @@ def test_time_terms_constant_density():
     mesh, ss, vs = setup()
     tau = 0.01
     rho = np.full(ss.n_dofs, 0.4)
-    mat, rhs = assemble_time_terms(vs, rho, rho, np.zeros(vs.n_dofs), tau)
+    diag, rhs = assemble_time_terms(vs, rho, rho, np.zeros(vs.n_dofs), tau)
     d = vs.lumping @ np.ones(ss.n_dofs)
-    diff = abs(mat.toarray() - np.diag(0.4 / tau * np.concatenate([d, d])))
+    diff = abs(diag - 0.4 / tau * np.concatenate([d, d]))
     assert diff.max() < 1e-12
     np.testing.assert_allclose(rhs, 0.0)
 
@@ -302,10 +319,10 @@ def test_time_terms_identity_of_rewriting():
     rho_o = 0.5 + rng.uniform(0, 1, ss.n_dofs)
     rho_n = 0.5 + rng.uniform(0, 1, ss.n_dofs)
     v_o = rng.standard_normal(vs.n_dofs)
-    mat, rhs = assemble_time_terms(vs, rho_o, rho_n, v_o, tau)
+    diag, rhs = assemble_time_terms(vs, rho_o, rho_n, v_o, tau)
     d_o = vs.lumping @ rho_o
     d_n = vs.lumping @ rho_n
-    lhs = mat @ v_o - rhs
+    lhs = diag * v_o - rhs
     want = np.concatenate([d_n - d_o, d_n - d_o]) * v_o / (2.0 * tau)
     np.testing.assert_allclose(lhs, want, atol=1e-12)
 
@@ -437,71 +454,12 @@ def test_assembly_chunking_is_bitwise_stable(monkeypatch):
     assert np.array_equal(N1, N2)
 
 
-def test_apply_velocity_dirichlet_matches_dense():
-    rng = np.random.default_rng(4)
-    n = 12
-    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
-    dense[2, 2] = 0.0  # a constrained row without a stored diagonal
-    dense[4, 6] = 0.0  # stored below as two duplicates
-    mask = np.zeros(n, dtype=bool)
-    mask[[0, 2, 7, 11]] = True
-    import scipy.sparse as sp
-
-    coo = sp.coo_array(dense)
-    # a non-canonical CSR as unsummed assembly leaves it: descending columns
-    # within each row, a duplicate pair and an explicit zero
-    rows = np.concatenate([coo.row, [4, 4], [5]])
-    cols = np.concatenate([coo.col, [6, 6], [3]])
-    vals = np.concatenate([coo.data, [0.25, 0.25], [0.0]])
-    order = np.lexsort((-cols, rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    A = sp.csr_array((vals[order], cols[order], indptr), shape=(n, n))
-    assert not A.has_canonical_format
-    out = apply_velocity_dirichlet(A, mask)
-    ref = dense.copy()
-    ref[4, 6] = 0.5
-    ref[mask, :] = 0.0
-    ref[:, mask] = 0.0
-    ref[mask, mask] = 1.0
-    np.testing.assert_array_equal(out.toarray(), ref)
-    assert out.has_sorted_indices and np.all(out.data != 0.0)
+PAIRS = [("th", "noslip"), ("th", "freeslip"), ("p1p1", "noslip")]
 
 
-def assert_same_csr(a, b):
-    """a and b store the same CSR arrays bit for bit."""
-    assert a.shape == b.shape
-    for name in ("indptr", "indices", "data"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-
-
-def test_apply_velocity_dirichlet_is_idempotent():
-    # a G its caller already constrained reaches the saddle matrix unchanged
-    mesh, ss, vs = setup(level=4, bc="freeslip")
-    once = apply_velocity_dirichlet(assemble_viscous(vs, 0.5 + mesh.vertices[:, 0]),
-                                    vs.dirichlet_mask)
-    assert_same_csr(apply_velocity_dirichlet(once, vs.dirichlet_mask), once)
-
-
-def captured_systems(monkeypatch, level, elements, bc):
-    """The saddle systems of two real momentum solves on the unit square (a
-    layered phase under weighted gravity with a swirling old velocity),
-    the (v, p) each momentum solve returned, and the pressure and velocity
-    spaces."""
-    import phaseflow.momentum as momentum
-
-    seen = []
-    solve = momentum.solve_saddle
-
-    def record(*blocks, **kw):
-        seen.append(Saddle(*blocks))
-        return solve(*blocks, **kw)
-
-    monkeypatch.setattr(momentum, "solve_saddle", record)
-    degree = 2 if elements == "th" else 1
-    mesh, ss, vs = setup(level=level, degree=degree, bc=bc)
-    params = PhysParams(eta1=0.01, eta2=0.05, elements=elements, bc=bc,
-                        force=ForceSpec(kind="weighted", k0=(0.0, -10.0)))
+def swirl_inputs(mesh, vs):
+    """A layered phase under weighted gravity with a swirling old velocity
+    on the unit square: (phi_old, phi_new, mu, v_old)."""
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     phi_old = np.tanh((y - 0.5 - 0.05 * np.sin(2 * np.pi * x)) / 0.05)
     phi_new = np.tanh((y - 0.49 - 0.05 * np.sin(2 * np.pi * x)) / 0.05)
@@ -510,13 +468,88 @@ def captured_systems(monkeypatch, level, elements, bc):
         lambda p: np.column_stack([np.sin(np.pi * p[:, 0]) ** 2 * np.sin(2 * np.pi * p[:, 1]),
                                    -np.sin(2 * np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]) ** 2]),
         vs)
-    v_old = np.where(vs.dirichlet_mask, 0.0, swirl)
+    return phi_old, phi_new, mu, np.where(vs.dirichlet_mask, 0.0, swirl)
+
+
+def swirl_params(elements, bc):
+    return PhysParams(eta1=0.01, eta2=0.05, elements=elements, bc=bc,
+                      force=ForceSpec(kind="weighted", k0=(0.0, -10.0)))
+
+
+def recorded_monolithic(vs, ss, params, inputs, tau):
+    """The constrained monolithic matrix one momentum solve hands its
+    factorization cache."""
+    phi_old, phi_new, mu, v_old = inputs
+    cache = RecordingCache(saddle_order(vs))
+    momentum_solve(vs, ss, params, phi_old, phi_new, mu, v_old, tau=tau, t=0.0, cache=cache)
+    return cache.solved[0][0]
+
+
+def test_apply_velocity_dirichlet_matches_dense():
+    # any values in the saddle plan's pattern, constrained, are the dense
+    # matrix with the rows and columns of the Dirichlet dofs and of PIN
+    # zeroed and 1 on their diagonal
+    mesh, ss, vs = setup(level=2, bc="freeslip")
+    plan = saddle_plan(vs, ss, swirl_params("th", "freeslip"))
+    K = plan.pattern.matrix(np.random.default_rng(4).standard_normal(plan.pattern.nnz))
+    ref = K.toarray()
+    fixed = np.concatenate([vs.dirichlet_mask, np.arange(ss.n_dofs) == PIN])
+    ref[fixed, :] = 0.0
+    ref[:, fixed] = 0.0
+    ref[fixed, fixed] = 1.0
+    np.testing.assert_array_equal(apply_velocity_dirichlet(K, plan.fixed).toarray(), ref)
+
+
+def test_apply_velocity_dirichlet_is_idempotent():
+    # constraining a saddle matrix that is already constrained changes no bit
+    mesh, ss, vs = setup(level=4, bc="freeslip")
+    params = swirl_params("th", "freeslip")
+    K = recorded_monolithic(vs, ss, params, swirl_inputs(mesh, vs), 1e-3)
+    plan = saddle_plan(vs, ss, params)
+    once = K.copy()
+    assert_same_csr(apply_velocity_dirichlet(K, plan.fixed), once)
+
+
+@pytest.mark.parametrize("elements,bc", [("th", "noslip"), ("p1p1", "noslip")])
+def test_saddle_pattern_holds_only_the_diagonal_in_constrained_rows_and_columns(elements, bc):
+    # the Dirichlet dofs and the pinned pressure dof keep their diagonal
+    # entry, 1, and no other entry; every other row keeps its couplings
+    degree = 2 if elements == "th" else 1
+    mesh, ss, vs = setup(level=4, degree=degree, bc=bc)
+    params = swirl_params(elements, bc)
+    K = recorded_monolithic(vs, ss, params, swirl_inputs(mesh, vs), 1e-3)
+    fixed = np.concatenate([vs.dirichlet_mask, np.arange(ss.n_dofs) == PIN])
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    constrained = fixed[rows] | fixed[K.indices]
+    assert np.array_equal(rows[constrained], K.indices[constrained])
+    assert np.array_equal(np.flatnonzero(fixed), rows[constrained])
+    np.testing.assert_array_equal(K.data[constrained], 1.0)
+    assert np.all(np.diff(K.indptr)[~fixed] > 1)
+    plan = saddle_plan(vs, ss, params)
+    assert plan.fixed.dtype == plan.g.dtype == plan.pattern.indices.dtype == np.int32
+
+
+def captured_systems(monkeypatch, level, elements, bc):
+    """The saddle systems of two real momentum solves on the unit square
+    (``swirl_inputs``), the (v, p) each momentum solve returned, and the
+    pressure and velocity spaces."""
+    import phaseflow.momentum as momentum
+
+    seen = []
+    solve = momentum.solve_saddle
+
+    def record(plan, G, rhs_v, C, **kw):
+        seen.append(Saddle(G, rhs_v, plan.B, plan.mask, C))
+        return solve(plan, G, rhs_v, C, **kw)
+
+    monkeypatch.setattr(momentum, "solve_saddle", record)
+    degree = 2 if elements == "th" else 1
+    mesh, ss, vs = setup(level=level, degree=degree, bc=bc)
+    params = swirl_params(elements, bc)
+    phi_old, phi_new, mu, v_old = swirl_inputs(mesh, vs)
     solved = [momentum_solve(vs, ss, params, phi_old, phi_new, mu, v_old, tau=tau, t=0.0)
               for tau in (1e-3, 1e-2)]
     return seen, solved, ss, vs
-
-
-PAIRS = [("th", "noslip"), ("th", "freeslip"), ("p1p1", "noslip")]
 
 
 @pytest.mark.parametrize("elements,bc", PAIRS)
@@ -537,14 +570,22 @@ def test_pinned_direct_solve_matches_schur_level6(monkeypatch, elements, bc):
 
 @pytest.mark.parametrize("elements,bc", PAIRS)
 def test_monolithic_matrix_equals_the_pinned_block_construction(monkeypatch, elements, bc):
-    # one mask over the stacked matrix fixes exactly the entries the
-    # block-by-block construction drops: Dirichlet columns of B, the pinned
-    # row of B and the pinned row and column of C
+    # the fixed pattern and its one scatter per operator give, bit for bit,
+    # the dense reference that sums each operator's element matrices entry
+    # by entry in element order and the operators in the documented order,
+    # then clears the constrained rows and columns
+    degree = 2 if elements == "th" else 1
+    mesh, ss, vs = setup(level=4, degree=degree, bc=bc)
+    params = swirl_params(elements, bc)
+    inputs = swirl_inputs(mesh, vs)
+    phi_old, phi_new, mu, v_old = inputs
+    for tau in (1e-3, 1e-2):
+        K = recorded_monolithic(vs, ss, params, inputs, tau)
+        assert_same_csr(K, monolithic_reference(vs, ss, params, phi_old, v_old, phi_new, mu, tau))
     systems = captured_systems(monkeypatch, 4, elements, bc)[0]
     assert (systems[0].C is not None) == (elements == "p1p1")
     for system in systems:
-        K, rhs = system.monolithic()
-        assert_same_csr(K, pinned_monolithic(system))
+        _, rhs = system.monolithic()
         np.testing.assert_array_equal(rhs[:system.n_v], np.where(system.mask, 0.0, system.rhs_v))
         np.testing.assert_array_equal(rhs[system.n_v:], 0.0)
 
